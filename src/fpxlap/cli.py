@@ -274,6 +274,8 @@ def run(cfg: RunConfig) -> int:
         report.add("solver.iterations", sol.iterations)
         report.add("solver.energy", sol.energy)
         report.add("solver.el_residual", sol.el_residual)
+        report.add("solver.cg_iterations_total", sol.cg_iterations)
+        report.add("solver.backtracks_total", sol.backtracks)
         status = 0 if sol.converged else 2
     else:
         nl_sec = cfg.section("nonlinearity")

@@ -15,7 +15,8 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,11 +52,18 @@ class PoissonProblem:
         if not validate_growth_pair(self.r, self.p, self.mesh):
             raise ValueError("growth pair (r, p) fails pbar+ < r- or r < critical exponent")
 
+    def _with_data(self, name: str, value: GridFunction) -> "PoissonProblem":
+        # the growth check depends only on (r, p, mesh), so a new h or g
+        # skips it instead of rerunning __post_init__
+        new = copy.copy(self)
+        object.__setattr__(new, name, value)
+        return new
+
     def with_h(self, h: GridFunction) -> "PoissonProblem":
-        return replace(self, h=h)
+        return self._with_data("h", h)
 
     def with_g(self, g: GridFunction) -> "PoissonProblem":
-        return replace(self, g=g)
+        return self._with_data("g", g)
 
 
 @dataclass
@@ -66,6 +74,8 @@ class PoissonSolution:
     iterations: int
     converged: bool
     energy_history: list[float] = field(default_factory=list)
+    cg_iterations: int = 0
+    backtracks: int = 0
 
 
 def _field_values(u) -> np.ndarray:
@@ -73,6 +83,12 @@ def _field_values(u) -> np.ndarray:
 
 
 def energy(u, prob: PoissonProblem) -> float:
+    """Energy of a field on the full n x n pair matrix.
+
+    Plain reference implementation: ``solve_poisson`` evaluates the same
+    energy on its interior-row block, and tests and checks recompute with
+    this one.
+    """
     vals = _field_values(u)
     W = prob.weights
     diff = vals[:, None] - vals[None, :]
@@ -89,7 +105,9 @@ def energy_gradient(u, prob: PoissonProblem) -> GridFunction:
 
     Component i (interior): 2 sum_j w_ij |u_i-u_j|^{p_ij-2}(u_i-u_j)
     + 2 dx tail_i |u_i|^{pbar_i-2} u_i - dx h_i.  Exterior components are
-    constrained and reported as zero.
+    constrained and reported as zero.  Plain reference implementation on the
+    full n x n pair matrix, independent of the interior-row block inside
+    ``solve_poisson``.
     """
     vals = _field_values(u)
     W = prob.weights
@@ -108,104 +126,193 @@ def initial_guess(prob: PoissonProblem) -> GridFunction:
     return GridFunction(prob.mesh, vals)
 
 
+def _row_block(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """a[rows], as a view when the (sorted) rows are contiguous."""
+    if rows[-1] - rows[0] + 1 == rows.size:
+        return a[rows[0]:rows[-1] + 1]
+    return a[rows]
+
+
+def _uniform(a: np.ndarray) -> float | None:
+    """The common value of a constant array, None when it varies."""
+    return float(a.flat[0]) if a.min() == a.max() else None
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, 0 where den = 0: |d|^{p-2} d from |d|^p and d."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def _exterior_energy(W: KernelWeights, interior: np.ndarray, vals: np.ndarray,
+                     dx: float, p) -> float:
+    """Energy of the pairs and tails whose cells all sit at exterior data.
+
+    p is the uniform pair exponent as a float, or None when it varies.
+    """
+    g = np.where(interior, 0.0, vals)
+    if p == 2.0:
+        # with g = 0 inside, sum_{i,j ext} w_ij (g_i-g_j)^2 / 2
+        # = g^2 . (w 1_ext) - g . w g: one pass over w and no block gather
+        wg = W.w @ np.column_stack([~interior, g])
+        pair = float((g * g) @ wg[:, 0] - g @ wg[:, 1])
+        return pair + dx * float(W.tail @ (g * g))
+    ext = np.flatnonzero(~interior)
+    block = np.ix_(ext, ext)
+    p_ext = W.p_pair[block] if p is None else p
+    diff = g[ext, None] - g[None, ext]
+    pair = float(np.vdot(W.w[block] / p_ext, np.abs(diff) ** p_ext))
+    return pair + 2.0 * dx * float(W.tail / W.p_bar @ np.abs(g) ** W.p_bar)
+
+
+def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """Jacobi-preconditioned CG for A d = rhs from d = 0.
+
+    Stops at |r|_2 <= rtol |rhs|_2, at a loss of positive curvature, or after
+    8m steps; returns the iterate and the step count.
+    """
+    diag = np.diagonal(A)
+    inv_diag = 1.0 / np.where(diag > 0.0, diag, 1.0)
+    d = np.zeros_like(rhs)
+    resid = rhs.copy()
+    z = inv_diag * resid
+    direction = z.copy()
+    rz = float(resid @ z)
+    rr = float(resid @ resid)
+    stop = max(rr, 1e-300) * rtol * rtol
+    it = 0
+    while rr > stop and it < 8 * rhs.size:
+        ad = A @ direction
+        dad = float(direction @ ad)
+        if dad <= 0.0:
+            break
+        step = rz / dad
+        d += step * direction
+        resid -= step * ad
+        rr = float(resid @ resid)
+        z = inv_diag * resid
+        rz_new = float(resid @ z)
+        direction = z + (rz_new / rz) * direction
+        rz = rz_new
+        it += 1
+    return d, it
+
+
 def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
                   record_history: bool = False) -> PoissonSolution:
     """Minimize the energy over the interior unknowns.
 
+    Pairs with both cells outside Omega never change, so every pass works on
+    the m x n block of interior rows (m interior cells): the energy is the
+    block sum with exterior columns counted twice, plus the exterior-exterior
+    energy computed once per call.  Each trial point costs one power pass
+    |d|^p; the gradient at an accepted point follows from it as |d|^p / d
+    and is carried into the next iteration.
+
     Each iteration builds the weighted-graph-Laplacian model of the energy
     with lagged pair weights max(p-1,1) w |u_i-u_j|^{p-2} (floored where
-    differences degenerate), solves it by conjugate gradients, and takes the
-    resulting direction under Armijo backtracking (sufficient decrease 1e-4,
-    halving), so the energy decreases monotonically.  When the energy change
-    falls below floating-point resolution, a step is accepted only if it
-    still reduces the gradient sup-norm.  Stops when that sup-norm reaches
-    tolerances.el_residual; non-convergence is reported through
+    differences degenerate), solves it by Jacobi-preconditioned conjugate
+    gradients, and takes the resulting direction under Armijo backtracking
+    (sufficient decrease 1e-4, halving), so the energy decreases
+    monotonically.  CG stops at the relative residual
+    eta_k = min(1e-2, 0.9 (r_k / r_{k-1})^2) (Eisenstat-Walker forcing term,
+    r_k the gradient sup-norm); every CG iterate is a descent direction.  For
+    constant p = 2 the model is the exact Hessian and CG runs to 1e-12, so
+    one iteration solves the problem.  When the energy change falls below
+    floating-point resolution, a step is accepted only if it still reduces
+    the gradient sup-norm.  Stops when that sup-norm, of the returned field,
+    reaches tolerances.el_residual; non-convergence is reported through
     ``converged=False``, never silently.
     """
     mesh, W, tol = prob.mesh, prob.weights, prob.tolerances
     interior = mesh.interior_mask
-    m = int(interior.sum())
+    rows = np.flatnonzero(interior)
     vals = (initial_guess(prob) if initial is None else initial).values.copy()
     vals[~interior] = prob.g.values[~interior]
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite initial field")
 
-    h_int = prob.h.values[interior]
     dx = mesh.cell_width
-    w_full, p_full = W.w, W.p_pair
-    tail_full, pbar_full = W.tail, W.p_bar
-    const_two = bool((p_full == 2.0).all())
-    fac_pair = np.maximum(p_full - 1.0, 1.0)
-    fac_tail = np.maximum(pbar_full - 1.0, 1.0)
+    h_int = prob.h.values[rows]
+    tail = W.tail[rows]
+    w_rows = _row_block(W.w, rows)
+    p_const = _uniform(W.p_pair)
+    quadratic = p_const == 2.0
+    if p_const is None:
+        p_rows, p_bar = _row_block(W.p_pair, rows), W.p_bar[rows]
+    else:
+        p_rows = p_bar = p_const
+    # a pair with one exterior cell appears twice in the full double sum
+    w_energy = w_rows * np.where(interior, 1.0, 2.0) / p_rows
+    w_model = w_rows if quadratic else np.maximum(p_rows - 1.0, 1.0) * w_rows
+    tail_energy = 2.0 * dx * tail / p_bar
+    tail_model = np.maximum(p_bar - 1.0, 1.0) * tail
+    e_fixed = _exterior_energy(W, interior, vals, dx, p_const)
 
-    def energy_of(v):
-        diff = v[:, None] - v[None, :]
-        e = float((w_full * _abs_pow(diff, p_full) / p_full).sum())
-        e += 2.0 * dx * float(np.sum(tail_full * np.abs(v) ** pbar_full / pbar_full))
-        e -= dx * float(np.sum(h_int * v[interior]))
-        return e
+    def evaluate(v):
+        x = v[rows]
+        diff = x[:, None] - v[None, :]
+        if quadratic:
+            power, tail_power = diff * diff, x * x
+        else:
+            power, tail_power = np.abs(diff) ** p_rows, np.abs(x) ** p_bar
+        e = (float(np.vdot(w_energy, power)) + float(tail_energy @ tail_power)
+             - dx * float(h_int @ x) + e_fixed)
+        return e, (x, diff, power, tail_power)
 
-    def gradient_of(v):
-        diff = v[interior, None] - v[None, :]
-        flux = 2.0 * (w_full[interior] * _signed_pow(diff, p_full[interior])).sum(axis=1)
-        return flux + 2.0 * dx * tail_full[interior] * _signed_pow(v[interior], pbar_full[interior]) - dx * h_int
+    def gradient_of(point):
+        x, diff, power, tail_power = point
+        if quadratic:
+            flux, tail_flux = diff, x
+        else:
+            flux, tail_flux = _ratio(power, diff), _ratio(tail_power, x)
+        return 2.0 * np.einsum("ij,ij->i", w_rows, flux) + 2.0 * dx * tail * tail_flux - dx * h_int
 
-    def model_direction(v, grad, floor_rel):
-        diff = np.abs(v[:, None] - v[None, :])
-        dmax = float(diff.max())
+    def model_direction(v, point, grad, floor_rel, rtol):
+        x, diff = point[0], point[1]
+        dmax = float(v.max() - v.min())
         scale = max(float(np.abs(v).max()), dmax)
-        if const_two or scale == 0.0 or dmax == 0.0:
+        if quadratic or scale == 0.0 or dmax == 0.0:
             # constant field: every pair weight degenerates, use the quadratic model
-            om, tau = w_full, tail_full
+            om, tau = w_rows, tail
         else:
             floor_pair = max(1e-13 * scale, floor_rel * dmax)
             floor_tail = max(1e-13 * scale, floor_rel * scale)
-            om = fac_pair * w_full * np.maximum(diff, floor_pair) ** (p_full - 2.0)
-            tau = fac_tail * tail_full * np.maximum(np.abs(v), floor_tail) ** (pbar_full - 2.0)
-        om_rows = om[interior]
-        om_core = om_rows[:, interior]
-        row_sum = om_rows.sum(axis=1)
-        tau_core = tau[interior]
+            om = np.abs(diff)
+            np.maximum(om, floor_pair, out=om)
+            np.power(om, p_rows - 2.0, out=om)
+            om *= w_model
+            tau = tail_model * np.maximum(np.abs(x), floor_tail) ** (p_bar - 2.0)
+        # model Hessian on the interior unknowns: 2 (diag(row sums + dx tau) - core)
+        hess = om[:, rows]
+        hess *= -2.0
+        hess[np.diag_indices_from(hess)] += 2.0 * (om.sum(axis=1) + dx * tau)
+        return _pcg(hess, -grad, rtol)
 
-        def matvec(x):
-            return 2.0 * (row_sum * x - om_core @ x) + 2.0 * dx * tau_core * x
-
-        d = np.zeros(m)
-        resid = -grad.copy()
-        direction = resid.copy()
-        rs = float(resid @ resid)
-        rs0 = max(rs, 1e-300)
-        it_cg = 0
-        while rs > 1e-24 * rs0 and it_cg < 8 * m:
-            ad = matvec(direction)
-            dad = float(direction @ ad)
-            if dad <= 0.0:
-                break
-            step = rs / dad
-            d += step * direction
-            resid -= step * ad
-            rs_new = float(resid @ resid)
-            direction = resid + (rs_new / rs) * direction
-            rs = rs_new
-            it_cg += 1
-        return d
-
-    e_now = energy_of(vals)
+    e_now, point = evaluate(vals)
     if not np.isfinite(e_now):
         raise ValueError("non-finite energy at the initial field")
+    grad = gradient_of(point)
+    residual = float(np.max(np.abs(grad)))
     history = [e_now] if record_history else []
     converged = False
-    it = 0
-    residual = np.inf
+    it = cg_total = backtracks = 0
+    prev_residual = None
     floor_rel = 0.3
     guard = 4.0 * np.finfo(float).eps
-    while it < tol.max_iter:
-        grad = gradient_of(vals)
-        residual = float(np.max(np.abs(grad))) if grad.size else 0.0
+    while True:
         if residual <= tol.el_residual:
             converged = True
             break
-        d = model_direction(vals, grad, floor_rel)
+        if it >= tol.max_iter:
+            break
+        if quadratic:
+            rtol = 1e-12
+        elif prev_residual is None:
+            rtol = 1e-2
+        else:
+            rtol = min(1e-2, 0.9 * (residual / prev_residual) ** 2)
+        d, n_cg = model_direction(vals, point, grad, floor_rel, rtol)
+        cg_total += n_cg
         cap = 10.0 * (1.0 + float(np.abs(vals).max()))
         dn = float(np.abs(d).max())
         if dn > cap:
@@ -218,32 +325,30 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
         accepted = False
         while alpha >= tol.step:
             trial = vals.copy()
-            trial[interior] += alpha * d
-            e_trial = energy_of(trial)
+            trial[rows] += alpha * d
+            e_trial, trial_point = evaluate(trial)
             if np.isfinite(e_trial) and e_trial <= e_now + 1e-4 * alpha * slope + guard * (1.0 + abs(e_now)):
+                trial_grad = None
                 if e_trial >= e_now - guard * (1.0 + abs(e_now)):
                     # energy change below fp resolution: demand residual progress
-                    g_trial = gradient_of(trial)
-                    if float(np.max(np.abs(g_trial))) < residual * (1.0 - 1e-3):
-                        vals = trial
-                        e_now = min(e_trial, e_now)
-                        accepted = True
-                        break
+                    trial_grad = gradient_of(trial_point)
+                    accepted = float(np.max(np.abs(trial_grad))) < residual * (1.0 - 1e-3)
                 else:
-                    vals = trial
-                    e_now = e_trial
                     accepted = True
+                if accepted:
+                    vals, point = trial, trial_point
+                    e_now = min(e_trial, e_now)
+                    grad = gradient_of(point) if trial_grad is None else trial_grad
                     break
             alpha *= 0.5
+            backtracks += 1
         it += 1
         if record_history:
             history.append(e_now)
         if not accepted:
             # no certified progress left at machine precision
-            grad = gradient_of(vals)
-            residual = float(np.max(np.abs(grad)))
-            converged = residual <= tol.el_residual
             break
+        prev_residual, residual = residual, float(np.max(np.abs(grad)))
         floor_rel = max(floor_rel * 0.5, 1e-14)
 
     u = DirichletPair(u=GridFunction(mesh, vals), g=prob.g)
@@ -254,6 +359,8 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
         iterations=it,
         converged=converged,
         energy_history=history,
+        cg_iterations=cg_total,
+        backtracks=backtracks,
     )
 
 

@@ -355,21 +355,21 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
         grad = energy_gradient(u, prob.with_h(nemytsky(f, u)))
         return float(np.max(np.abs(grad.values[mask_all])))
 
-    sub_meshes = [restrict_interior(prob.mesh, m) for m in masks]
-    sub_weights = [
-        KernelWeights(mesh=sm, w=prob.weights.w, p_pair=prob.weights.p_pair,
-                      tail=prob.weights.tail)
-        for sm in sub_meshes
-    ]
+    # one problem per shell, validated once; each sweep only swaps the datum
+    shell_probs = []
+    for m in masks:
+        sm = restrict_interior(prob.mesh, m)
+        sw = KernelWeights(mesh=sm, w=prob.weights.w, p_pair=prob.weights.p_pair,
+                           tail=prob.weights.tail)
+        shell_probs.append(PoissonProblem(
+            mesh=sm, weights=sw, p=prob.p, r=prob.r,
+            h=GridFunction(sm, np.zeros(sm.n_cells)), g=GridFunction(sm, current),
+            tolerances=prob.tolerances,
+        ))
     for sweep in range(1, max_sweeps + 1):
         sweep_traces = []
-        for j, (sm, sw) in enumerate(zip(sub_meshes, sub_weights)):
-            sub_g = GridFunction(sm, current)
-            sub_prob = PoissonProblem(
-                mesh=sm, weights=sw, p=prob.p, r=prob.r,
-                h=GridFunction(sm, np.zeros(sm.n_cells)), g=sub_g,
-                tolerances=prob.tolerances,
-            )
+        for j, shell_prob in enumerate(shell_probs):
+            sub_prob = shell_prob.with_g(GridFunction(shell_prob.mesh, current))
             sol_j, trace_j = fixed_point_solve(
                 f, sub_prob, theta=theta, max_iter=max_iter, tol=tol,
             )

@@ -1,13 +1,13 @@
 """Acceptance gate: every numbered criterion at its stated tolerance.
 
 Each test emits one PASS/FAIL line, printed and appended to
-``acceptance_report.txt`` at the repository root (pytest's fd capture hides
-prints from passing tests).  Criteria with stated runtime budgets assert them.
+``acceptance_report.txt`` under pytest's base temporary directory (pytest's
+fd capture hides prints from passing tests); the run's summary prints the
+file's path.  Criteria with stated runtime budgets assert them.
 """
 
 import time
 from math import gamma as gamma_fn, pi, sqrt
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,22 +24,19 @@ from fpxlap.suites import (run_cara_suite, run_edm_suite, run_holder_suite,
 
 from util import bump_pair, const_pair, const_scalar, grid, random_w0
 
-REPORT_PATH = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 
+@pytest.fixture
+def report(acceptance_report_path):
+    """Print one PASS/FAIL line and append it to the report file."""
+    def emit(ok: bool, label: str, **fields) -> bool:
+        tail = "  ".join(f"{k}={v}" for k, v in fields.items())
+        line = f"{'PASS' if ok else 'FAIL'}  {label}  {tail}"
+        print(line)
+        with acceptance_report_path.open("a") as fh:
+            fh.write(line + "\n")
+        return ok
 
-@pytest.fixture(scope="session", autouse=True)
-def _fresh_report_file():
-    REPORT_PATH.unlink(missing_ok=True)
-    yield
-
-
-def report(ok: bool, label: str, **fields) -> bool:
-    tail = "  ".join(f"{k}={v}" for k, v in fields.items())
-    line = f"{'PASS' if ok else 'FAIL'}  {label}  {tail}"
-    print(line)
-    with REPORT_PATH.open("a") as fh:
-        fh.write(line + "\n")
-    return ok
+    return emit
 
 
 def make_problem(mesh, p, r_value, h_vals, g_vals, **tol):
@@ -56,7 +53,7 @@ def mesh256():
     return build_mesh(2.0, 256, [(-1.0, 1.0)])
 
 
-def test_criterion_01_norm_modular_suite(mesh256):
+def test_criterion_01_norm_modular_suite(mesh256, report):
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     res = run_norm_modular_suite(mesh256, rng, 500, tol=1e-8)
@@ -68,14 +65,14 @@ def test_criterion_01_norm_modular_suite(mesh256):
                   seconds=f"{elapsed:.2f}")
 
 
-def test_criterion_02_holder_suite(mesh256):
+def test_criterion_02_holder_suite(mesh256, report):
     rng = np.random.default_rng(102)
     res = run_holder_suite(mesh256, rng, 1000)
     assert report(res.passed, "criterion-02 holder", cases=res.cases,
                   failures=res.failures, worst_slack=f"{res.worst_slack:.3e}")
 
 
-def test_criterion_03_edm_and_cara_suites(mesh256):
+def test_criterion_03_edm_and_cara_suites(mesh256, report):
     rng = np.random.default_rng(103)
     edm = run_edm_suite(mesh256, rng, 500, tol=1e-9)
     cara = run_cara_suite(mesh256, rng, 500, tol=1e-9)
@@ -84,7 +81,7 @@ def test_criterion_03_edm_and_cara_suites(mesh256):
                   cara_failures=cara.failures)
 
 
-def test_criterion_04_gradient_matches_finite_differences():
+def test_criterion_04_gradient_matches_finite_differences(report):
     mesh = build_mesh(2.0, 128, [(-1.0, 1.0)])
     rng = np.random.default_rng(104)
     configs = [
@@ -117,7 +114,7 @@ def test_criterion_04_gradient_matches_finite_differences():
                   seconds=f"{elapsed:.2f}")
 
 
-def test_criterion_05_uniqueness_two_initializations():
+def test_criterion_05_uniqueness_two_initializations(report):
     mesh = build_mesh(2.0, 64, [(-1.0, 1.0)])
     rng = np.random.default_rng(105)
     specs = [(1.5, 0.5, 2.2), (2.0, 0.4, 3.0), (3.0, 0.3, 4.0)]
@@ -138,7 +135,7 @@ def test_criterion_05_uniqueness_two_initializations():
     assert report(ok, "criterion-05 uniqueness", problems=10, worst_sup=f"{worst:.2e}")
 
 
-def test_criterion_06_weak_solution_equivalence():
+def test_criterion_06_weak_solution_equivalence(report):
     mesh = build_mesh(2.0, 64, [(-1.0, 1.0)])
     rng = np.random.default_rng(106)
     specs = [(const_pair(1.5, 0.5), 2.2), (const_pair(2.0, 0.4), 3.0),
@@ -159,7 +156,7 @@ def test_criterion_06_weak_solution_equivalence():
                   worst_energy_drop=f"{worst_drop:.2e}")
 
 
-def test_criterion_07_linear_case_closed_form_oracle():
+def test_criterion_07_linear_case_closed_form_oracle(report):
     # p = 2, s = 0.4, h = 1, g = 0 on (-1,1): the pair-doubled weak form with
     # the bare kernel solves the Fourier-normalized problem scaled by
     # C_{1,s}/2, so the ball solution is (C_{1,s}/2) c_s (1-x^2)^s
@@ -186,7 +183,7 @@ def test_criterion_07_linear_case_closed_form_oracle():
                   seconds=f"{elapsed:.1f}")
 
 
-def test_criterion_08_operator_weak_form_identity():
+def test_criterion_08_operator_weak_form_identity(report):
     mesh = build_mesh(2.0, 64, [(-1.0, 1.0)])
     W = assemble_weights(mesh, bump_pair(1.8, 0.6, s=0.3))
     rng = np.random.default_rng(108)
@@ -222,7 +219,7 @@ def _estimate_family(mesh, rng, count, r):
     return family
 
 
-def test_criterion_09_lr_estimate_fit_and_holdout():
+def test_criterion_09_lr_estimate_fit_and_holdout(report):
     rng = np.random.default_rng(109)
     mesh = build_mesh(2.0, 64, [(-1.0, 1.0)])
     outcomes = {}
@@ -287,7 +284,7 @@ def _minimize_semilinear_potential(mesh, template, avals, eps, tol=1e-8,
     return vals, float(np.max(np.abs(pot_grad(vals))))
 
 
-def test_criterion_10_fixed_point_vs_potential_oracle():
+def test_criterion_10_fixed_point_vs_potential_oracle(report):
     mesh, f, template, avals, eps = _criterion10_setup()
     sol, trace = fixed_point_solve(f, template, theta=0.5, max_iter=200, tol=1e-8)
     oracle_vals, oracle_res = _minimize_semilinear_potential(mesh, template, avals, eps)
@@ -299,7 +296,7 @@ def test_criterion_10_fixed_point_vs_potential_oracle():
                   oracle_residual=f"{oracle_res:.1e}", sup_gap=f"{gap:.2e}")
 
 
-def test_criterion_11_decomposition_matches_fixed_point():
+def test_criterion_11_decomposition_matches_fixed_point(report):
     mesh, f, template, _, _ = _criterion10_setup()
     g = GridFunction.zeros(mesh)
     sol_fp, trace = fixed_point_solve(f, template, theta=0.5, max_iter=200, tol=1e-8)
@@ -325,7 +322,7 @@ def _random_band_limited_w0(rng, mesh, modes=10):
     return grid(mesh, vals)
 
 
-def test_criterion_12_poincare_constant_stability():
+def test_criterion_12_poincare_constant_stability(report):
     p = bump_pair(2.0, 0.5, s=0.3)
     pbar = trace_exponent(p)
     fitted = {}

@@ -72,6 +72,19 @@ class TestRun:
         u = np.array([float(r.split(",")[1]) for r in rows[1:]])
         assert np.all(u == 0.0)
 
+    def test_poisson_reports_solver_totals(self, tmp_path):
+        cfg = minimal_poisson_config()
+        cfg["exponent"]["params"]["value"] = 1.5
+        cfg["growth"]["r"]["params"]["value"] = 2.2
+        code, out = run_cli(tmp_path, "poisson", cfg)
+        assert code == 0
+        report = dict(line.split(": ", 1)
+                      for line in (out / "report").read_text().splitlines())
+        iterations = int(report["solver.iterations"])
+        assert iterations > 1
+        assert int(report["solver.cg_iterations_total"]) >= iterations
+        assert int(report["solver.backtracks_total"]) >= 0
+
     def test_omega_outside_box_surfaces_mesh_error(self, tmp_path, capsys):
         cfg = minimal_poisson_config()
         cfg["omega"]["intervals"] = [[-3.0, 3.0]]

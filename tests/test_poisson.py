@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from fpxlap import (GridFunction, PoissonProblem, Tolerances, assemble_weights,
-                    energy, energy_gradient, gagliardo_modular, lr_estimate_check,
-                    luxemburg_norm, minimizer_equivalence_check, solve_poisson, weak_form)
+from fpxlap import (GridFunction, KernelWeights, PoissonProblem, Tolerances,
+                    assemble_weights, build_mesh, energy, energy_gradient,
+                    gagliardo_modular, lr_estimate_check, luxemburg_norm,
+                    minimizer_equivalence_check, restrict_interior, shell_partition,
+                    solve_poisson, weak_form)
+from fpxlap import poisson as poisson_module
+from fpxlap.catalog import pair_exponent
 from fpxlap.exponents import conjugate_exponent
 from fpxlap.poisson import initial_guess
 
@@ -155,12 +159,14 @@ class TestSolve:
             assert energies[0] < energies[1] < energies[2]
 
     def test_nonconvergence_is_reported(self, mesh64):
-        prob = make_problem(mesh64, const_pair(2.0, 0.4), 3.0,
+        # p = 2 converges in one iteration, so use a nonlinear exponent
+        prob = make_problem(mesh64, const_pair(3.0, 0.28), 4.0,
                             np.ones(64), np.zeros(64), el_residual=1e-8, step=1e-20,
                             max_iter=1)
         sol = solve_poisson(prob)
         assert not sol.converged
         assert sol.iterations == 1
+        assert sol.el_residual > prob.tolerances.el_residual
 
 
 class TestEquivalence:
@@ -245,3 +251,108 @@ class TestInitialGuess:
         ext = mesh64.exterior_mask
         assert np.array_equal(start.values[ext], g.values[ext])
         assert np.allclose(start.values[mesh64.interior_mask], g.values[ext].mean())
+
+
+def _two_interval_problem(rng):
+    mesh = build_mesh(2.0, 64, [(-1.6, -0.4), (0.2, 1.3)])
+    return make_problem(mesh, bump_pair(2.0, 0.5, s=0.25), 3.2,
+                        rng.standard_normal(64), 0.3 * rng.standard_normal(64))
+
+
+def _shell_problem(rng, p=None, r_value=3.2):
+    # the middle shell of a decomposition: other interior cells act as data
+    mesh = build_mesh(2.0, 64, [(-1.0, 1.0)])
+    p = p or bump_pair(2.0, 0.5, s=0.25)
+    W = assemble_weights(mesh, p)
+    shell = restrict_interior(mesh, shell_partition(mesh, 3)[1])
+    Ws = KernelWeights(mesh=shell, w=W.w, p_pair=W.p_pair, tail=W.tail)
+    return PoissonProblem(mesh=shell, weights=Ws, p=p, r=const_scalar(r_value),
+                          h=grid(shell, rng.standard_normal(64)),
+                          g=grid(shell, rng.standard_normal(64)))
+
+
+def _class_problem(kind, rng):
+    mesh = build_mesh(2.0, 64, [(-1.0, 1.0)])
+    h, g = rng.standard_normal(64), 0.3 * rng.standard_normal(64)
+    if kind == "p1_5":
+        return make_problem(mesh, const_pair(1.5, 0.5), 2.2, h, g)
+    if kind == "p3":
+        return make_problem(mesh, const_pair(3.0, 0.28), 4.0, h, g)
+    if kind == "gauss_bump":
+        return make_problem(mesh, bump_pair(2.0, 0.5, s=0.25), 3.2, h, g)
+    if kind == "affine":  # p from 1.7 to 2.3 across Omega
+        p = pair_exponent("affine", {"base": 2.0, "slope": 0.3}, s=0.3, R=2.0)
+        return make_problem(mesh, p, 3.0, h, g)
+    if kind == "two_intervals":
+        return _two_interval_problem(rng)
+    return _shell_problem(rng)
+
+
+SOLVER_CLASSES = ("p1_5", "p3", "gauss_bump", "affine", "two_intervals", "shell")
+
+
+class TestInteriorBlockSolver:
+    @pytest.mark.parametrize("kind", SOLVER_CLASSES)
+    def test_energy_and_residual_match_reference(self, kind, rng):
+        prob = _class_problem(kind, rng)
+        sol = solve_poisson(prob)
+        assert sol.converged
+        assert sol.energy == pytest.approx(energy(sol.u, prob), rel=1e-12)
+        grad = energy_gradient(sol.u, prob).values
+        assert np.max(np.abs(grad)) <= prob.tolerances.el_residual
+        assert sol.cg_iterations >= sol.iterations
+
+    @pytest.mark.parametrize("kind", SOLVER_CLASSES)
+    def test_energy_history_monotone(self, kind, rng):
+        prob = _class_problem(kind, rng)
+        sol = solve_poisson(prob, record_history=True)
+        hist = np.asarray(sol.energy_history)
+        assert sol.converged
+        assert len(hist) == sol.iterations + 1
+        assert hist[-1] == sol.energy
+        assert np.all(np.diff(hist) <= 1e-12 * (1.0 + np.abs(hist[:-1])))
+
+    @pytest.mark.parametrize("build", ("box", "two_intervals", "shell"))
+    def test_p_two_takes_one_iteration(self, build, rng):
+        p = const_pair(2.0, 0.4)
+        if build == "shell":
+            prob = _shell_problem(rng, p=p, r_value=3.0)
+        else:
+            omega = [(-1.0, 1.0)] if build == "box" else [(-1.6, -0.4), (0.2, 1.3)]
+            mesh = build_mesh(2.0, 64, omega)
+            prob = make_problem(mesh, p, 3.0, rng.standard_normal(64),
+                                0.3 * rng.standard_normal(64))
+        sol = solve_poisson(prob)
+        assert sol.converged
+        assert sol.iterations == 1
+        assert sol.backtracks == 0
+
+    @pytest.mark.parametrize("max_iter", (1, 2, 3, 5))
+    def test_residual_describes_returned_field_at_max_iter(self, max_iter, rng):
+        prob = _class_problem("p1_5", rng)
+        prob = PoissonProblem(mesh=prob.mesh, weights=prob.weights, p=prob.p, r=prob.r,
+                              h=prob.h, g=prob.g, tolerances=Tolerances(max_iter=max_iter))
+        sol = solve_poisson(prob)
+        assert sol.iterations == max_iter
+        recomputed = float(np.max(np.abs(energy_gradient(sol.u, prob).values)))
+        assert sol.el_residual == pytest.approx(recomputed, rel=1e-9)
+        assert sol.converged == (recomputed <= prob.tolerances.el_residual)
+        assert sol.energy == pytest.approx(energy(sol.u, prob), rel=1e-12)
+
+    def test_with_data_skips_growth_validation(self, linear_problem, mesh64, monkeypatch):
+        calls = []
+        original = poisson_module.validate_growth_pair
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(poisson_module, "validate_growth_pair", counting)
+        zero = GridFunction.zeros(mesh64)
+        swapped = linear_problem.with_h(zero).with_g(zero)
+        assert calls == []
+        assert swapped.h is zero and swapped.g is zero
+        assert swapped.weights is linear_problem.weights
+        PoissonProblem(mesh=mesh64, weights=linear_problem.weights, p=linear_problem.p,
+                       r=linear_problem.r, h=zero, g=zero)
+        assert len(calls) == 1

@@ -8,6 +8,7 @@ from fpxlap import (GridFunction, GrowthError, NemytskyError,
                     invariant_ball_radius, measure_constant, nemytsky,
                     nemytsky_bound_check, shell_partition, solve_by_decomposition,
                     solve_poisson)
+from fpxlap import poisson as poisson_module
 from fpxlap.exponents import conjugate_exponent
 from fpxlap.lebesgue import luxemburg_norm
 
@@ -311,6 +312,21 @@ class TestDecomposition:
         assert rep.converged
         assert rep.residual <= 1e-5
         assert np.max(np.abs(sol_dc.u.u.values - sol_fp.u.u.values)) < 1e-4
+
+    def test_growth_pair_validated_once_per_shell(self, mesh96, monkeypatch):
+        f = arctan_nonlinearity(mesh96)
+        template = make_template(mesh96)
+        calls = []
+        original = poisson_module.validate_growth_pair
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(poisson_module, "validate_growth_pair", counting)
+        _, rep = solve_by_decomposition(f, GridFunction.zeros(mesh96), 3, template, theta=0.5)
+        assert rep.converged and rep.sweeps > 1
+        assert len(calls) == 3
 
     def test_too_many_shells_rejected(self, mesh16):
         with pytest.raises(ValueError):
