@@ -6,6 +6,7 @@ modular identities and inequalities below hold sharply at the discrete level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .mesh_kernel import Mesh
 
 
 class BisectionError(RuntimeError):
-    """Bisection failed to certify the Luxemburg infimum."""
+    """The Luxemburg root-finder did not converge in its step budget."""
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,59 @@ def modular(u: GridFunction, q: ScalarExponent, region=None) -> float:
     return float(np.sum(np.abs(u.values[mask]) ** qv) * u.mesh.cell_width)
 
 
-def _modular_arrays(vals, qv, width, lam):
-    return float(np.sum((vals / lam) ** qv) * width)
+def _luxemburg_root(groups, rtol: float, max_iter: int) -> float:
+    """lam = e^t at the root of phi(t) = log sum exp(a - q t) over the groups.
+
+    Each group is a pair (a, q) of equal-shape arrays: a holds the logs of
+    the modular terms at lam = 1 (-inf for a zero term) and q their
+    exponents, so phi(t) = log rho(u / e^t).  A constant exponent gives the
+    closed form t = log rho / q.  Otherwise phi, a log-sum-exp of affine
+    functions, is convex and decreasing, so Newton's method
+    t += phi * sum(e) / sum(q e), with e = exp(a - q t) computed after a
+    max-shift, lands left of the root from any start and then rises to it
+    monotonically.  The first step, from t = 0, gives log rho / q_mean with
+    q_mean the rho-weighted mean exponent, which lies inside the bracket
+    [log rho / q-, log rho / q+].  Stops once a step is at most ``rtol``
+    (relative in lam) and raises BisectionError after ``max_iter`` steps.
+    Returns 0 when every term vanishes.
+    """
+    shift = max(float(a.max()) for a, _ in groups)
+    if shift == -math.inf:
+        return 0.0
+    q_lo = min(float(q.min()) for _, q in groups)
+    if q_lo == max(float(q.max()) for _, q in groups):
+        total = sum(float(np.exp(a - shift).sum()) for a, _ in groups)
+        return math.exp((shift + math.log(total)) / q_lo)
+    work = [np.empty(a.shape) for a, _ in groups]
+    t, step = 0.0, math.inf
+    for _ in range(max_iter):
+        for (a, q), z in zip(groups, work):
+            np.multiply(q, -t, out=z)
+            z += a
+        shift = max(float(z.max()) for z in work)
+        total = weighted = 0.0
+        for (_, q), z in zip(groups, work):
+            z -= shift
+            np.exp(z, out=z)
+            total += float(z.sum())
+            weighted += float(np.vdot(q, z))
+        step = (shift + math.log(total)) * total / weighted
+        t += step
+        if abs(step) <= rtol:
+            return math.exp(t)
+    raise BisectionError(
+        f"Luxemburg Newton solve did not converge in {max_iter} steps (last step {step:.3e})"
+    )
 
 
 def luxemburg_norm(u: GridFunction, q: ScalarExponent, region=None,
                    rtol: float = 1e-10, max_iter: int = 200) -> float:
-    """inf{lam > 0 : rho_q(u/lam) <= 1} by bisection.
+    """inf{lam > 0 : rho_q(u/lam) <= 1} by Newton's method on log lam.
 
-    The map lam -> rho(u/lam) is continuous and strictly decreasing for
-    u != 0, and the root lies between rho^(1/q+) and rho^(1/q-), where
-    rho = rho_q(u).  Returns 0 for the zero function.
+    With u scaled by its sup, the modular terms |u_i|^q_i dx are formed
+    once as logs, and each Newton step costs one exp pass over them (see
+    ``_luxemburg_root``).  A constant exponent gives the closed form
+    rho^(1/q) with no iteration.  Returns 0 for the zero function.
     """
     mask = _region_mask(u.mesh, region)
     vals = np.abs(u.values[mask])
@@ -86,37 +129,12 @@ def luxemburg_norm(u: GridFunction, q: ScalarExponent, region=None,
         return 0.0
     # factor out the sup so extreme scales cannot under- or overflow the modular
     vmax = float(vals.max())
-    vals = vals / vmax
-    centers = u.mesh.cell_centers[mask]
-    qv = q.values(centers)
-    width = u.mesh.cell_width
-    rho = float(np.sum(vals ** qv) * width)
-    q_lo, q_hi = float(qv.min()), float(qv.max())
-    ends = (rho ** (1.0 / q_lo), rho ** (1.0 / q_hi))
-    lo, hi = min(ends) * (1.0 - 1e-12), max(ends) * (1.0 + 1e-12)
-    # theoretical bracket; widen geometrically if fp rounding edged it out
-    for _ in range(200):
-        if _modular_arrays(vals, qv, width, lo) >= 1.0:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if _modular_arrays(vals, qv, width, hi) <= 1.0:
-            break
-        hi *= 2.0
-    it = 0
-    while (hi - lo) > rtol * hi and it < max_iter:
-        mid = 0.5 * (lo + hi)
-        if _modular_arrays(vals, qv, width, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-    if (hi - lo) > rtol * hi:
-        raise BisectionError(
-            f"Luxemburg bisection exhausted {max_iter} iterations "
-            f"(bracket [{lo}, {hi}])"
-        )
-    return vmax * 0.5 * (lo + hi)
+    qv = q.values(u.mesh.cell_centers[mask])
+    with np.errstate(divide="ignore"):
+        logs = np.log(vals / vmax)
+    logs *= qv
+    logs += np.log(u.mesh.cell_width)
+    return vmax * _luxemburg_root([(logs, qv)], rtol, max_iter)
 
 
 def pairing(u: GridFunction, v: GridFunction, region=None) -> float:

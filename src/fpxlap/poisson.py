@@ -216,7 +216,8 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
     monotonically.  CG stops at the relative residual
     eta_k = min(1e-2, 0.9 (r_k / r_{k-1})^2) (Eisenstat-Walker forcing term,
     r_k the gradient sup-norm); every CG iterate is a descent direction.  For
-    constant p = 2 the model is the exact Hessian and CG runs to 1e-12, so
+    constant p = 2 the model is the exact Hessian, so the new gradient is
+    minus the CG residual; CG stops at the absolute 2-norm el_residual / 2 and
     one iteration solves the problem.  When the energy change falls below
     floating-point resolution, a step is accepted only if it still reduces
     the gradient sup-norm.  Stops when that sup-norm, of the returned field,
@@ -306,7 +307,8 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
         if it >= tol.max_iter:
             break
         if quadratic:
-            rtol = 1e-12
+            # exact Hessian: the new gradient is minus the CG residual
+            rtol = 0.5 * tol.el_residual / float(np.linalg.norm(grad))
         elif prev_residual is None:
             rtol = 1e-2
         else:

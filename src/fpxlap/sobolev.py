@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import ScalarExponent
-from .lebesgue import BisectionError, GridFunction, luxemburg_norm
+from .lebesgue import GridFunction, _luxemburg_root, luxemburg_norm
 from .mesh_kernel import KernelWeights, Mesh
 
 
@@ -60,12 +60,13 @@ def _abs_pow(diff: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.abs(diff) ** p
 
 
-def _pair_mask(W: KernelWeights, variant: str) -> np.ndarray | None:
+def _exterior_block(W: KernelWeights, variant: str):
+    """Index of the exterior-exterior pairs that the 'omega' variant drops."""
     if variant == "rn":
         return None
     if variant == "omega":
         ext = W.mesh.exterior_mask
-        return ~(ext[:, None] & ext[None, :])
+        return np.ix_(ext, ext)
     raise ValueError(f"unknown modular variant {variant!r}")
 
 
@@ -74,9 +75,9 @@ def gagliardo_modular(u: GridFunction, W: KernelWeights, variant: str = "rn") ->
     and the exterior-exterior pairs."""
     diff = u.values[:, None] - u.values[None, :]
     terms = W.w * _abs_pow(diff, W.p_pair)
-    mask = _pair_mask(W, variant)
-    if mask is not None:
-        terms = np.where(mask, terms, 0.0)
+    block = _exterior_block(W, variant)
+    if block is not None:
+        terms[block] = 0.0
     total = float(terms.sum())
     if variant == "rn":
         total += 2.0 * W.mesh.cell_width * float(
@@ -85,47 +86,35 @@ def gagliardo_modular(u: GridFunction, W: KernelWeights, variant: str = "rn") ->
     return total
 
 
-def _luxemburg_scaling(modular_of, rho: float, e_lo: float, e_hi: float,
-                       rtol: float = 1e-10, max_iter: int = 200) -> float:
-    """Generic Luxemburg bisection given the scaled-modular evaluator."""
-    ends = (rho ** (1.0 / e_lo), rho ** (1.0 / e_hi))
-    lo, hi = min(ends) * (1.0 - 1e-12), max(ends) * (1.0 + 1e-12)
-    for _ in range(200):
-        if modular_of(lo) >= 1.0:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if modular_of(hi) <= 1.0:
-            break
-        hi *= 2.0
-    it = 0
-    while (hi - lo) > rtol * hi and it < max_iter:
-        mid = 0.5 * (lo + hi)
-        if modular_of(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-    if (hi - lo) > rtol * hi:
-        raise BisectionError(f"seminorm bisection exhausted {max_iter} iterations")
-    return 0.5 * (lo + hi)
-
-
 def gagliardo_seminorm(u: GridFunction, W: KernelWeights, variant: str = "rn",
                        rtol: float = 1e-10, max_iter: int = 200) -> float:
-    """inf{lam > 0 : rho((u)/lam) <= 1}, bracketed through p-, p+."""
+    """inf{lam > 0 : rho(u/lam) <= 1} by Newton's method on log lam.
+
+    With u scaled by its sup, the pair terms log w_ij + p_ij log|u_i-u_j|
+    are formed once, in place in the difference buffer ('omega' sets the
+    exterior-exterior pairs to -inf), and 'rn' adds the n tail terms as a
+    second group; each Newton step is one exp pass over them (see
+    ``lebesgue._luxemburg_root``).  A constant exponent gives the closed form
+    rho^(1/p) with no iteration.
+    """
+    block = _exterior_block(W, variant)
     vmax = float(np.abs(u.values).max())
     if vmax == 0.0:
         return 0.0
-    base = u.replace_values(u.values / vmax)
-    rho = gagliardo_modular(base, W, variant)
-    if rho == 0.0:
-        return 0.0
-
-    def scaled(lam):
-        return gagliardo_modular(base.replace_values(base.values / lam), W, variant)
-
-    return vmax * _luxemburg_scaling(scaled, rho, W.p_minus, W.p_plus, rtol, max_iter)
+    vals = u.values / vmax
+    logs = vals[:, None] - vals[None, :]
+    with np.errstate(divide="ignore"):
+        np.abs(logs, out=logs)
+        np.log(logs, out=logs)
+        logs *= W.p_pair
+        logs += np.log(W.w)
+        groups = [(logs, W.p_pair)]
+        if block is None:
+            tail_logs = np.log(2.0 * W.mesh.cell_width * W.tail) + W.p_bar * np.log(np.abs(vals))
+            groups.append((tail_logs, W.p_bar))
+        else:
+            logs[block] = -np.inf
+    return vmax * _luxemburg_root(groups, rtol, max_iter)
 
 
 def full_norm(u: GridFunction, W: KernelWeights, q: ScalarExponent,

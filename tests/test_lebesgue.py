@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from fpxlap import (GridFunction, build_mesh, holder_pairing_check, luxemburg_norm,
-                    modular, norm_modular_relation_check, norm_of_one_bounds,
-                    power_norm_bounds_check)
+from fpxlap import (BisectionError, GridFunction, ScalarExponent, build_mesh,
+                    holder_pairing_check, luxemburg_norm, modular,
+                    norm_modular_relation_check, norm_of_one_bounds, power_norm_bounds_check)
 from fpxlap.lebesgue import pairing, region_measure
 
 from util import affine_scalar, const_scalar, grid, unit_grid
@@ -39,6 +39,12 @@ class TestModular:
         assert modular(grid(unit_omega_mesh, vals), const_scalar(2.0)) == 0.0
 
 
+def _brentq_norm(u, q):
+    """Independent oracle: scalar root of the same discrete modular."""
+    return brentq(lambda lam: modular(u.replace_values(u.values / lam), q) - 1.0,
+                  0.5, 5.0, xtol=1e-13)
+
+
 class TestLuxemburgNorm:
     def test_constant_closed_form(self):
         # ||c||_{q0} = c * m^(1/q0) on a region of measure m
@@ -60,27 +66,56 @@ class TestLuxemburgNorm:
         mesh = build_mesh(2.0, 4096, [(0.0, 1.0)])
         u = GridFunction.from_callable(mesh, lambda x: 1.0 + x)
         q = affine_scalar(2.0, 1.0, R=2.0)
-        lam_bisect = luxemburg_norm(u, q)
-
-        def discrete_modular(lam):
-            return modular(u.replace_values(u.values / lam), q) - 1.0
-
-        lam_brent = brentq(discrete_modular, 0.5, 5.0, xtol=1e-13)
-        assert lam_bisect == pytest.approx(lam_brent, abs=1e-8)
+        lam = luxemburg_norm(u, q)
+        assert lam == pytest.approx(_brentq_norm(u, q), abs=1e-8)
 
         lam_continuum = brentq(
             lambda lam: quad(lambda x: ((1 + x) / lam) ** (2 + x), 0, 1, epsabs=1e-13)[0] - 1.0,
             0.5, 5.0, xtol=1e-13,
         )
         assert lam_continuum == pytest.approx(1.5720306675895064, abs=1e-12)
-        assert lam_bisect == pytest.approx(lam_continuum, abs=5e-7)  # midpoint-rule gap
+        assert lam == pytest.approx(lam_continuum, abs=5e-7)  # midpoint-rule gap
 
-    def test_unit_ball_certificate(self, mesh256, rng):
+    @pytest.mark.parametrize("slope", (0.01, 8.99))
+    def test_wide_and_narrow_exponent_ranges_against_brentq(self, slope):
+        # q = 1.01 + slope |x| spans [1.01, 1.02] or [1.01, 10] on (0, 1)
+        mesh = build_mesh(2.0, 4096, [(0.0, 1.0)])
+        u = GridFunction.from_callable(mesh, lambda x: 1.0 + x)
+        q = ScalarExponent(evaluator=lambda x: 1.01 + slope * np.abs(x),
+                           lower=1.01, upper=1.01 + 2.0 * slope)
+        assert luxemburg_norm(u, q) == pytest.approx(_brentq_norm(u, q), rel=1e-12)
+
+    @pytest.mark.parametrize("q", (1.01, 2.5, 10.0))
+    def test_constant_exponent_is_modular_root(self, q, mesh256, rng):
+        for _ in range(10):
+            u = grid(mesh256, rng.standard_normal(mesh256.n_cells) * 10.0 ** rng.uniform(-3, 3))
+            rho = modular(u, const_scalar(q))
+            assert luxemburg_norm(u, const_scalar(q)) == pytest.approx(rho ** (1.0 / q), rel=1e-15)
+
+    def test_step_budget_exhaustion_raises(self, mesh256, rng):
+        u = grid(mesh256, rng.standard_normal(mesh256.n_cells))
+        with pytest.raises(BisectionError):
+            luxemburg_norm(u, affine_scalar(2.0, 0.3, R=2.0), max_iter=1)
+        # a constant exponent takes the closed form without a Newton step
+        assert luxemburg_norm(u, const_scalar(2.0), max_iter=1) > 0.0
+
+    @pytest.mark.parametrize("field", ("normal", "wide", "spike_high", "spike_low"))
+    def test_unit_ball_certificate(self, field, mesh256, rng):
+        n = mesh256.n_cells
         for _ in range(50):
-            u = grid(mesh256, rng.standard_normal(mesh256.n_cells) * rng.uniform(0.1, 10))
-            q = affine_scalar(rng.uniform(1.6, 3.2), rng.uniform(-0.1, 0.1), R=2.0)
+            if field == "normal":
+                vals = rng.standard_normal(n) * rng.uniform(0.1, 10)
+                q = affine_scalar(rng.uniform(1.6, 3.2), rng.uniform(-0.1, 0.1), R=2.0)
+            else:
+                q = affine_scalar(5.505, 4.495, R=2.0)  # spans [1.01, 10] on Omega
+                if field == "wide":
+                    vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n)
+                else:
+                    vals = np.zeros(n)
+                    vals[rng.choice(mesh256.interior_indices)] = 1e200 if field == "spike_high" else 1e-200
+            u = grid(mesh256, vals)
             nrm = luxemburg_norm(u, q)
-            assert modular(u.replace_values(u.values / nrm), q) == pytest.approx(1.0, abs=1e-8)
+            assert abs(modular(u.replace_values(u.values / nrm), q) - 1.0) <= 1e-12
 
     @given(t=st.floats(-50.0, 50.0), scale=st.floats(0.01, 10.0))
     @settings(max_examples=40, deadline=None)

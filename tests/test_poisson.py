@@ -312,20 +312,31 @@ class TestInteriorBlockSolver:
         assert hist[-1] == sol.energy
         assert np.all(np.diff(hist) <= 1e-12 * (1.0 + np.abs(hist[:-1])))
 
-    @pytest.mark.parametrize("build", ("box", "two_intervals", "shell"))
+    @pytest.mark.parametrize("build", ("box", "two_intervals", "shell", "warm"))
     def test_p_two_takes_one_iteration(self, build, rng):
         p = const_pair(2.0, 0.4)
+        initial = None
         if build == "shell":
             prob = _shell_problem(rng, p=p, r_value=3.0)
         else:
-            omega = [(-1.0, 1.0)] if build == "box" else [(-1.6, -0.4), (0.2, 1.3)]
+            omega = [(-1.6, -0.4), (0.2, 1.3)] if build == "two_intervals" else [(-1.0, 1.0)]
             mesh = build_mesh(2.0, 64, omega)
             prob = make_problem(mesh, p, 3.0, rng.standard_normal(64),
                                 0.3 * rng.standard_normal(64))
-        sol = solve_poisson(prob)
+        if build == "warm":
+            # a nearby solution as the start, as in the Picard and shell sweeps
+            cold = solve_poisson(prob)
+            initial = cold.u.u
+            prob = prob.with_h(grid(mesh, prob.h.values + 1e-3 * rng.standard_normal(64)))
+        sol = solve_poisson(prob, initial=initial)
         assert sol.converged
         assert sol.iterations == 1
         assert sol.backtracks == 0
+        # CG stops at an absolute residual, so certify the field independently
+        grad = energy_gradient(sol.u, prob).values
+        assert np.max(np.abs(grad)) <= prob.tolerances.el_residual
+        if build == "warm":
+            assert sol.cg_iterations < cold.cg_iterations
 
     @pytest.mark.parametrize("max_iter", (1, 2, 3, 5))
     def test_residual_describes_returned_field_at_max_iter(self, max_iter, rng):

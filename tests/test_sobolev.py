@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpxlap import (DirichletPair, GridFunction, apply_operator, assemble_weights,
-                    build_mesh, full_norm, gagliardo_modular, gagliardo_seminorm,
-                    luxemburg_norm, trace_exponent, weak_form)
+from fpxlap import (BisectionError, DirichletPair, GridFunction, apply_operator,
+                    assemble_weights, build_mesh, full_norm, gagliardo_modular,
+                    gagliardo_seminorm, luxemburg_norm, trace_exponent, weak_form)
 
 from util import bump_pair, const_pair, const_scalar, grid, random_w0
 
@@ -92,12 +92,20 @@ class TestSeminorm:
         # constant exponent 2: seminorm is the square root of the modular
         assert gagliardo_seminorm(u, weights64) == pytest.approx(np.sqrt(rho), rel=1e-9)
 
-    def test_bisection_certificate(self, mesh64, varweights64, rng):
-        for _ in range(25):
-            u = grid(mesh64, rng.standard_normal(mesh64.n_cells) * rng.uniform(0.1, 10))
-            lam = gagliardo_seminorm(u, varweights64)
+    @pytest.mark.parametrize("variant", ("rn", "omega"))
+    def test_bisection_certificate(self, variant, mesh64, varweights64, rng):
+        for k in range(25):
+            # odd draws spread the cells over 10^-150 .. 10^150
+            scale = 10.0 ** rng.uniform(-150, 150, mesh64.n_cells) if k % 2 else rng.uniform(0.1, 10)
+            u = grid(mesh64, rng.standard_normal(mesh64.n_cells) * scale)
+            lam = gagliardo_seminorm(u, varweights64, variant)
             scaled = u.replace_values(u.values / lam)
-            assert gagliardo_modular(scaled, varweights64) == pytest.approx(1.0, abs=1e-8)
+            assert abs(gagliardo_modular(scaled, varweights64, variant) - 1.0) <= 1e-12
+
+    def test_step_budget_exhaustion_raises(self, mesh64, varweights64, rng):
+        u = grid(mesh64, rng.standard_normal(mesh64.n_cells))
+        with pytest.raises(BisectionError):
+            gagliardo_seminorm(u, varweights64, max_iter=1)
 
 
 class TestFullNorm:
