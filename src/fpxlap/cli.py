@@ -175,10 +175,14 @@ def write_solution_csv(path: Path, mesh: Mesh, values: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_trace_csv(path: Path, rows) -> None:
-    lines = ["k,increment,residual"]
-    for k, (_, inc, res) in enumerate(rows):
-        lines.append(f"{k},{format_float(inc)},{format_float(res)}")
+def write_trace_csv(path: Path, shell_traces) -> None:
+    """One row per Picard iteration; shell_traces holds one list of shell
+    traces per sweep (sweeps count from 1, shells and k from 0)."""
+    lines = ["sweep,shell,k,increment,residual"]
+    for sweep, traces in enumerate(shell_traces, start=1):
+        for shell, trace in enumerate(traces):
+            for k, (inc, res) in enumerate(trace.iterates):
+                lines.append(f"{sweep},{shell},{k},{format_float(inc)},{format_float(res)}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -211,6 +215,11 @@ def _echo_config(report: Report, cfg: RunConfig) -> None:
     report.add("config.mode", cfg.mode)
     report.add("config.seed", cfg.seed)
     report.add("config.json", json.dumps(cfg.raw, sort_keys=True))
+
+
+def _report_poisson_work(report: Report, traces) -> None:
+    report.add("solver.poisson_solves", sum(t.poisson_solves for t in traces))
+    report.add("solver.cg_iterations_total", sum(t.cg_iterations for t in traces))
 
 
 def run(cfg: RunConfig) -> int:
@@ -293,28 +302,26 @@ def run(cfg: RunConfig) -> int:
         if cfg.mode == "semilinear":
             sol, trace = fixed_point_solve(f, prob, theta=theta, max_iter=max_iter)
             write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
-            write_trace_csv(out / "trace.csv", trace.iterates)
+            write_trace_csv(out / "trace.csv", [[trace]])
             report.add("solver.converged", trace.converged)
             report.add("solver.fixed_point_iterations", len(trace.iterates))
             report.add("solver.final_increment", trace.final_increment)
             report.add("solver.semilinear_residual", trace.residual)
             report.add("solver.theta_final", trace.theta)
+            _report_poisson_work(report, [trace])
             status = 0 if trace.converged else 2
         else:
             shells = int(cfg.section("decompose")["shells"])
             sol, rep = solve_by_decomposition(f, g, shells, prob, theta=theta,
                                               max_iter=max_iter)
             write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
-            rows = []
-            for traces in rep.shell_traces:
-                for trace in traces:
-                    rows.extend(trace.iterates)
-            write_trace_csv(out / "trace.csv", rows)
+            write_trace_csv(out / "trace.csv", rep.shell_traces)
             report.add("solver.converged", rep.converged)
             report.add("solver.sweeps", rep.sweeps)
             report.add("solver.residual", rep.residual)
             for j, measure in enumerate(rep.shell_measures):
                 report.add(f"solver.shell_{j}_measure", measure)
+            _report_poisson_work(report, [t for traces in rep.shell_traces for t in traces])
             status = 0 if rep.converged else 2
 
     report.add("wallclock_seconds", time.perf_counter() - t_start)

@@ -197,16 +197,219 @@ def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     return d, it
 
 
+class _InteriorBlock:
+    """The interior-row set-up of ``solve_poisson`` for one (mesh, weights).
+
+    Holds what every solve on this pair shares: the interior rows, the m x n
+    row blocks of the weights and exponents, the energy and model weights
+    derived from them, and the tail terms.  The exterior-exterior energy
+    depends on the datum only and is recomputed whenever a solve brings a
+    different g object.  For uniform p = 2 the block also holds the model
+    Hessian, the same matrix on every call; once the block is reused for a
+    second solve it factors that Hessian once and takes every later
+    direction by one application of the inverse instead of CG.  A one-off
+    solve never pays for the factor.
+    """
+
+    def __init__(self, mesh: Mesh, weights: KernelWeights):
+        self.mesh, self.weights = mesh, weights
+        interior = mesh.interior_mask
+        self.rows = rows = np.flatnonzero(interior)
+        dx = mesh.cell_width
+        self.tail = tail = weights.tail[rows]
+        self.w_rows = w_rows = _row_block(weights.w, rows)
+        self.p_const = p_const = _uniform(weights.p_pair)
+        self.quadratic = quadratic = p_const == 2.0
+        if p_const is None:
+            p_rows, p_bar = _row_block(weights.p_pair, rows), weights.p_bar[rows]
+        else:
+            p_rows = p_bar = p_const
+        self.p_rows, self.p_bar = p_rows, p_bar
+        # a pair with one exterior cell appears twice in the full double sum
+        self.w_energy = w_rows * np.where(interior, 1.0, 2.0) / p_rows
+        self.w_model = w_rows if quadratic else np.maximum(p_rows - 1.0, 1.0) * w_rows
+        self.tail_energy = 2.0 * dx * tail / p_bar
+        self.tail_model = np.maximum(p_bar - 1.0, 1.0) * tail
+        self._g = None          # the datum whose exterior energy is cached
+        self._e_fixed = 0.0
+        self._hessian = None    # quadratic model Hessian, built on first use
+        self._inverse = None    # its inverse (p = 2), built on first reuse
+        self._solves = 0
+
+    def _exterior_energy(self, g: GridFunction) -> float:
+        if g is not self._g:
+            self._e_fixed = _exterior_energy(self.weights, self.mesh.interior_mask, g.values,
+                                             self.mesh.cell_width, self.p_const)
+            self._g = g
+        return self._e_fixed
+
+    def _quadratic_hessian(self) -> np.ndarray:
+        """2 (diag(row sums + dx tail) - core): the p = 2 Hessian, and the
+        model of any energy at a constant field."""
+        if self._hessian is None:
+            hess = self.w_rows[:, self.rows]
+            hess *= -2.0
+            hess[np.diag_indices_from(hess)] += 2.0 * (self.w_rows.sum(axis=1)
+                                                       + self.mesh.cell_width * self.tail)
+            self._hessian = hess
+        return self._hessian
+
+    def _factor_direction(self, grad: np.ndarray) -> np.ndarray:
+        if self._inverse is None:
+            # the Cholesky factor certifies positive definiteness
+            l_inv = np.linalg.inv(np.linalg.cholesky(self._quadratic_hessian()))
+            self._inverse = l_inv.T @ l_inv
+        return -(self._inverse @ grad)
+
+    def solve(self, prob: PoissonProblem, initial: GridFunction | None,
+              record_history: bool) -> PoissonSolution:
+        if prob.mesh is not self.mesh or prob.weights is not self.weights:
+            raise ValueError("interior block built for another mesh or kernel")
+        mesh, tol = self.mesh, prob.tolerances
+        interior, rows, quadratic = mesh.interior_mask, self.rows, self.quadratic
+        factored = quadratic and self._solves > 0
+        self._solves += 1
+        vals = (initial_guess(prob) if initial is None else initial).values.copy()
+        vals[~interior] = prob.g.values[~interior]
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite initial field")
+
+        dx = mesh.cell_width
+        h_int = prob.h.values[rows]
+        tail, w_rows, p_rows, p_bar = self.tail, self.w_rows, self.p_rows, self.p_bar
+        w_energy, w_model = self.w_energy, self.w_model
+        tail_energy, tail_model = self.tail_energy, self.tail_model
+        e_fixed = self._exterior_energy(prob.g)
+
+        def evaluate(v):
+            x = v[rows]
+            diff = x[:, None] - v[None, :]
+            if quadratic:
+                power, tail_power = diff * diff, x * x
+            else:
+                power, tail_power = np.abs(diff) ** p_rows, np.abs(x) ** p_bar
+            e = (float(np.vdot(w_energy, power)) + float(tail_energy @ tail_power)
+                 - dx * float(h_int @ x) + e_fixed)
+            return e, (x, diff, power, tail_power)
+
+        def gradient_of(point):
+            x, diff, power, tail_power = point
+            if quadratic:
+                flux, tail_flux = diff, x
+            else:
+                flux, tail_flux = _ratio(power, diff), _ratio(tail_power, x)
+            return 2.0 * np.einsum("ij,ij->i", w_rows, flux) + 2.0 * dx * tail * tail_flux - dx * h_int
+
+        def model_direction(v, point, grad, floor_rel, rtol):
+            if factored:
+                return self._factor_direction(grad), 0
+            x, diff = point[0], point[1]
+            dmax = float(v.max() - v.min())
+            scale = max(float(np.abs(v).max()), dmax)
+            if quadratic or scale == 0.0 or dmax == 0.0:
+                # constant field: every pair weight degenerates, use the quadratic model
+                return _pcg(self._quadratic_hessian(), -grad, rtol)
+            floor_pair = max(1e-13 * scale, floor_rel * dmax)
+            floor_tail = max(1e-13 * scale, floor_rel * scale)
+            om = np.abs(diff)
+            np.maximum(om, floor_pair, out=om)
+            np.power(om, p_rows - 2.0, out=om)
+            om *= w_model
+            tau = tail_model * np.maximum(np.abs(x), floor_tail) ** (p_bar - 2.0)
+            # model Hessian on the interior unknowns: 2 (diag(row sums + dx tau) - core)
+            hess = om[:, rows]
+            hess *= -2.0
+            hess[np.diag_indices_from(hess)] += 2.0 * (om.sum(axis=1) + dx * tau)
+            return _pcg(hess, -grad, rtol)
+
+        e_now, point = evaluate(vals)
+        if not np.isfinite(e_now):
+            raise ValueError("non-finite energy at the initial field")
+        grad = gradient_of(point)
+        residual = float(np.max(np.abs(grad)))
+        history = [e_now] if record_history else []
+        converged = False
+        it = cg_total = backtracks = 0
+        prev_residual = None
+        floor_rel = 0.3
+        guard = 4.0 * np.finfo(float).eps
+        while True:
+            if residual <= tol.el_residual:
+                converged = True
+                break
+            if it >= tol.max_iter:
+                break
+            if quadratic:
+                # exact Hessian: the new gradient is minus the CG residual
+                rtol = 0.5 * tol.el_residual / float(np.linalg.norm(grad))
+            elif prev_residual is None:
+                rtol = 1e-2
+            else:
+                rtol = min(1e-2, 0.9 * (residual / prev_residual) ** 2)
+            d, n_cg = model_direction(vals, point, grad, floor_rel, rtol)
+            cg_total += n_cg
+            cap = 10.0 * (1.0 + float(np.abs(vals).max()))
+            dn = float(np.abs(d).max())
+            if dn > cap:
+                d *= cap / dn
+            slope = float(grad @ d)
+            if slope >= 0.0:
+                d = -grad
+                slope = float(grad @ d)
+            alpha = 1.0
+            accepted = False
+            while alpha >= tol.step:
+                trial = vals.copy()
+                trial[rows] += alpha * d
+                e_trial, trial_point = evaluate(trial)
+                if np.isfinite(e_trial) and e_trial <= e_now + 1e-4 * alpha * slope + guard * (1.0 + abs(e_now)):
+                    trial_grad = None
+                    if e_trial >= e_now - guard * (1.0 + abs(e_now)):
+                        # energy change below fp resolution: demand residual progress
+                        trial_grad = gradient_of(trial_point)
+                        accepted = float(np.max(np.abs(trial_grad))) < residual * (1.0 - 1e-3)
+                    else:
+                        accepted = True
+                    if accepted:
+                        vals, point = trial, trial_point
+                        e_now = min(e_trial, e_now)
+                        grad = gradient_of(point) if trial_grad is None else trial_grad
+                        break
+                alpha *= 0.5
+                backtracks += 1
+            it += 1
+            if record_history:
+                history.append(e_now)
+            if not accepted:
+                # no certified progress left at machine precision
+                break
+            prev_residual, residual = residual, float(np.max(np.abs(grad)))
+            floor_rel = max(floor_rel * 0.5, 1e-14)
+
+        u = DirichletPair(u=GridFunction(mesh, vals), g=prob.g)
+        return PoissonSolution(
+            u=u,
+            energy=e_now,
+            el_residual=residual,
+            iterations=it,
+            converged=converged,
+            energy_history=history,
+            cg_iterations=cg_total,
+            backtracks=backtracks,
+        )
+
+
 def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
-                  record_history: bool = False) -> PoissonSolution:
+                  record_history: bool = False, *,
+                  _block: _InteriorBlock | None = None) -> PoissonSolution:
     """Minimize the energy over the interior unknowns.
 
     Pairs with both cells outside Omega never change, so every pass works on
     the m x n block of interior rows (m interior cells): the energy is the
     block sum with exterior columns counted twice, plus the exterior-exterior
-    energy computed once per call.  Each trial point costs one power pass
-    |d|^p; the gradient at an accepted point follows from it as |d|^p / d
-    and is carried into the next iteration.
+    energy.  Each trial point costs one power pass |d|^p; the gradient at an
+    accepted point follows from it as |d|^p / d and is carried into the next
+    iteration.
 
     Each iteration builds the weighted-graph-Laplacian model of the energy
     with lagged pair weights max(p-1,1) w |u_i-u_j|^{p-2} (floored where
@@ -223,147 +426,15 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
     the gradient sup-norm.  Stops when that sup-norm, of the returned field,
     reaches tolerances.el_residual; non-convergence is reported through
     ``converged=False``, never silently.
+
+    Each call builds its own interior block, so no state survives it.
+    ``_block`` is private to the package: the semilinear solvers pass one
+    block through all their solves on the same (mesh, weights), which also
+    lets a p = 2 block replace CG by its factored Hessian after the first
+    solve (those directions count 0 CG iterations).
     """
-    mesh, W, tol = prob.mesh, prob.weights, prob.tolerances
-    interior = mesh.interior_mask
-    rows = np.flatnonzero(interior)
-    vals = (initial_guess(prob) if initial is None else initial).values.copy()
-    vals[~interior] = prob.g.values[~interior]
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite initial field")
-
-    dx = mesh.cell_width
-    h_int = prob.h.values[rows]
-    tail = W.tail[rows]
-    w_rows = _row_block(W.w, rows)
-    p_const = _uniform(W.p_pair)
-    quadratic = p_const == 2.0
-    if p_const is None:
-        p_rows, p_bar = _row_block(W.p_pair, rows), W.p_bar[rows]
-    else:
-        p_rows = p_bar = p_const
-    # a pair with one exterior cell appears twice in the full double sum
-    w_energy = w_rows * np.where(interior, 1.0, 2.0) / p_rows
-    w_model = w_rows if quadratic else np.maximum(p_rows - 1.0, 1.0) * w_rows
-    tail_energy = 2.0 * dx * tail / p_bar
-    tail_model = np.maximum(p_bar - 1.0, 1.0) * tail
-    e_fixed = _exterior_energy(W, interior, vals, dx, p_const)
-
-    def evaluate(v):
-        x = v[rows]
-        diff = x[:, None] - v[None, :]
-        if quadratic:
-            power, tail_power = diff * diff, x * x
-        else:
-            power, tail_power = np.abs(diff) ** p_rows, np.abs(x) ** p_bar
-        e = (float(np.vdot(w_energy, power)) + float(tail_energy @ tail_power)
-             - dx * float(h_int @ x) + e_fixed)
-        return e, (x, diff, power, tail_power)
-
-    def gradient_of(point):
-        x, diff, power, tail_power = point
-        if quadratic:
-            flux, tail_flux = diff, x
-        else:
-            flux, tail_flux = _ratio(power, diff), _ratio(tail_power, x)
-        return 2.0 * np.einsum("ij,ij->i", w_rows, flux) + 2.0 * dx * tail * tail_flux - dx * h_int
-
-    def model_direction(v, point, grad, floor_rel, rtol):
-        x, diff = point[0], point[1]
-        dmax = float(v.max() - v.min())
-        scale = max(float(np.abs(v).max()), dmax)
-        if quadratic or scale == 0.0 or dmax == 0.0:
-            # constant field: every pair weight degenerates, use the quadratic model
-            om, tau = w_rows, tail
-        else:
-            floor_pair = max(1e-13 * scale, floor_rel * dmax)
-            floor_tail = max(1e-13 * scale, floor_rel * scale)
-            om = np.abs(diff)
-            np.maximum(om, floor_pair, out=om)
-            np.power(om, p_rows - 2.0, out=om)
-            om *= w_model
-            tau = tail_model * np.maximum(np.abs(x), floor_tail) ** (p_bar - 2.0)
-        # model Hessian on the interior unknowns: 2 (diag(row sums + dx tau) - core)
-        hess = om[:, rows]
-        hess *= -2.0
-        hess[np.diag_indices_from(hess)] += 2.0 * (om.sum(axis=1) + dx * tau)
-        return _pcg(hess, -grad, rtol)
-
-    e_now, point = evaluate(vals)
-    if not np.isfinite(e_now):
-        raise ValueError("non-finite energy at the initial field")
-    grad = gradient_of(point)
-    residual = float(np.max(np.abs(grad)))
-    history = [e_now] if record_history else []
-    converged = False
-    it = cg_total = backtracks = 0
-    prev_residual = None
-    floor_rel = 0.3
-    guard = 4.0 * np.finfo(float).eps
-    while True:
-        if residual <= tol.el_residual:
-            converged = True
-            break
-        if it >= tol.max_iter:
-            break
-        if quadratic:
-            # exact Hessian: the new gradient is minus the CG residual
-            rtol = 0.5 * tol.el_residual / float(np.linalg.norm(grad))
-        elif prev_residual is None:
-            rtol = 1e-2
-        else:
-            rtol = min(1e-2, 0.9 * (residual / prev_residual) ** 2)
-        d, n_cg = model_direction(vals, point, grad, floor_rel, rtol)
-        cg_total += n_cg
-        cap = 10.0 * (1.0 + float(np.abs(vals).max()))
-        dn = float(np.abs(d).max())
-        if dn > cap:
-            d *= cap / dn
-        slope = float(grad @ d)
-        if slope >= 0.0:
-            d = -grad
-            slope = float(grad @ d)
-        alpha = 1.0
-        accepted = False
-        while alpha >= tol.step:
-            trial = vals.copy()
-            trial[rows] += alpha * d
-            e_trial, trial_point = evaluate(trial)
-            if np.isfinite(e_trial) and e_trial <= e_now + 1e-4 * alpha * slope + guard * (1.0 + abs(e_now)):
-                trial_grad = None
-                if e_trial >= e_now - guard * (1.0 + abs(e_now)):
-                    # energy change below fp resolution: demand residual progress
-                    trial_grad = gradient_of(trial_point)
-                    accepted = float(np.max(np.abs(trial_grad))) < residual * (1.0 - 1e-3)
-                else:
-                    accepted = True
-                if accepted:
-                    vals, point = trial, trial_point
-                    e_now = min(e_trial, e_now)
-                    grad = gradient_of(point) if trial_grad is None else trial_grad
-                    break
-            alpha *= 0.5
-            backtracks += 1
-        it += 1
-        if record_history:
-            history.append(e_now)
-        if not accepted:
-            # no certified progress left at machine precision
-            break
-        prev_residual, residual = residual, float(np.max(np.abs(grad)))
-        floor_rel = max(floor_rel * 0.5, 1e-14)
-
-    u = DirichletPair(u=GridFunction(mesh, vals), g=prob.g)
-    return PoissonSolution(
-        u=u,
-        energy=e_now,
-        el_residual=residual,
-        iterations=it,
-        converged=converged,
-        energy_history=history,
-        cg_iterations=cg_total,
-        backtracks=backtracks,
-    )
+    block = _InteriorBlock(prob.mesh, prob.weights) if _block is None else _block
+    return block.solve(prob, initial, record_history)
 
 
 def minimizer_equivalence_check(sol: PoissonSolution, prob: PoissonProblem,

@@ -19,7 +19,7 @@ from .exponents import (ExponentError, ExponentField, ScalarExponent, conjugate_
                         trace_exponent)
 from .lebesgue import GridFunction, luxemburg_norm
 from .mesh_kernel import KernelWeights, Mesh, restrict_interior
-from .poisson import (PoissonProblem, PoissonSolution, energy as poisson_energy,
+from .poisson import (PoissonProblem, PoissonSolution, _InteriorBlock, energy as poisson_energy,
                       energy_gradient, initial_guess, solve_poisson)
 from .sobolev import DirichletPair
 
@@ -193,15 +193,20 @@ def nemytsky_bound_check(f: Nonlinearity, u: GridFunction, r: ScalarExponent,
 
 @dataclass
 class FixedPointTrace:
-    iterates: list[tuple[float, float, float]] = field(default_factory=list)
+    """One (increment, inner EL residual) row per Picard iteration, plus the
+    totals of every Poisson solve the run made (the final one included)."""
+
+    iterates: list[tuple[float, float]] = field(default_factory=list)
     theta: float = 0.5
     converged: bool = False
     residual: float = np.inf
     h_star: GridFunction | None = None
+    poisson_solves: int = 0
+    cg_iterations: int = 0
 
     @property
     def final_increment(self) -> float:
-        return self.iterates[-1][1] if self.iterates else np.inf
+        return self.iterates[-1][0] if self.iterates else np.inf
 
 
 @dataclass(frozen=True)
@@ -232,34 +237,47 @@ def invariant_ball_radius(c_bound: float, a_norm: float, k1: float, k2: float,
 def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
                       g: GridFunction | None = None, theta: float = 0.5,
                       max_iter: int = 200, tol: float = 1e-8,
-                      residual_tol: float = 1e-6,
-                      theta_min: float = 1e-3) -> tuple[PoissonSolution, FixedPointTrace]:
+                      residual_tol: float = 1e-6, theta_min: float = 1e-3, *,
+                      _block: _InteriorBlock | None = None
+                      ) -> tuple[PoissonSolution, FixedPointTrace]:
     """Damped Picard iteration for h = N_f(T(h)).
 
     Starts from h0 = N_f applied to the datum-filled grid; halves the
     damping when the increment norm grows twice in a row.  Non-convergence
     is returned in the trace, never raised: the caller may retry with a
-    smaller damping factor.
+    smaller damping factor.  Every Poisson solve of the call shares one
+    interior block, since only h changes between them.
+
+    ``_block`` is private to the package: ``solve_by_decomposition`` passes
+    the block of a shell, which it reuses across sweeps, after screening the
+    growth of f once on the whole interior, which contains the shell's.
+    Without it the call screens f and builds its own block.
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError("damping theta must lie in (0, 1]")
     prob = prob_template if g is None else prob_template.with_g(g)
-    require_growth(f, prob.mesh, prob.p)
+    if _block is None:
+        require_growth(f, prob.mesh, prob.p)
+        _block = _InteriorBlock(prob.mesh, prob.weights)
     mask = prob.mesh.interior_mask
     rc = conjugate_exponent(prob.r)
-
-    def inc_norm(values):
-        return luxemburg_norm(GridFunction(prob.mesh, values), rc, mask)
 
     h = nemytsky(f, initial_guess(prob))
     trace = FixedPointTrace(theta=theta)
     warm = None
+
+    def solve(h_k):
+        sol_k = solve_poisson(prob.with_h(h_k), initial=warm, _block=_block)
+        trace.poisson_solves += 1
+        trace.cg_iterations += sol_k.cg_iterations
+        return sol_k
+
     sol = None
     grew = 0
     prev_inc = np.inf
     cap = None
     for _ in range(max_iter):
-        sol = solve_poisson(prob.with_h(h), initial=warm)
+        sol = solve(h)
         if not sol.converged:
             trace.h_star = h
             return sol, trace
@@ -268,8 +286,8 @@ def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
         new_vals = (1.0 - theta) * h.values + theta * target.values
         delta = np.zeros_like(new_vals)
         delta[mask] = new_vals[mask] - h.values[mask]
-        inc = inc_norm(delta)
-        trace.iterates.append((inc_norm(h.values), inc, sol.el_residual))
+        inc = luxemburg_norm(GridFunction(prob.mesh, delta), rc, mask)
+        trace.iterates.append((inc, sol.el_residual))
         h = GridFunction(prob.mesh, new_vals)
         if cap is None:
             cap = max(1.0, inc) * 1e12
@@ -292,7 +310,7 @@ def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
     trace.h_star = h
     if not trace.converged:
         return sol, trace
-    final = solve_poisson(prob.with_h(h), initial=warm)
+    final = solve(h)
     residual_grid = energy_gradient(final.u, prob.with_h(nemytsky(f, final.u.u)))
     residual = float(np.max(np.abs(residual_grid.values[mask])))
     trace.residual = residual
@@ -355,7 +373,8 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
         grad = energy_gradient(u, prob.with_h(nemytsky(f, u)))
         return float(np.max(np.abs(grad.values[mask_all])))
 
-    # one problem per shell, validated once; each sweep only swaps the datum
+    # one problem and one interior block per shell, validated once; each
+    # sweep only swaps the datum
     shell_probs = []
     for m in masks:
         sm = restrict_interior(prob.mesh, m)
@@ -366,12 +385,13 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
             h=GridFunction(sm, np.zeros(sm.n_cells)), g=GridFunction(sm, current),
             tolerances=prob.tolerances,
         ))
+    blocks = [_InteriorBlock(sp.mesh, sp.weights) for sp in shell_probs]
     for sweep in range(1, max_sweeps + 1):
         sweep_traces = []
-        for j, shell_prob in enumerate(shell_probs):
+        for j, (shell_prob, block) in enumerate(zip(shell_probs, blocks)):
             sub_prob = shell_prob.with_g(GridFunction(shell_prob.mesh, current))
             sol_j, trace_j = fixed_point_solve(
-                f, sub_prob, theta=theta, max_iter=max_iter, tol=tol,
+                f, sub_prob, theta=theta, max_iter=max_iter, tol=tol, _block=block,
             )
             if not trace_j.converged:
                 raise DecompositionError(j, sweep, "fixed-point iteration did not converge")

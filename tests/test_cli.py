@@ -143,8 +143,11 @@ class TestRun:
         code, out = run_cli(tmp_path, "semilinear", cfg)
         assert code == 0
         trace = (out / "trace.csv").read_text().strip().splitlines()
-        assert trace[0] == "k,increment,residual"
+        assert trace[0] == "sweep,shell,k,increment,residual"
         assert len(trace) > 1
+        # a single fixed point is sweep 1, shell 0
+        assert [r.split(",")[:3] for r in trace[1:]] == \
+            [["1", "0", str(k)] for k in range(len(trace) - 1)]
         report = (out / "report").read_text()
         assert "solver.converged: True" in report
 
@@ -160,7 +163,7 @@ class TestRun:
         assert code == 2
         report = (out / "report").read_text()
         assert "solver.converged: False" in report
-        increments = [float(r.split(",")[1])
+        increments = [float(r.split(",")[3])
                       for r in (out / "trace.csv").read_text().strip().splitlines()[1:]]
         assert max(increments) > increments[0]  # visible oscillation growth
 
@@ -177,6 +180,34 @@ class TestRun:
         report = (out / "report").read_text()
         assert "solver.sweeps:" in report
         assert "solver.shell_2_measure:" in report
+
+    @pytest.mark.parametrize("mode,shells", [("semilinear", None), ("decompose", 3)])
+    def test_trace_rows_name_sweep_and_shell(self, tmp_path, mode, shells):
+        cfg = minimal_poisson_config()
+        del cfg["data"]["h"]
+        cfg["nonlinearity"] = {
+            "kind": "arctan",
+            "params": {"eps": 0.05, "a": {"kind": "constant", "params": {"value": 0.3}}},
+        }
+        if shells:
+            cfg["decompose"] = {"shells": shells}
+        code, out = run_cli(tmp_path, mode, cfg)
+        assert code == 0
+        report = dict(line.split(": ", 1)
+                      for line in (out / "report").read_text().strip().splitlines())
+        lines = (out / "trace.csv").read_text().strip().splitlines()
+        assert lines[0] == "sweep,shell,k,increment,residual"
+        rows = [tuple(int(v) for v in r.split(",")[:3]) for r in lines[1:]]
+        sweeps = int(report.get("solver.sweeps", 1))
+        assert {(sweep, shell) for sweep, shell, _ in rows} == \
+            {(sweep, shell) for sweep in range(1, sweeps + 1) for shell in range(shells or 1)}
+        # k restarts at 0 for each (sweep, shell) and counts up within it
+        for prev, row in zip(rows, rows[1:]):
+            same = row[:2] == prev[:2]
+            assert row[2] == (prev[2] + 1 if same else 0)
+        # one Poisson solve per Picard iteration plus each final certified solve
+        assert int(report["solver.poisson_solves"]) == len(rows) + sweeps * (shells or 1)
+        assert int(report["solver.cg_iterations_total"]) >= 1
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = minimal_poisson_config()

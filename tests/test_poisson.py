@@ -312,7 +312,7 @@ class TestInteriorBlockSolver:
         assert hist[-1] == sol.energy
         assert np.all(np.diff(hist) <= 1e-12 * (1.0 + np.abs(hist[:-1])))
 
-    @pytest.mark.parametrize("build", ("box", "two_intervals", "shell", "warm"))
+    @pytest.mark.parametrize("build", ("box", "two_intervals", "shell", "warm", "reused"))
     def test_p_two_takes_one_iteration(self, build, rng):
         p = const_pair(2.0, 0.4)
         initial = None
@@ -323,12 +323,14 @@ class TestInteriorBlockSolver:
             mesh = build_mesh(2.0, 64, omega)
             prob = make_problem(mesh, p, 3.0, rng.standard_normal(64),
                                 0.3 * rng.standard_normal(64))
-        if build == "warm":
+        block = poisson_module._InteriorBlock(prob.mesh, prob.weights)
+        if build in ("warm", "reused"):
             # a nearby solution as the start, as in the Picard and shell sweeps
-            cold = solve_poisson(prob)
+            cold = solve_poisson(prob, _block=block)
             initial = cold.u.u
             prob = prob.with_h(grid(mesh, prob.h.values + 1e-3 * rng.standard_normal(64)))
-        sol = solve_poisson(prob, initial=initial)
+        # a fresh block per call for "warm", the cold solve's block for "reused"
+        sol = solve_poisson(prob, initial=initial, _block=block if build == "reused" else None)
         assert sol.converged
         assert sol.iterations == 1
         assert sol.backtracks == 0
@@ -336,7 +338,67 @@ class TestInteriorBlockSolver:
         grad = energy_gradient(sol.u, prob).values
         assert np.max(np.abs(grad)) <= prob.tolerances.el_residual
         if build == "warm":
-            assert sol.cg_iterations < cold.cg_iterations
+            assert 0 < sol.cg_iterations < cold.cg_iterations
+        if build == "reused":
+            # the direction comes from the factored Hessian, not from CG
+            assert sol.cg_iterations == 0
+
+    @pytest.mark.parametrize("kind", ("p1_5", "gauss_bump", "affine", "shell"))
+    def test_block_reused_across_h_matches_fresh_solves(self, kind, rng):
+        prob = _class_problem(kind, rng)
+        block = poisson_module._InteriorBlock(prob.mesh, prob.weights)
+        warm = None
+        for scale in (1.0, 1.1, 0.9):
+            step = prob.with_h(grid(prob.mesh, scale * prob.h.values))
+            reused = solve_poisson(step, initial=warm, _block=block)
+            fresh = solve_poisson(step, initial=warm)
+            assert reused.converged
+            assert np.array_equal(reused.u.u.values, fresh.u.u.values)
+            assert reused.energy == fresh.energy
+            assert (reused.iterations, reused.cg_iterations, reused.backtracks) == \
+                (fresh.iterations, fresh.cg_iterations, fresh.backtracks)
+            warm = reused.u.u
+
+    @pytest.mark.parametrize("kind", ("p2", "p1_5", "gauss_bump", "shell"))
+    def test_block_recomputes_exterior_energy_after_with_g(self, kind, rng):
+        if kind == "p2":
+            mesh = build_mesh(2.0, 64, [(-1.0, 1.0)])
+            prob = make_problem(mesh, const_pair(2.0, 0.4), 3.0, rng.standard_normal(64),
+                                0.3 * rng.standard_normal(64))
+        else:
+            prob = _class_problem(kind, rng)
+        block = poisson_module._InteriorBlock(prob.mesh, prob.weights)
+        first = prob.g
+        data = [first] + [grid(prob.mesh, c * rng.standard_normal(64)) for c in (1.0, 0.1)]
+        for g in data + [first]:
+            swapped = prob.with_g(g)
+            sol = solve_poisson(swapped, _block=block)
+            assert sol.converged
+            assert sol.energy == pytest.approx(energy(sol.u, swapped), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ("p2", "p1_5"))
+    def test_public_call_keeps_no_state(self, kind, rng, monkeypatch):
+        if kind == "p2":
+            mesh = build_mesh(2.0, 64, [(-1.0, 1.0)])
+            prob = make_problem(mesh, const_pair(2.0, 0.4), 3.0, rng.standard_normal(64),
+                                0.3 * rng.standard_normal(64))
+        else:
+            prob = _class_problem(kind, rng)
+        factors = []
+        original = np.linalg.cholesky
+
+        def counting(a):
+            factors.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        first, second = solve_poisson(prob), solve_poisson(prob)
+        # no memo on the problem or the weights: the second call repeats the
+        # first one's CG work, and a one-off solve never factors
+        assert factors == []
+        assert first.cg_iterations > 0
+        assert (second.iterations, second.cg_iterations) == (first.iterations, first.cg_iterations)
+        assert np.array_equal(second.u.u.values, first.u.u.values)
 
     @pytest.mark.parametrize("max_iter", (1, 2, 3, 5))
     def test_residual_describes_returned_field_at_max_iter(self, max_iter, rng):

@@ -9,6 +9,7 @@ from fpxlap import (GridFunction, GrowthError, NemytskyError,
                     nemytsky_bound_check, shell_partition, solve_by_decomposition,
                     solve_poisson)
 from fpxlap import poisson as poisson_module
+from fpxlap import semilinear as semilinear_module
 from fpxlap.exponents import conjugate_exponent
 from fpxlap.lebesgue import luxemburg_norm
 
@@ -160,6 +161,9 @@ class TestFixedPoint:
         sol, trace = fixed_point_solve(f, template, theta=0.5, tol=1e-8)
         assert trace.converged
         assert trace.residual <= 1e-6
+        # rows are (increment, inner EL residual)
+        assert all(len(row) == 2 for row in trace.iterates)
+        assert trace.final_increment == trace.iterates[-1][0] <= 1e-8
         h_star = trace.h_star
         j_h = nemytsky(f, solve_poisson(template.with_h(h_star)).u.u)
         gap = grid(mesh96, j_h.values - h_star.values)
@@ -231,6 +235,36 @@ class TestFixedPoint:
             phi = np.where(mask, rng.standard_normal(mesh96.n_cells), 0.0)
             phi *= rng.uniform(0.05, 1.0) / np.max(np.abs(phi))
             assert semilinear_energy(sol.u.u.values + phi) >= e0 - 1e-8
+
+    def test_p_two_warm_solves_use_the_factor(self, mesh96, monkeypatch):
+        solves = []
+        original = semilinear_module.solve_poisson
+
+        def recording(prob, *args, **kwargs):
+            sol = original(prob, *args, **kwargs)
+            solves.append((prob, sol))
+            return sol
+
+        monkeypatch.setattr(semilinear_module, "solve_poisson", recording)
+        sol, trace = fixed_point_solve(arctan_nonlinearity(mesh96), make_template(mesh96))
+        assert trace.converged
+        assert trace.poisson_solves == len(solves) == len(trace.iterates) + 1
+        assert trace.cg_iterations == sum(s.cg_iterations for _, s in solves)
+        cold, warm = solves[0][1], [s for _, s in solves[1:]]
+        assert cold.cg_iterations > 0
+        # after the cold solve, each direction is one application of the
+        # factored Hessian: at most one iteration and no CG step
+        assert all(s.iterations <= 1 and s.cg_iterations == 0 for s in warm)
+        assert any(s.iterations == 1 for s in warm)
+        for prob, s in solves:
+            grad = energy_gradient(s.u, prob).values[mesh96.interior_mask]
+            assert np.max(np.abs(grad)) <= prob.tolerances.el_residual
+
+    def test_second_call_repeats_the_work(self, mesh96):
+        f, template = arctan_nonlinearity(mesh96), make_template(mesh96)
+        (s1, t1), (s2, t2) = (fixed_point_solve(f, template) for _ in range(2))
+        assert (t2.poisson_solves, t2.cg_iterations) == (t1.poisson_solves, t1.cg_iterations)
+        assert np.array_equal(s2.u.u.values, s1.u.u.values)
 
     def test_oscillation_reduces_damping(self, mesh64):
         # strong negative feedback makes the undamped map oscillate, so the
@@ -316,17 +350,25 @@ class TestDecomposition:
     def test_growth_pair_validated_once_per_shell(self, mesh96, monkeypatch):
         f = arctan_nonlinearity(mesh96)
         template = make_template(mesh96)
-        calls = []
+        calls, screens = [], []
         original = poisson_module.validate_growth_pair
+        original_screen = semilinear_module.growth_screen
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
+        def counting_screen(*args, **kwargs):
+            screens.append(args)
+            return original_screen(*args, **kwargs)
+
         monkeypatch.setattr(poisson_module, "validate_growth_pair", counting)
+        monkeypatch.setattr(semilinear_module, "growth_screen", counting_screen)
         _, rep = solve_by_decomposition(f, GridFunction.zeros(mesh96), 3, template, theta=0.5)
         assert rep.converged and rep.sweeps > 1
         assert len(calls) == 3
+        # the whole interior is screened once; the shells lie inside it
+        assert len(screens) == 1 and screens[0][1] is mesh96
 
     def test_too_many_shells_rejected(self, mesh16):
         with pytest.raises(ValueError):
