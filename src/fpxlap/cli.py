@@ -296,11 +296,12 @@ def run(cfg: RunConfig) -> int:
             report.add("wallclock_seconds", time.perf_counter() - t_start)
             report.write(out / "report")
             return 1
+        # keys left out of the config take the solvers' defaults
         fp_sec = cfg.section("fixedpoint", {})
-        theta = float(fp_sec.get("theta", 0.5))
-        max_iter = int(fp_sec.get("max_iter", 200))
+        fp_opts = {key: cast(fp_sec[key]) for key, cast in (("theta", float), ("max_iter", int))
+                   if key in fp_sec}
         if cfg.mode == "semilinear":
-            sol, trace = fixed_point_solve(f, prob, theta=theta, max_iter=max_iter)
+            sol, trace = fixed_point_solve(f, prob, **fp_opts)
             write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
             write_trace_csv(out / "trace.csv", [[trace]])
             report.add("solver.converged", trace.converged)
@@ -312,12 +313,12 @@ def run(cfg: RunConfig) -> int:
             status = 0 if trace.converged else 2
         else:
             shells = int(cfg.section("decompose")["shells"])
-            sol, rep = solve_by_decomposition(f, g, shells, prob, theta=theta,
-                                              max_iter=max_iter)
+            sol, rep = solve_by_decomposition(f, g, shells, prob, **fp_opts)
             write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
             write_trace_csv(out / "trace.csv", rep.shell_traces)
             report.add("solver.converged", rep.converged)
             report.add("solver.sweeps", rep.sweeps)
+            report.add("solver.mixed_sweeps", rep.mixed_sweeps)
             report.add("solver.residual", rep.residual)
             for j, measure in enumerate(rep.shell_measures):
                 report.add(f"solver.shell_{j}_measure", measure)

@@ -1,11 +1,13 @@
 """Semilinear layer: Nemytsky operator, Picard fixed point, shell solver.
 
 The fixed-point map composes the Poisson solution map with the Nemytsky
-operator; damped Picard iteration drives h_{k+1} = (1-theta) h_k
-+ theta N_f(T(h_k)) until the conjugate-norm increment is negligible.
+operator; Picard iteration drives h_{k+1} = (1-theta) h_k + theta N_f(T(h_k))
+until the conjugate-norm increment is negligible.  theta starts undamped at
+its cap (1 by default) and is halved whenever the increments keep growing.
 The shell solver splits the interior into contiguous equal-measure blocks
-and performs sequential block solves, sweeping until the global semilinear
-residual meets its target.
+and performs sequential block solves.  One sweep over the shells is a map
+on the interior values, and its iterates are Anderson-mixed under a
+residual safeguard until the global semilinear residual meets its target.
 """
 
 from __future__ import annotations
@@ -196,8 +198,8 @@ class FixedPointTrace:
     """One (increment, inner EL residual) row per Picard iteration, plus the
     totals of every Poisson solve the run made (the final one included)."""
 
+    theta: float
     iterates: list[tuple[float, float]] = field(default_factory=list)
-    theta: float = 0.5
     converged: bool = False
     residual: float = np.inf
     h_star: GridFunction | None = None
@@ -235,18 +237,21 @@ def invariant_ball_radius(c_bound: float, a_norm: float, k1: float, k2: float,
 
 
 def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
-                      g: GridFunction | None = None, theta: float = 0.5,
+                      g: GridFunction | None = None, theta: float = 1.0,
                       max_iter: int = 200, tol: float = 1e-8,
                       residual_tol: float = 1e-6, theta_min: float = 1e-3, *,
                       _block: _InteriorBlock | None = None
                       ) -> tuple[PoissonSolution, FixedPointTrace]:
-    """Damped Picard iteration for h = N_f(T(h)).
+    """Picard iteration for h = N_f(T(h)), damped by theta when needed.
 
-    Starts from h0 = N_f applied to the datum-filled grid; halves the
-    damping when the increment norm grows twice in a row.  Non-convergence
-    is returned in the trace, never raised: the caller may retry with a
-    smaller damping factor.  Every Poisson solve of the call shares one
-    interior block, since only h changes between them.
+    Starts from h0 = N_f applied to the datum-filled grid with the damping
+    factor at its cap ``theta`` (1, undamped, by default) and halves it, down
+    to ``theta_min``, whenever the increment norm grows twice in a row.  A
+    non-finite increment, or one above 1e12 max(1, first increment), stops
+    the run.  Non-convergence is returned in the trace, never raised: the
+    caller may retry with a smaller cap.  A converged run is certified by the
+    sup-norm of ``energy_gradient`` at the final field.  Every Poisson solve
+    of the call shares one interior block, since only h changes between them.
 
     ``_block`` is private to the package: ``solve_by_decomposition`` passes
     the block of a shell, which it reuses across sweeps, after screening the
@@ -335,25 +340,55 @@ def shell_partition(mesh: Mesh, shells: int) -> list[np.ndarray]:
 
 @dataclass
 class DecompositionReport:
+    """``residuals`` holds the global residual after each sweep and
+    ``mixed_sweeps`` counts the sweeps that kept the Anderson candidate."""
+
     shell_measures: list[float]
     sweeps: int
     residual: float
     converged: bool
     shell_traces: list[list[FixedPointTrace]] = field(default_factory=list)
+    residuals: list[float] = field(default_factory=list)
+    mixed_sweeps: int = 0
+
+
+# number of secant pairs kept by the Anderson mixing of the shell sweeps
+_ANDERSON_DEPTH = 5
+
+
+def _anderson_mix(dxs: list[np.ndarray], dfs: list[np.ndarray], swept: np.ndarray,
+                  res: np.ndarray) -> np.ndarray | None:
+    """Anderson (type II) candidate for the fixed point of a map S.
+
+    ``swept`` = S(x) and ``res`` = S(x) - x at the current iterate x;
+    ``dxs`` / ``dfs`` are the differences of the last iterates and of their
+    residuals.  Returns S(x) - (dX + dF) gamma with gamma the least-squares
+    solution of dF gamma = res, or None without history (Walker & Ni 2011).
+    """
+    if not dfs:
+        return None
+    d_f = np.column_stack(dfs)
+    gamma = np.linalg.lstsq(d_f, res, rcond=None)[0]
+    return swept - (np.column_stack(dxs) + d_f) @ gamma
 
 
 def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
-                           prob_template: PoissonProblem, theta: float = 0.5,
+                           prob_template: PoissonProblem, theta: float = 1.0,
                            max_iter: int = 200, tol: float = 1e-8,
                            residual_target: float = 1e-6,
                            max_sweeps: int = 200) -> tuple[PoissonSolution, DecompositionReport]:
     """Sequential shell solves with the freshest global field as exterior data.
 
-    Each sweep solves the semilinear problem on every shell in turn, the
-    previous iterate supplying the exterior values; sweeps repeat until the
-    global residual meets the target (one sweep suffices in the degenerate
-    single-shell case).  Per-shell non-convergence aborts with the shell
-    index.
+    Each sweep solves the semilinear problem (``fixed_point_solve`` with the
+    damping cap ``theta``) on every shell in turn, the previous iterate
+    supplying the exterior values.  The sweep is a map x -> S(x) on the
+    interior values, and its iterates are Anderson-mixed with the last
+    ``_ANDERSON_DEPTH`` secant pairs: the mixed candidate, which changes
+    interior cells only, is kept when its global semilinear residual is
+    below that of the plain sweep; otherwise the plain sweep is kept and the
+    history cleared.  Sweeps repeat until the global residual meets the
+    target (one sweep suffices in the degenerate single-shell case).
+    Per-shell non-convergence aborts with the shell index.
     """
     prob = prob_template.with_g(g)
     require_growth(f, prob.mesh, prob.p)
@@ -386,6 +421,9 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
             tolerances=prob.tolerances,
         ))
     blocks = [_InteriorBlock(sp.mesh, sp.weights) for sp in shell_probs]
+    x = current[mask_all]
+    last = None  # (x, S(x) - x) of the previous sweep
+    dxs, dfs = [], []
     for sweep in range(1, max_sweeps + 1):
         sweep_traces = []
         for j, (shell_prob, block) in enumerate(zip(shell_probs, blocks)):
@@ -399,8 +437,33 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
             sweep_traces.append(trace_j)
         report.shell_traces.append(sweep_traces)
         report.sweeps = sweep
-        report.residual = global_residual(current)
-        if report.residual <= residual_target:
+        residual = global_residual(current)
+        if residual > residual_target:
+            swept = current[mask_all]
+            res = swept - x
+            if last is not None:
+                dxs.append(x - last[0])
+                dfs.append(res - last[1])
+                del dxs[:-_ANDERSON_DEPTH], dfs[:-_ANDERSON_DEPTH]
+            last = (x, res)
+            candidate = _anderson_mix(dxs, dfs, swept, res)
+            if candidate is not None:
+                trial = current.copy()
+                trial[mask_all] = candidate
+                try:
+                    trial_residual = global_residual(trial)
+                except NemytskyError:  # f need not be finite at an extrapolated point
+                    trial_residual = np.inf
+                if trial_residual < residual:
+                    current, residual = trial, trial_residual
+                    report.mixed_sweeps += 1
+                else:
+                    dxs.clear()
+                    dfs.clear()
+        x = current[mask_all]
+        report.residuals.append(residual)
+        report.residual = residual
+        if residual <= residual_target:
             report.converged = True
             break
 

@@ -150,6 +150,19 @@ class TestRun:
             [["1", "0", str(k)] for k in range(len(trace) - 1)]
         report = (out / "report").read_text()
         assert "solver.converged: True" in report
+        assert "solver.theta_final: 0.5" in report  # the key still caps the damping
+
+    def test_theta_defaults_to_the_solver(self, tmp_path):
+        cfg = minimal_poisson_config()
+        del cfg["data"]["h"]
+        cfg["nonlinearity"] = {
+            "kind": "arctan",
+            "params": {"eps": 0.05, "a": {"kind": "constant", "params": {"value": 0.3}}},
+        }
+        cfg["fixedpoint"] = {"max_iter": 200}
+        code, out = run_cli(tmp_path, "semilinear", cfg)
+        assert code == 0
+        assert "solver.theta_final: 1\n" in (out / "report").read_text()
 
     def test_stiff_semilinear_exits_two(self, tmp_path):
         cfg = minimal_poisson_config()
@@ -179,6 +192,7 @@ class TestRun:
         assert code == 0
         report = (out / "report").read_text()
         assert "solver.sweeps:" in report
+        assert "solver.mixed_sweeps:" in report
         assert "solver.shell_2_measure:" in report
 
     @pytest.mark.parametrize("mode,shells", [("semilinear", None), ("decompose", 3)])

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from fpxlap import (GridFunction, GrowthError, NemytskyError,
+from fpxlap import (GridFunction, GrowthError, KernelWeights, NemytskyError,
                     Nonlinearity, PoissonProblem, assemble_weights, build_mesh,
                     calibrate_nemytsky_constant, energy, energy_gradient,
                     fixed_point_solve, gamma_exponent, growth_screen,
                     invariant_ball_radius, measure_constant, nemytsky,
-                    nemytsky_bound_check, shell_partition, solve_by_decomposition,
-                    solve_poisson)
+                    nemytsky_bound_check, restrict_interior, shell_partition,
+                    solve_by_decomposition, solve_poisson)
 from fpxlap import poisson as poisson_module
 from fpxlap import semilinear as semilinear_module
 from fpxlap.exponents import conjugate_exponent
@@ -40,6 +40,59 @@ def make_template(mesh, p=None, r_value=3.0):
     zeros = GridFunction.zeros(mesh)
     return PoissonProblem(mesh=mesh, weights=W, p=p, r=const_scalar(r_value),
                           h=zeros, g=zeros)
+
+
+def exterior_gaussian(mesh):
+    return grid(mesh, 0.1 * np.exp(-((mesh.cell_centers - 1.5) / 0.4) ** 2))
+
+
+def p2_newton_reference(template, g, f, dfdt, c_max):
+    """Dense Newton solve of the p = 2 system A u - b - dx f(x, u) = 0 and
+    ||(A - dx c_max I)^-1||_inf, which turns a residual into a distance."""
+    mesh, w, tail = template.mesh, template.weights.w, template.weights.tail
+    inner, dx = mesh.interior_mask, mesh.cell_width
+    A = -2.0 * w[np.ix_(inner, inner)]
+    A[np.diag_indices_from(A)] += 2.0 * w[inner].sum(axis=1) + 2.0 * dx * tail[inner]
+    b = 2.0 * w[np.ix_(inner, ~inner)] @ g.values[~inner]
+    x = mesh.cell_centers[inner]
+    u = np.zeros(A.shape[0])
+    for _ in range(60):
+        step = np.linalg.solve(A - dx * np.diag(dfdt(x, u)), A @ u - b - dx * f(x, u))
+        u -= step
+        if np.max(np.abs(step)) <= 1e-15 * (1.0 + np.max(np.abs(u))):
+            break
+    shifted_inv = np.linalg.inv(A - dx * c_max * np.eye(A.shape[0]))
+    return u, float(np.max(np.abs(shifted_inv).sum(axis=1)))
+
+
+def plain_block_gauss_seidel(f, g, shells, template, theta, target=1e-6):
+    """Unmixed shell sweeps built from the public pieces: the field and the
+    global residual after every sweep until the residual meets the target."""
+    prob = template.with_g(g)
+    mesh = prob.mesh
+    current = poisson_module.initial_guess(prob).values.copy()
+    shell_probs = []
+    for m in shell_partition(mesh, shells):
+        sm = restrict_interior(mesh, m)
+        sw = KernelWeights(mesh=sm, w=prob.weights.w, p_pair=prob.weights.p_pair,
+                           tail=prob.weights.tail)
+        shell_probs.append(PoissonProblem(mesh=sm, weights=sw, p=prob.p, r=prob.r,
+                                          h=GridFunction.zeros(sm), g=GridFunction(sm, current),
+                                          tolerances=prob.tolerances))
+    blocks = [poisson_module._InteriorBlock(sp.mesh, sp.weights) for sp in shell_probs]
+    residuals = []
+    for _ in range(200):
+        for sp, block in zip(shell_probs, blocks):
+            sol, trace = fixed_point_solve(f, sp.with_g(GridFunction(sp.mesh, current)),
+                                           theta=theta, _block=block)
+            assert trace.converged
+            current = sol.u.u.values.copy()
+        u = grid(mesh, current)
+        grad = energy_gradient(u, prob.with_h(nemytsky(f, u))).values[mesh.interior_mask]
+        residuals.append(float(np.max(np.abs(grad))))
+        if residuals[-1] <= target:
+            break
+    return current, residuals
 
 
 @pytest.fixture
@@ -266,6 +319,12 @@ class TestFixedPoint:
         assert (t2.poisson_solves, t2.cg_iterations) == (t1.poisson_solves, t1.cg_iterations)
         assert np.array_equal(s2.u.u.values, s1.u.u.values)
 
+    def test_default_is_undamped(self, mesh96):
+        sol, trace = fixed_point_solve(arctan_nonlinearity(mesh96), make_template(mesh96))
+        assert trace.converged and trace.residual <= 1e-6
+        assert trace.theta == 1.0
+        assert len(trace.iterates) <= 6
+
     def test_oscillation_reduces_damping(self, mesh64):
         # strong negative feedback makes the undamped map oscillate, so the
         # solver must either shrink theta or report failure
@@ -369,6 +428,44 @@ class TestDecomposition:
         assert len(calls) == 3
         # the whole interior is screened once; the shells lie inside it
         assert len(screens) == 1 and screens[0][1] is mesh96
+
+    @pytest.mark.parametrize("shells", [3, 5])
+    def test_mixed_sweeps_match_newton_reference(self, mesh96, shells):
+        eps = 0.05
+        f = arctan_nonlinearity(mesh96, eps=eps)
+        template = make_template(mesh96)
+        g = exterior_gaussian(mesh96)
+        sol, rep = solve_by_decomposition(f, g, shells, template)
+        assert rep.converged and rep.sweeps <= 12
+        assert rep.mixed_sweeps >= 1
+        assert len(rep.residuals) == rep.sweeps and rep.residuals[-1] == rep.residual <= 1e-6
+        inner = mesh96.interior_mask
+        assert np.array_equal(sol.u.u.values[~inner], g.values[~inner])
+        u_ref, inv_norm = p2_newton_reference(template, g, f, lambda x, t: eps / (1.0 + t * t),
+                                              eps)
+        assert np.max(np.abs(sol.u.u.values[inner] - u_ref)) <= inv_norm * 1e-6
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_rejected_candidates_leave_plain_sweeps(self, mesh96, monkeypatch, theta):
+        # every candidate is pushed far off, so the residual safeguard must
+        # reject it, clear the history and keep the plain sweep bit for bit
+        histories = []
+
+        def poisoned(dxs, dfs, swept, res):
+            histories.append(len(dfs))
+            return None if not dfs else swept + 1.0
+
+        monkeypatch.setattr(semilinear_module, "_anderson_mix", poisoned)
+        f, template = arctan_nonlinearity(mesh96), make_template(mesh96)
+        g = exterior_gaussian(mesh96)
+        sol, rep = solve_by_decomposition(f, g, 3, template, theta=theta)
+        plain, residuals = plain_block_gauss_seidel(f, g, 3, template, theta)
+        assert rep.converged and rep.mixed_sweeps == 0
+        assert rep.sweeps == len(residuals) > 2
+        assert rep.residuals == residuals
+        assert np.array_equal(sol.u.u.values, plain)
+        # a rejection clears the history: each later candidate uses one pair
+        assert histories[0] == 0 and set(histories[1:]) == {1}
 
     def test_too_many_shells_rejected(self, mesh16):
         with pytest.raises(ValueError):
