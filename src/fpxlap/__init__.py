@@ -8,7 +8,7 @@ from .lebesgue import (BisectionError, GridFunction, holder_pairing_check, luxem
                        modular, norm_modular_relation_check, norm_of_one_bounds, pairing,
                        power_norm_bounds_check)
 from .mesh_kernel import (KernelError, KernelWeights, Mesh, MeshError, assemble_weights,
-                          build_mesh, restrict_interior, tail_contribution)
+                          build_mesh, restrict_interior)
 from .poisson import (PoissonProblem, PoissonSolution, Tolerances, energy, energy_gradient,
                       initial_guess, lr_estimate_check, minimizer_equivalence_check,
                       solve_poisson)

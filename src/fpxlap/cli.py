@@ -220,6 +220,7 @@ def _echo_config(report: Report, cfg: RunConfig) -> None:
 def _report_poisson_work(report: Report, traces) -> None:
     report.add("solver.poisson_solves", sum(t.poisson_solves for t in traces))
     report.add("solver.cg_iterations_total", sum(t.cg_iterations for t in traces))
+    report.add("solver.backtracks_total", sum(t.backtracks for t in traces))
 
 
 def run(cfg: RunConfig) -> int:

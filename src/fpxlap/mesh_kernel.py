@@ -175,15 +175,3 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     tail = ((centers + mesh.R) ** (-spbar) + (mesh.R - centers) ** (-spbar)) / spbar
     return KernelWeights(mesh=mesh, w=w, p_pair=p_pair, tail=tail)
 
-
-def tail_contribution(mesh: Mesh, p: ExponentField, i: int) -> float:
-    """Closed-form exterior-of-box integral for cell i.
-
-    int_{|y|>R} |x_i - y|^(-(1+s*pbar(x_i))) dy
-      = ((x_i+R)^(-s*pbar) + (R-x_i)^(-s*pbar)) / (s*pbar).
-    """
-    x = mesh.cell_centers[i]
-    spbar = p.s * float(p.evaluator(x, x))
-    if spbar <= 0.0:
-        raise KernelError("tail requires s*pbar > 0")
-    return float(((x + mesh.R) ** (-spbar) + (mesh.R - x) ** (-spbar)) / spbar)

@@ -7,10 +7,13 @@ The energy of a field u equal to g on exterior cells is
            - dx sum_{i interior} h_i u_i,
 
 strictly convex in the interior unknowns, minimized by damped lagged-weight
-linearization with Armijo backtracking.  The gradient component at an
-interior cell equals the weak-form residual against that cell's indicator,
-so the stopping rule certifies the discrete Euler-Lagrange equations
-directly.
+linearization with Armijo backtracking.  The lagged weights are floored
+where differences degenerate; the floor shrinks with the gradient residual
+(the IRLS rule), and the weights come from the accepted point's |d|^p, so
+an iteration makes one power pass per trial point and none for the model.
+The gradient component at an interior cell equals the weak-form residual
+against that cell's indicator, so the stopping rule certifies the discrete
+Euler-Lagrange equations directly.
 """
 
 from __future__ import annotations
@@ -141,6 +144,20 @@ def _uniform(a: np.ndarray) -> float | None:
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den, 0 where den = 0: |d|^{p-2} d from |d|^p and d."""
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def _lagged_weights(power: np.ndarray, diff: np.ndarray, floor: float, p) -> np.ndarray:
+    """max(|d|, floor)^{p-2} from power = |d|^p, without a second power pass.
+
+    power / d^2 where |d| >= floor, floor^{p-2} on the rest (p a float or an
+    array shaped like diff).
+    """
+    out = diff * diff
+    small = out < floor * floor
+    np.maximum(out, floor * floor, out=out)
+    np.divide(power, out, out=out)
+    out[small] = floor ** (p - 2.0) if np.isscalar(p) else floor ** (p[small] - 2.0)
+    return out
 
 
 def _exterior_energy(W: KernelWeights, interior: np.ndarray, vals: np.ndarray,
@@ -303,7 +320,7 @@ class _InteriorBlock:
         def model_direction(v, point, grad, floor_rel, rtol):
             if factored:
                 return self._factor_direction(grad), 0
-            x, diff = point[0], point[1]
+            x, diff, power, tail_power = point
             dmax = float(v.max() - v.min())
             scale = max(float(np.abs(v).max()), dmax)
             if quadratic or scale == 0.0 or dmax == 0.0:
@@ -311,11 +328,10 @@ class _InteriorBlock:
                 return _pcg(self._quadratic_hessian(), -grad, rtol)
             floor_pair = max(1e-13 * scale, floor_rel * dmax)
             floor_tail = max(1e-13 * scale, floor_rel * scale)
-            om = np.abs(diff)
-            np.maximum(om, floor_pair, out=om)
-            np.power(om, p_rows - 2.0, out=om)
+            # the accepted point's |d|^p gives the lagged weights: no second power pass
+            om = _lagged_weights(power, diff, floor_pair, p_rows)
             om *= w_model
-            tau = tail_model * np.maximum(np.abs(x), floor_tail) ** (p_bar - 2.0)
+            tau = tail_model * _lagged_weights(tail_power, x, floor_tail, p_bar)
             # model Hessian on the interior unknowns: 2 (diag(row sums + dx tau) - core)
             hess = om[:, rows]
             hess *= -2.0
@@ -326,7 +342,7 @@ class _InteriorBlock:
         if not np.isfinite(e_now):
             raise ValueError("non-finite energy at the initial field")
         grad = gradient_of(point)
-        residual = float(np.max(np.abs(grad)))
+        residual = first_residual = float(np.max(np.abs(grad)))
         history = [e_now] if record_history else []
         converged = False
         it = cg_total = backtracks = 0
@@ -384,7 +400,8 @@ class _InteriorBlock:
                 # no certified progress left at machine precision
                 break
             prev_residual, residual = residual, float(np.max(np.abs(grad)))
-            floor_rel = max(floor_rel * 0.5, 1e-14)
+            # the floor shrinks with the residual (IRLS), at least by half per step
+            floor_rel = max(min(0.5 * floor_rel, 0.3 * residual / first_residual), 1e-14)
 
         u = DirichletPair(u=GridFunction(mesh, vals), g=prob.g)
         return PoissonSolution(
@@ -412,18 +429,25 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
     iteration.
 
     Each iteration builds the weighted-graph-Laplacian model of the energy
-    with lagged pair weights max(p-1,1) w |u_i-u_j|^{p-2} (floored where
-    differences degenerate), solves it by Jacobi-preconditioned conjugate
-    gradients, and takes the resulting direction under Armijo backtracking
-    (sufficient decrease 1e-4, halving), so the energy decreases
-    monotonically.  CG stops at the relative residual
-    eta_k = min(1e-2, 0.9 (r_k / r_{k-1})^2) (Eisenstat-Walker forcing term,
-    r_k the gradient sup-norm); every CG iterate is a descent direction.  For
-    constant p = 2 the model is the exact Hessian, so the new gradient is
-    minus the CG residual; CG stops at the absolute 2-norm el_residual / 2 and
-    one iteration solves the problem.  When the energy change falls below
-    floating-point resolution, a step is accepted only if it still reduces
-    the gradient sup-norm.  Stops when that sup-norm, of the returned field,
+    with lagged pair weights max(p-1,1) w max(|u_i-u_j|, floor)^{p-2}, taken
+    from the accepted point's power as |d|^p / d^2 (only pairs below the floor
+    get a power of their own), and the tail terms likewise.  The floor is
+    floor_rel times the field's spread (for the tails, the larger of its sup
+    and its spread).  floor_rel starts at 0.3 and after each accepted step
+    becomes max(min(floor_rel / 2, 0.3 r_k / r_0), 1e-14), with r_k the
+    gradient sup-norm and r_0 the call's first one: it shrinks with the
+    residual (Daubechies, DeVore, Fornasier & Gunturk 2010) and at least
+    halves per iteration, so p >= 2 soon gets the true Newton weights.  The
+    model is solved by Jacobi-preconditioned conjugate gradients, and the
+    direction is taken under Armijo backtracking (sufficient decrease 1e-4,
+    halving), so the energy decreases monotonically.  CG stops at the relative
+    residual eta_k = min(1e-2, 0.9 (r_k / r_{k-1})^2) (Eisenstat-Walker
+    forcing term); every CG iterate is a descent direction.  For constant
+    p = 2 the model is the exact Hessian, so the new gradient is minus the CG
+    residual; CG stops at the absolute 2-norm el_residual / 2 and one
+    iteration solves the problem.  When the energy change falls below
+    floating-point resolution, a step is accepted only if it still reduces the
+    gradient sup-norm.  Stops when that sup-norm, of the returned field,
     reaches tolerances.el_residual; non-convergence is reported through
     ``converged=False``, never silently.
 

@@ -205,6 +205,7 @@ class FixedPointTrace:
     h_star: GridFunction | None = None
     poisson_solves: int = 0
     cg_iterations: int = 0
+    backtracks: int = 0
 
     @property
     def final_increment(self) -> float:
@@ -275,6 +276,7 @@ def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
         sol_k = solve_poisson(prob.with_h(h_k), initial=warm, _block=_block)
         trace.poisson_solves += 1
         trace.cg_iterations += sol_k.cg_iterations
+        trace.backtracks += sol_k.backtracks
         return sol_k
 
     sol = None

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fpxlap import semilinear as semilinear_module
 from fpxlap.cli import ConfigError, main, parse_config
 
 
@@ -196,7 +197,19 @@ class TestRun:
         assert "solver.shell_2_measure:" in report
 
     @pytest.mark.parametrize("mode,shells", [("semilinear", None), ("decompose", 3)])
-    def test_trace_rows_name_sweep_and_shell(self, tmp_path, mode, shells):
+    def test_trace_rows_name_sweep_and_shell(self, tmp_path, mode, shells, monkeypatch):
+        solves = []
+        original = semilinear_module.solve_poisson
+
+        def recording(*args, **kwargs):
+            # one extra backtrack per inner solve, so the report's total must
+            # sum every solve, not read one of them
+            sol = original(*args, **kwargs)
+            sol.backtracks += 1
+            solves.append(sol)
+            return sol
+
+        monkeypatch.setattr(semilinear_module, "solve_poisson", recording)
         cfg = minimal_poisson_config()
         del cfg["data"]["h"]
         cfg["nonlinearity"] = {
@@ -222,6 +235,9 @@ class TestRun:
         # one Poisson solve per Picard iteration plus each final certified solve
         assert int(report["solver.poisson_solves"]) == len(rows) + sweeps * (shells or 1)
         assert int(report["solver.cg_iterations_total"]) >= 1
+        assert int(report["solver.poisson_solves"]) == len(solves)
+        total = int(report["solver.backtracks_total"])
+        assert total == sum(s.backtracks for s in solves) >= len(solves)
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = minimal_poisson_config()

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from fpxlap import (ExponentField, KernelError, MeshError, assemble_weights, build_mesh,
-                    tail_contribution)
+from fpxlap import ExponentField, KernelError, MeshError, assemble_weights, build_mesh
 
-from util import const_pair
+from util import bump_pair, const_pair
 
 
 class TestBuildMesh:
@@ -110,40 +109,49 @@ class TestWeights:
         assert W.w.min() >= 0.0 and np.all(np.diagonal(W.w) == 0.0)
 
 
+def _exterior_integral(x, a, R):
+    """int_{|y|>R} |x-y|^(-(1+a)) dy by adaptive quadrature, one side at a time."""
+    right, _ = quad(lambda y: (y - x) ** (-1.0 - a), R, np.inf, epsabs=0.0, epsrel=1e-13)
+    left, _ = quad(lambda y: (x - y) ** (-1.0 - a), -np.inf, -R, epsabs=0.0, epsrel=1e-13)
+    return left + right
+
+
 class TestTail:
     def test_center_cell_unit_case(self):
-        # odd cell count puts a center at 0; s*pbar = 1 gives (1/2 + 1/2)/1
-        mesh = build_mesh(2.0, 5, [(-1.0, 1.0)])
-        p = const_pair(2.0, 0.5)
+        # a center at 0 sees 2 R^(-s pbar) / (s pbar), which is 1 at this R
+        spbar = 0.8
+        R = (2.0 / spbar) ** (1.0 / spbar)
+        mesh = build_mesh(R, 5, [(-1.0, 1.0)])
         i = 2
         assert mesh.cell_centers[i] == pytest.approx(0.0)
-        assert tail_contribution(mesh, p, i) == pytest.approx(1.0, rel=1e-14)
+        W = assemble_weights(mesh, const_pair(2.0, 0.4))
+        assert W.tail[i] == pytest.approx(1.0, rel=1e-14)
 
     def test_off_center_quadrature_oracle(self):
         # x_i = 1, R = 2, s*pbar = 0.8: closed form (3^-0.8 + 1)/0.8
         mesh = build_mesh(2.0, 10, [(-1.25, 1.25)])
         i = int(np.argmin(np.abs(mesh.cell_centers - 1.0)))
         assert mesh.cell_centers[i] == pytest.approx(1.0)
-        p = const_pair(2.0, 0.4)
-        val = tail_contribution(mesh, p, i)
+        val = assemble_weights(mesh, const_pair(2.0, 0.4)).tail[i]
         assert val == pytest.approx((3.0 ** -0.8 + 1.0) / 0.8, rel=1e-13)
-        right, _ = quad(lambda y: (y - 1.0) ** -1.8, 2.0, np.inf, epsabs=1e-12)
-        left, _ = quad(lambda y: (1.0 - y) ** -1.8, -np.inf, -2.0, epsabs=1e-12)
-        assert val == pytest.approx(left + right, rel=1e-9)
+        assert val == pytest.approx(_exterior_integral(1.0, 0.8, 2.0), rel=1e-10)
         assert val == pytest.approx(1.7690545581731932, rel=1e-12)
 
     def test_monotone_decreasing_in_R(self):
         p = const_pair(2.0, 0.4)
         tails = []
         for R in (2.0, 4.0, 8.0, 16.0, 64.0, 256.0):
-            mesh = build_mesh(R, max(8, int(4 * R)), [(-1.0, 1.0)])
+            mesh = build_mesh(R, 2 * int(R) + 1, [(-1.0, 1.0)])
             i = int(np.argmin(np.abs(mesh.cell_centers)))
-            tails.append(tail_contribution(mesh, p, i))
+            tails.append(assemble_weights(mesh, p).tail[i])
         assert all(a > b for a, b in zip(tails, tails[1:]))
         assert tails[-1] < 0.03  # 2 R^{-0.8} / 0.8 vanishes as the box grows
 
     def test_assembled_tail_matches_pointwise(self, mesh64):
-        p = const_pair(2.0, 0.4)
-        W = assemble_weights(mesh64, p)
-        for i in (0, 10, 32, 63):
-            assert W.tail[i] == pytest.approx(tail_contribution(mesh64, p, i), rel=1e-14)
+        # the tail exponent is s pbar(x_i), frozen on the diagonal
+        for p in (const_pair(2.0, 0.4), bump_pair(1.6, 0.8, s=0.35)):
+            W = assemble_weights(mesh64, p)
+            for i in (0, 10, 32, 63):
+                x = mesh64.cell_centers[i]
+                a = p.s * float(p.evaluator(x, x))
+                assert W.tail[i] == pytest.approx(_exterior_integral(x, a, mesh64.R), rel=1e-10)

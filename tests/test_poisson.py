@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from fpxlap import (GridFunction, KernelWeights, PoissonProblem, Tolerances,
                     minimizer_equivalence_check, restrict_interior, shell_partition,
                     solve_poisson, weak_form)
 from fpxlap import poisson as poisson_module
-from fpxlap.catalog import pair_exponent
+from fpxlap.catalog import pair_exponent, scalar_exponent
 from fpxlap.exponents import conjugate_exponent
 from fpxlap.poisson import initial_guess
 
@@ -429,3 +431,73 @@ class TestInteriorBlockSolver:
         PoissonProblem(mesh=mesh64, weights=linear_problem.weights, p=linear_problem.p,
                        r=linear_problem.r, h=zero, g=zero)
         assert len(calls) == 1
+
+
+def _study_problem(kind, n):
+    """The data form of scripts/poisson_scaling_study.py: box [-2, 2],
+    Omega = (-1, 1), s = 0.3, h = 1 + sin 3x, g = 0.2 cos x."""
+    exponents = {"p2": (("constant", {"value": 2.0}), 3.0),
+                 "p3": (("constant", {"value": 3.0}), 3.5),
+                 "gauss_bump": (("gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 1.0}), 3.0),
+                 "affine": (("affine", {"base": 2.0, "slope": 0.2}), 2.8)}
+    (exponent, params), r_value = exponents[kind]
+    mesh = build_mesh(2.0, n, [(-1.0, 1.0)])
+    x = mesh.cell_centers
+    p = pair_exponent(exponent, params, s=0.3, R=2.0)
+    return PoissonProblem(mesh=mesh, weights=assemble_weights(mesh, p), p=p,
+                          r=scalar_exponent("constant", {"value": r_value}, 2.0),
+                          h=grid(mesh, 1.0 + np.sin(3.0 * x)), g=grid(mesh, 0.2 * np.cos(x)))
+
+
+class TestModelFloor:
+    @pytest.mark.parametrize("kind", ("p1_5", "p3", "gauss_bump", "affine"))
+    def test_weights_from_power_match_reference(self, kind, rng):
+        prob = _class_problem(kind, rng)
+        block = poisson_module._InteriorBlock(prob.mesh, prob.weights)
+        v = np.where(prob.mesh.interior_mask, rng.standard_normal(64), prob.g.values)
+        x = v[block.rows]
+        diff = x[:, None] - v[None, :]
+        # the powers the solver keeps from its accepted point
+        power, tail_power = np.abs(diff) ** block.p_rows, np.abs(x) ** block.p_bar
+        for q in (0.1, 0.5, 0.9):
+            floor = float(np.quantile(np.abs(diff), q))
+            assert np.any(np.abs(diff) < floor) and np.any(np.abs(diff) > floor)
+            got = poisson_module._lagged_weights(power, diff, floor, block.p_rows) * block.w_model
+            ref = np.maximum(np.abs(diff), floor) ** (block.p_rows - 2.0) * block.w_model
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+            floor = float(np.quantile(np.abs(x), q))
+            got = poisson_module._lagged_weights(tail_power, x, floor, block.p_bar)
+            ref = np.maximum(np.abs(x), floor) ** (block.p_bar - 2.0)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    # outer iterations at n = 256 with the residual-tied floor, and with the
+    # earlier floor that only halved once per iteration
+    @pytest.mark.parametrize("kind,iterations,halving_floor",
+                             (("p3", 7, 10), ("gauss_bump", 6, 11), ("affine", 10, 11)))
+    def test_residual_tied_floor_cuts_outer_iterations(self, kind, iterations, halving_floor):
+        prob = _study_problem(kind, 256)
+        sol = solve_poisson(prob)
+        assert sol.converged
+        assert sol.iterations == iterations < halving_floor
+        grad = energy_gradient(sol.u, prob).values
+        assert np.max(np.abs(grad)) <= prob.tolerances.el_residual
+
+    def test_p_two_never_reaches_the_floor(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the uniform p = 2 model has no floor")
+
+        monkeypatch.setattr(poisson_module, "_lagged_weights", fail)
+        prob = _study_problem("p2", 128)
+        block = poisson_module._InteriorBlock(prob.mesh, prob.weights)
+
+        def fingerprint(sol):
+            return (sol.iterations, sol.cg_iterations,
+                    hashlib.sha256(sol.u.u.values.tobytes()).hexdigest()[:16])
+
+        # recorded with the halving floor: p = 2 fields and counts are bit-identical
+        cold = solve_poisson(prob)
+        first = solve_poisson(prob, _block=block)
+        reused = solve_poisson(prob.with_h(grid(prob.mesh, 0.5 * prob.h.values)),
+                               initial=first.u.u, _block=block)
+        assert fingerprint(cold) == fingerprint(first) == (1, 31, "15ad93a21c2c8f45")
+        assert fingerprint(reused) == (1, 0, "6408386f66c329bd")

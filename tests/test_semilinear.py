@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fpxlap import (GridFunction, GrowthError, KernelWeights, NemytskyError,
-                    Nonlinearity, PoissonProblem, assemble_weights, build_mesh,
+from fpxlap import (DecompositionError, GridFunction, GrowthError, KernelWeights,
+                    NemytskyError, Nonlinearity, PoissonProblem, assemble_weights, build_mesh,
                     calibrate_nemytsky_constant, energy, energy_gradient,
                     fixed_point_solve, gamma_exponent, growth_screen,
                     invariant_ball_radius, measure_constant, nemytsky,
@@ -10,6 +10,7 @@ from fpxlap import (GridFunction, GrowthError, KernelWeights, NemytskyError,
                     solve_by_decomposition, solve_poisson)
 from fpxlap import poisson as poisson_module
 from fpxlap import semilinear as semilinear_module
+from fpxlap.catalog import nonlinearity, pair_exponent
 from fpxlap.exponents import conjugate_exponent
 from fpxlap.lebesgue import luxemburg_norm
 
@@ -303,6 +304,7 @@ class TestFixedPoint:
         assert trace.converged
         assert trace.poisson_solves == len(solves) == len(trace.iterates) + 1
         assert trace.cg_iterations == sum(s.cg_iterations for _, s in solves)
+        assert trace.backtracks == sum(s.backtracks for _, s in solves)
         cold, warm = solves[0][1], [s for _, s in solves[1:]]
         assert cold.cg_iterations > 0
         # after the cold solve, each direction is one application of the
@@ -466,6 +468,27 @@ class TestDecomposition:
         assert np.array_equal(sol.u.u.values, plain)
         # a rejection clears the history: each later candidate uses one pair
         assert histories[0] == 0 and set(histories[1:]) == {1}
+
+    @pytest.mark.xfail(strict=True, raises=DecompositionError,
+                       reason="warm-started inner solves stall just above the EL tolerance "
+                              "(shell 1, sweep 17)")
+    def test_plain_sweeps_converge_with_variable_exponent(self, monkeypatch):
+        # the perfbench variable_shells case without Anderson mixing: plain
+        # block Gauss-Seidel needs more sweeps than the mixed run, and one of
+        # its warm-started inner Poisson solves stalls
+        monkeypatch.setattr(semilinear_module, "_anderson_mix", lambda *args: None)
+        mesh = build_mesh(2.0, 96, [(-1.0, 1.0)])
+        p = pair_exponent("gauss_bump", {"base": 2.0, "amplitude": -0.4, "width": 1.0},
+                          s=0.4, R=2.0)
+        template = make_template(mesh, p=p, r_value=2.6)
+        f = nonlinearity("arctan", {"eps": 0.05, "a": {
+            "kind": "gaussian", "params": {"amplitude": 0.5, "center": 0.0, "width": 0.7}}},
+            mesh, p)
+        zero = GridFunction.zeros(mesh)
+        sol, rep = solve_by_decomposition(f, zero, 3, template)
+        assert rep.converged and rep.mixed_sweeps == 0
+        grad = energy_gradient(sol.u, template.with_h(nemytsky(f, sol.u.u))).values
+        assert np.max(np.abs(grad)) <= 1e-6
 
     def test_too_many_shells_rejected(self, mesh16):
         with pytest.raises(ValueError):
