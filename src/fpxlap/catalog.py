@@ -33,7 +33,7 @@ def _require(params: dict, keys: tuple[str, ...], kind: str) -> list[float]:
     return [float(params[k]) for k in keys]
 
 
-def pair_exponent(kind: str, params: dict, s: float, R: float, dim: int = 1) -> ExponentField:
+def pair_exponent(kind: str, params: dict, s: float, R: float) -> ExponentField:
     """Symmetric pair exponents: constant, affine, gauss_bump, radial."""
     if kind == "constant":
         (value,) = _require(params, ("value",), "exponent.constant")
@@ -59,7 +59,7 @@ def pair_exponent(kind: str, params: dict, s: float, R: float, dim: int = 1) -> 
         raise ExponentError(
             f"pair exponent lower bound {lo} below the conditioning floor {MIN_PAIR_EXPONENT}"
         )
-    return ExponentField(evaluator=ev, p_minus=lo, p_plus=hi, s=s, dim=dim)
+    return ExponentField(evaluator=ev, p_minus=lo, p_plus=hi, s=s)
 
 
 def scalar_exponent(kind: str, params: dict, R: float) -> ScalarExponent:

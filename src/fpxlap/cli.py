@@ -32,7 +32,6 @@ _SCHEMA = {
     "output": {"dir": None},
     "mesh": {"R": None, "n_cells": None, "dump_weights": None},
     "omega": {"intervals": None},
-    "dimension": {"N": None},
     "order": {"s": None},
     "exponent": {"kind": None, "params": None},
     "growth": {"r": {"kind": None, "params": None}},
@@ -139,8 +138,7 @@ def _build_mesh(cfg: RunConfig) -> Mesh:
 def _build_exponent(cfg: RunConfig, mesh: Mesh) -> ExponentField:
     sec = cfg.section("exponent")
     s = float(cfg.section("order")["s"])
-    dim = int(cfg.section("dimension", {"N": 1}).get("N", 1))
-    return catalog.pair_exponent(sec["kind"], sec.get("params", {}), s=s, R=mesh.R, dim=dim)
+    return catalog.pair_exponent(sec["kind"], sec.get("params", {}), s=s, R=mesh.R)
 
 
 def _build_r(cfg: RunConfig, mesh: Mesh) -> ScalarExponent:
@@ -224,14 +222,25 @@ def _report_poisson_work(report: Report, traces) -> None:
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the configured mode; returns the process exit status."""
+    """Execute the configured mode; returns the process exit status.
+
+    The report is written once, after the mode returns its status; a mode
+    that raises writes none.
+    """
     t_start = time.perf_counter()
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     report = Report()
     _echo_config(report, cfg)
+    status = _run_mode(cfg, report)
+    report.add("wallclock_seconds", time.perf_counter() - t_start)
+    report.write(out / "report")
+    return status
+
+
+def _run_mode(cfg: RunConfig, report: Report) -> int:
+    out = cfg.out_dir
     rng = np.random.default_rng(cfg.seed)
-    status = 0
 
     mesh = _build_mesh(cfg)
     report.add("mesh.n_cells", mesh.n_cells)
@@ -243,18 +252,12 @@ def run(cfg: RunConfig) -> int:
         results = run_suites(mesh, rng, counts)
         for res in results:
             report.extend(res.lines())
-        if any(not res.passed for res in results):
-            status = 1
-        report.add("wallclock_seconds", time.perf_counter() - t_start)
-        report.write(out / "report")
-        return status
+        return 0 if all(res.passed for res in results) else 1
 
     p = _build_exponent(cfg, mesh)
     validation = validate_exponent_field(p, mesh)
     report.extend(validation.lines())
     if not validation.passed:
-        report.add("wallclock_seconds", time.perf_counter() - t_start)
-        report.write(out / "report")
         return 1
 
     weights = assemble_weights(mesh, p)
@@ -262,8 +265,6 @@ def run(cfg: RunConfig) -> int:
         write_weights_csv(out / "weights.csv", weights.w)
 
     if cfg.mode == "validate":
-        report.add("wallclock_seconds", time.perf_counter() - t_start)
-        report.write(out / "report")
         return 0
 
     r = _build_r(cfg, mesh)
@@ -271,8 +272,6 @@ def run(cfg: RunConfig) -> int:
     h = _build_data(cfg, mesh, "h")
     report.add("growth_pair_ok", validate_growth_pair(r, p, mesh))
     if not validate_growth_pair(r, p, mesh):
-        report.add("wallclock_seconds", time.perf_counter() - t_start)
-        report.write(out / "report")
         return 1
     prob = PoissonProblem(mesh=mesh, weights=weights, p=p, r=r, h=h, g=g,
                           tolerances=_tolerances(cfg))
@@ -286,49 +285,43 @@ def run(cfg: RunConfig) -> int:
         report.add("solver.el_residual", sol.el_residual)
         report.add("solver.cg_iterations_total", sol.cg_iterations)
         report.add("solver.backtracks_total", sol.backtracks)
-        status = 0 if sol.converged else 2
-    else:
-        nl_sec = cfg.section("nonlinearity")
-        f = catalog.nonlinearity(nl_sec["kind"], nl_sec.get("params", {}), mesh, p)
-        screen = growth_screen(f, mesh, p)
-        report.add("check.growth_screen.passed", screen.passed)
-        report.add("check.growth_screen.defect", screen.value)
-        if not screen.passed:
-            report.add("wallclock_seconds", time.perf_counter() - t_start)
-            report.write(out / "report")
-            return 1
-        # keys left out of the config take the solvers' defaults
-        fp_sec = cfg.section("fixedpoint", {})
-        fp_opts = {key: cast(fp_sec[key]) for key, cast in (("theta", float), ("max_iter", int))
-                   if key in fp_sec}
-        if cfg.mode == "semilinear":
-            sol, trace = fixed_point_solve(f, prob, **fp_opts)
-            write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
-            write_trace_csv(out / "trace.csv", [[trace]])
-            report.add("solver.converged", trace.converged)
-            report.add("solver.fixed_point_iterations", len(trace.iterates))
-            report.add("solver.final_increment", trace.final_increment)
-            report.add("solver.semilinear_residual", trace.residual)
-            report.add("solver.theta_final", trace.theta)
-            _report_poisson_work(report, [trace])
-            status = 0 if trace.converged else 2
-        else:
-            shells = int(cfg.section("decompose")["shells"])
-            sol, rep = solve_by_decomposition(f, g, shells, prob, **fp_opts)
-            write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
-            write_trace_csv(out / "trace.csv", rep.shell_traces)
-            report.add("solver.converged", rep.converged)
-            report.add("solver.sweeps", rep.sweeps)
-            report.add("solver.mixed_sweeps", rep.mixed_sweeps)
-            report.add("solver.residual", rep.residual)
-            for j, measure in enumerate(rep.shell_measures):
-                report.add(f"solver.shell_{j}_measure", measure)
-            _report_poisson_work(report, [t for traces in rep.shell_traces for t in traces])
-            status = 0 if rep.converged else 2
+        return 0 if sol.converged else 2
 
-    report.add("wallclock_seconds", time.perf_counter() - t_start)
-    report.write(out / "report")
-    return status
+    nl_sec = cfg.section("nonlinearity")
+    f = catalog.nonlinearity(nl_sec["kind"], nl_sec.get("params", {}), mesh, p)
+    screen = growth_screen(f, mesh, p)
+    report.add("check.growth_screen.passed", screen.passed)
+    report.add("check.growth_screen.defect", screen.value)
+    if not screen.passed:
+        return 1
+    # keys left out of the config take the solvers' defaults
+    fp_sec = cfg.section("fixedpoint", {})
+    fp_opts = {key: cast(fp_sec[key]) for key, cast in (("theta", float), ("max_iter", int))
+               if key in fp_sec}
+    if cfg.mode == "semilinear":
+        sol, trace = fixed_point_solve(f, prob, **fp_opts)
+        write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
+        write_trace_csv(out / "trace.csv", [[trace]])
+        report.add("solver.converged", trace.converged)
+        report.add("solver.fixed_point_iterations", len(trace.iterates))
+        report.add("solver.final_increment", trace.final_increment)
+        report.add("solver.semilinear_residual", trace.residual)
+        report.add("solver.theta_final", trace.theta)
+        _report_poisson_work(report, [trace])
+        return 0 if trace.converged else 2
+
+    shells = int(cfg.section("decompose")["shells"])
+    sol, rep = solve_by_decomposition(f, g, shells, prob, **fp_opts)
+    write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
+    write_trace_csv(out / "trace.csv", rep.shell_traces)
+    report.add("solver.converged", rep.converged)
+    report.add("solver.sweeps", rep.sweeps)
+    report.add("solver.mixed_sweeps", rep.mixed_sweeps)
+    report.add("solver.residual", rep.residual)
+    for j, measure in enumerate(rep.shell_measures):
+        report.add(f"solver.shell_{j}_measure", measure)
+    _report_poisson_work(report, [t for traces in rep.shell_traces for t in traces])
+    return 0 if rep.converged else 2
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,6 @@ class ExponentField:
     p_minus: float
     p_plus: float
     s: float
-    dim: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
@@ -40,8 +39,6 @@ class ExponentField:
             raise ExponentError(
                 f"exponent bounds ({self.p_minus}, {self.p_plus}) violate 1 < p- <= p+ < inf"
             )
-        if self.dim != 1:
-            raise ExponentError("only dimension 1 is supported")
 
     def __call__(self, x, y):
         return self.evaluator(x, y)
@@ -134,7 +131,7 @@ def validate_exponent_field(p: ExponentField, mesh) -> ValidationReport:
         sampled_p_plus=sampled_max,
         s_p_plus=sp_plus,
         lower_bound_ok=sampled_min > 1.0 and p.p_minus > 1.0,
-        subcritical_ok=sp_plus < p.dim,
+        subcritical_ok=sp_plus < 1.0,
         symmetric_ok=defect <= SYMMETRY_TOL,
         bounds_ok=bool(
             sampled_min >= p.p_minus - SYMMETRY_TOL and sampled_max <= p.p_plus + SYMMETRY_TOL
@@ -150,15 +147,15 @@ def trace_exponent(p: ExponentField) -> ScalarExponent:
 
 
 def critical_exponent(p: ExponentField, x):
-    """Critical Sobolev exponent N*pbar(x) / (N - s*pbar(x)).
+    """Critical Sobolev exponent pbar(x) / (1 - s*pbar(x)) in dimension N = 1.
 
-    Raises ExponentError when the denominator degenerates (N - s*pbar <= 0).
+    Raises ExponentError when the denominator degenerates (1 - s*pbar <= 0).
     """
     pbar = np.asarray(p.evaluator(x, x), dtype=float)
-    denom = p.dim - p.s * pbar
+    denom = 1.0 - p.s * pbar
     if np.any(denom <= 0.0):
-        raise ExponentError("degenerate critical exponent: N - s*pbar(x) <= 0")
-    out = p.dim * pbar / denom
+        raise ExponentError("degenerate critical exponent: 1 - s*pbar(x) <= 0")
+    out = pbar / denom
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 

@@ -131,10 +131,6 @@ class KernelWeights:
     def p_plus(self) -> float:
         return float(self.p_pair.max())
 
-    def suppress_tails(self) -> "KernelWeights":
-        """R -> infinity mode: drop the exterior-of-box contribution."""
-        return KernelWeights(self.mesh, self.w, self.p_pair, np.zeros_like(self.tail))
-
 
 def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     """Exact pair weights and exterior tails for the frozen-exponent kernel.

@@ -27,7 +27,8 @@ from .checks import CheckResult, EstimateReport
 from .exponents import ExponentField, ScalarExponent, conjugate_exponent, trace_exponent, validate_growth_pair
 from .lebesgue import GridFunction, luxemburg_norm
 from .mesh_kernel import KernelWeights, Mesh
-from .sobolev import DirichletPair, _abs_pow, _signed_pow, full_norm, weak_form
+from .sobolev import (DirichletPair, _pair_powers, _ratio, _uniform, apply_operator, full_norm,
+                      weak_form)
 
 
 @dataclass(frozen=True)
@@ -81,23 +82,24 @@ class PoissonSolution:
     backtracks: int = 0
 
 
-def _field_values(u) -> np.ndarray:
-    return u.u.values if isinstance(u, DirichletPair) else u.values
+def _field(u) -> GridFunction:
+    return u.u if isinstance(u, DirichletPair) else u
 
 
 def energy(u, prob: PoissonProblem) -> float:
     """Energy of a field on the full n x n pair matrix.
 
-    Plain reference implementation: ``solve_poisson`` evaluates the same
-    energy on its interior-row block, and tests and checks recompute with
-    this one.
+    Plain reference implementation on the pair pass that the modular and
+    the operator share: sum w |d|^p / p plus the tails over pbar, minus the
+    source.  ``solve_poisson`` evaluates the same energy on its interior-row
+    block, and tests and checks recompute with this one.
     """
-    vals = _field_values(u)
+    vals = _field(u).values
     W = prob.weights
-    diff = vals[:, None] - vals[None, :]
-    pair = float((W.w * _abs_pow(diff, W.p_pair) / W.p_pair).sum())
+    _, power, tail_power = _pair_powers(vals, W)
+    pair = float((W.w * power / W.p_pair).sum())
     dx = prob.mesh.cell_width
-    tail = 2.0 * dx * float(np.sum(W.tail * np.abs(vals) ** W.p_bar / W.p_bar))
+    tail = 2.0 * dx * float(np.sum(W.tail * tail_power / W.p_bar))
     mask = prob.mesh.interior_mask
     source = dx * float(np.sum(prob.h.values[mask] * vals[mask]))
     return pair + tail - source
@@ -106,18 +108,16 @@ def energy(u, prob: PoissonProblem) -> float:
 def energy_gradient(u, prob: PoissonProblem) -> GridFunction:
     """First variation with respect to the interior unknowns.
 
-    Component i (interior): 2 sum_j w_ij |u_i-u_j|^{p_ij-2}(u_i-u_j)
-    + 2 dx tail_i |u_i|^{pbar_i-2} u_i - dx h_i.  Exterior components are
-    constrained and reported as zero.  Plain reference implementation on the
-    full n x n pair matrix, independent of the interior-row block inside
+    2 dx (operator u) - dx h, that is component i (interior):
+    2 sum_j w_ij |u_i-u_j|^{p_ij-2}(u_i-u_j) + 2 dx tail_i |u_i|^{pbar_i-2} u_i
+    - dx h_i.  Exterior components are constrained and reported as zero.
+    Plain reference implementation on ``apply_operator`` over the full n x n
+    pair matrix, independent of the interior-row block inside
     ``solve_poisson``.
     """
-    vals = _field_values(u)
-    W = prob.weights
-    diff = vals[:, None] - vals[None, :]
-    flux = 2.0 * (W.w * _signed_pow(diff, W.p_pair)).sum(axis=1)
     dx = prob.mesh.cell_width
-    grad = flux + 2.0 * dx * W.tail * _signed_pow(vals, W.p_bar) - dx * prob.h.values
+    grad = 2.0 * dx * apply_operator(_field(u), prob.weights)
+    grad -= dx * prob.h.values
     grad[~prob.mesh.interior_mask] = 0.0
     return GridFunction(prob.mesh, grad)
 
@@ -134,16 +134,6 @@ def _row_block(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if rows[-1] - rows[0] + 1 == rows.size:
         return a[rows[0]:rows[-1] + 1]
     return a[rows]
-
-
-def _uniform(a: np.ndarray) -> float | None:
-    """The common value of a constant array, None when it varies."""
-    return float(a.flat[0]) if a.min() == a.max() else None
-
-
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, 0 where den = 0: |d|^{p-2} d from |d|^p and d."""
-    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
 def _lagged_weights(power: np.ndarray, diff: np.ndarray, floor: float, p) -> np.ndarray:
@@ -278,8 +268,7 @@ class _InteriorBlock:
             self._inverse = l_inv.T @ l_inv
         return -(self._inverse @ grad)
 
-    def solve(self, prob: PoissonProblem, initial: GridFunction | None,
-              record_history: bool) -> PoissonSolution:
+    def solve(self, prob: PoissonProblem, initial: GridFunction | None) -> PoissonSolution:
         if prob.mesh is not self.mesh or prob.weights is not self.weights:
             raise ValueError("interior block built for another mesh or kernel")
         mesh, tol = self.mesh, prob.tolerances
@@ -343,7 +332,7 @@ class _InteriorBlock:
             raise ValueError("non-finite energy at the initial field")
         grad = gradient_of(point)
         residual = first_residual = float(np.max(np.abs(grad)))
-        history = [e_now] if record_history else []
+        history = [e_now]
         converged = False
         it = cg_total = backtracks = 0
         prev_residual = None
@@ -394,8 +383,7 @@ class _InteriorBlock:
                 alpha *= 0.5
                 backtracks += 1
             it += 1
-            if record_history:
-                history.append(e_now)
+            history.append(e_now)
             if not accepted:
                 # no certified progress left at machine precision
                 break
@@ -416,8 +404,7 @@ class _InteriorBlock:
         )
 
 
-def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
-                  record_history: bool = False, *,
+def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
                   _block: _InteriorBlock | None = None) -> PoissonSolution:
     """Minimize the energy over the interior unknowns.
 
@@ -449,7 +436,8 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
     floating-point resolution, a step is accepted only if it still reduces the
     gradient sup-norm.  Stops when that sup-norm, of the returned field,
     reaches tolerances.el_residual; non-convergence is reported through
-    ``converged=False``, never silently.
+    ``converged=False``, never silently.  ``energy_history`` holds the
+    energy at the start and after each outer iteration.
 
     Each call builds its own interior block, so no state survives it.
     ``_block`` is private to the package: the semilinear solvers pass one
@@ -458,7 +446,7 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None,
     solve (those directions count 0 CG iterations).
     """
     block = _InteriorBlock(prob.mesh, prob.weights) if _block is None else _block
-    return block.solve(prob, initial, record_history)
+    return block.solve(prob, initial)
 
 
 def minimizer_equivalence_check(sol: PoissonSolution, prob: PoissonProblem,

@@ -237,22 +237,31 @@ def invariant_ball_radius(c_bound: float, a_norm: float, k1: float, k2: float,
     return BallRadius(value=float(value), feasible=True, denominator=float(denom))
 
 
+# sup-norm of the semilinear residual (energy_gradient with h = N_f(u))
+# that certifies a fixed point or ends the shell sweeps
+_RESIDUAL_TARGET = 1e-6
+# floor of the halved damping factor
+_THETA_MIN = 1e-3
+# most shell sweeps one decomposition runs
+_MAX_SWEEPS = 200
+
+
 def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
                       g: GridFunction | None = None, theta: float = 1.0,
-                      max_iter: int = 200, tol: float = 1e-8,
-                      residual_tol: float = 1e-6, theta_min: float = 1e-3, *,
+                      max_iter: int = 200, tol: float = 1e-8, *,
                       _block: _InteriorBlock | None = None
                       ) -> tuple[PoissonSolution, FixedPointTrace]:
     """Picard iteration for h = N_f(T(h)), damped by theta when needed.
 
     Starts from h0 = N_f applied to the datum-filled grid with the damping
     factor at its cap ``theta`` (1, undamped, by default) and halves it, down
-    to ``theta_min``, whenever the increment norm grows twice in a row.  A
+    to ``_THETA_MIN``, whenever the increment norm grows twice in a row.  A
     non-finite increment, or one above 1e12 max(1, first increment), stops
     the run.  Non-convergence is returned in the trace, never raised: the
     caller may retry with a smaller cap.  A converged run is certified by the
-    sup-norm of ``energy_gradient`` at the final field.  Every Poisson solve
-    of the call shares one interior block, since only h changes between them.
+    sup-norm of ``energy_gradient`` at the final field, at most
+    ``_RESIDUAL_TARGET``.  Every Poisson solve of the call shares one
+    interior block, since only h changes between them.
 
     ``_block`` is private to the package: ``solve_by_decomposition`` passes
     the block of a shell, which it reuses across sweeps, after screening the
@@ -307,8 +316,8 @@ def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
             break
         if inc > prev_inc:
             grew += 1
-            if grew >= 2 and theta > theta_min:
-                theta = max(theta / 2.0, theta_min)
+            if grew >= 2 and theta > _THETA_MIN:
+                theta = max(theta / 2.0, _THETA_MIN)
                 trace.theta = theta
                 grew = 0
         else:
@@ -321,7 +330,7 @@ def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
     residual_grid = energy_gradient(final.u, prob.with_h(nemytsky(f, final.u.u)))
     residual = float(np.max(np.abs(residual_grid.values[mask])))
     trace.residual = residual
-    trace.converged = final.converged and residual <= residual_tol
+    trace.converged = final.converged and residual <= _RESIDUAL_TARGET
     return final, trace
 
 
@@ -376,9 +385,8 @@ def _anderson_mix(dxs: list[np.ndarray], dfs: list[np.ndarray], swept: np.ndarra
 
 def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
                            prob_template: PoissonProblem, theta: float = 1.0,
-                           max_iter: int = 200, tol: float = 1e-8,
-                           residual_target: float = 1e-6,
-                           max_sweeps: int = 200) -> tuple[PoissonSolution, DecompositionReport]:
+                           max_iter: int = 200, tol: float = 1e-8
+                           ) -> tuple[PoissonSolution, DecompositionReport]:
     """Sequential shell solves with the freshest global field as exterior data.
 
     Each sweep solves the semilinear problem (``fixed_point_solve`` with the
@@ -388,8 +396,9 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     ``_ANDERSON_DEPTH`` secant pairs: the mixed candidate, which changes
     interior cells only, is kept when its global semilinear residual is
     below that of the plain sweep; otherwise the plain sweep is kept and the
-    history cleared.  Sweeps repeat until the global residual meets the
-    target (one sweep suffices in the degenerate single-shell case).
+    history cleared.  Sweeps repeat, at most ``_MAX_SWEEPS`` times, until the
+    global residual meets ``_RESIDUAL_TARGET`` (one sweep suffices in the
+    degenerate single-shell case).
     Per-shell non-convergence aborts with the shell index.
     """
     prob = prob_template.with_g(g)
@@ -426,7 +435,7 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     x = current[mask_all]
     last = None  # (x, S(x) - x) of the previous sweep
     dxs, dfs = [], []
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         sweep_traces = []
         for j, (shell_prob, block) in enumerate(zip(shell_probs, blocks)):
             sub_prob = shell_prob.with_g(GridFunction(shell_prob.mesh, current))
@@ -440,7 +449,7 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
         report.shell_traces.append(sweep_traces)
         report.sweeps = sweep
         residual = global_residual(current)
-        if residual > residual_target:
+        if residual > _RESIDUAL_TARGET:
             swept = current[mask_all]
             res = swept - x
             if last is not None:
@@ -465,7 +474,7 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
         x = current[mask_all]
         report.residuals.append(residual)
         report.residual = residual
-        if residual <= residual_target:
+        if residual <= _RESIDUAL_TARGET:
             report.converged = True
             break
 

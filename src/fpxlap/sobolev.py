@@ -47,17 +47,23 @@ class DirichletPair:
         return cls(u=GridFunction(mesh, vals), g=g)
 
 
-def _signed_pow(diff: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """|t|^(p-2) t extended by 0 at t=0 (continuous since p > 1)."""
-    if np.all(p == 2.0):
-        return diff
-    return np.sign(diff) * np.abs(diff) ** (p - 1.0)
+def _uniform(a: np.ndarray) -> float | None:
+    """The common value of a constant array, None when it varies."""
+    return float(a.flat[0]) if a.min() == a.max() else None
 
 
-def _abs_pow(diff: np.ndarray, p: np.ndarray) -> np.ndarray:
-    if np.all(p == 2.0):
-        return diff * diff
-    return np.abs(diff) ** p
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, 0 where den = 0: |d|^{p-2} d from |d|^p and d."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def _pair_powers(vals: np.ndarray, W: KernelWeights):
+    """The one pair pass of the n x n references: d = u_i - u_j,
+    |d|^{p_ij} and the tail powers |u_i|^{pbar_i}; squares for uniform p = 2."""
+    diff = vals[:, None] - vals[None, :]
+    if _uniform(W.p_pair) == 2.0:
+        return diff, diff * diff, vals * vals
+    return diff, np.abs(diff) ** W.p_pair, np.abs(vals) ** W.p_bar
 
 
 def _exterior_block(W: KernelWeights, variant: str):
@@ -73,17 +79,13 @@ def _exterior_block(W: KernelWeights, variant: str):
 def gagliardo_modular(u: GridFunction, W: KernelWeights, variant: str = "rn") -> float:
     """Double-integral modular of u; 'rn' includes tails, 'omega' drops tails
     and the exterior-exterior pairs."""
-    diff = u.values[:, None] - u.values[None, :]
-    terms = W.w * _abs_pow(diff, W.p_pair)
+    _, power, tail_power = _pair_powers(u.values, W)
+    terms = W.w * power
     block = _exterior_block(W, variant)
     if block is not None:
         terms[block] = 0.0
-    total = float(terms.sum())
-    if variant == "rn":
-        total += 2.0 * W.mesh.cell_width * float(
-            np.sum(W.tail * np.abs(u.values) ** W.p_bar)
-        )
-    return total
+        return float(terms.sum())
+    return float(terms.sum()) + 2.0 * W.mesh.cell_width * float(np.sum(W.tail * tail_power))
 
 
 def gagliardo_seminorm(u: GridFunction, W: KernelWeights, variant: str = "rn",
@@ -123,29 +125,32 @@ def full_norm(u: GridFunction, W: KernelWeights, q: ScalarExponent,
     return gagliardo_seminorm(u, W, variant) + luxemburg_norm(u, q, u.mesh.interior_mask)
 
 
-def apply_operator(u: GridFunction, W: KernelWeights, i: int | None = None):
+def apply_operator(u: GridFunction, W: KernelWeights) -> np.ndarray:
     """Cell-averaged principal-value operator.
 
     (operator u)_i = (1/dx) sum_{j != i} w_ij |u_i-u_j|^{p_ij-2}(u_i-u_j)
-                     + tail_i |u_i|^{pbar_i-2} u_i.
+                     + tail_i |u_i|^{pbar_i-2} u_i,
 
-    The self-cell term vanishes identically for piecewise constants, which
-    is the discrete counterpart of the principal-value cancellation.
+    with each flux taken from the shared pair pass as |d|^p / d (0 at
+    d = 0).  The self-cell term vanishes identically for piecewise
+    constants, which is the discrete counterpart of the principal-value
+    cancellation.
     """
-    diff = u.values[:, None] - u.values[None, :]
-    flux = (W.w * _signed_pow(diff, W.p_pair)).sum(axis=1) / W.mesh.cell_width
-    out = flux + W.tail * _signed_pow(u.values, W.p_bar)
-    if i is None:
-        return out
-    return float(out[i])
+    diff, power, tail_power = _pair_powers(u.values, W)
+    flux = (W.w * _ratio(power, diff)).sum(axis=1) / W.mesh.cell_width
+    return flux + W.tail * _ratio(tail_power, u.values)
 
 
 def weak_form(u: GridFunction, phi: GridFunction, W: KernelWeights) -> float:
-    """<L(u), phi> including the exterior tail pairing."""
+    """<L(u), phi> including the exterior tail pairing.
+
+    Its own pass, sign(d) |d|^{p-1}, apart from the shared one: it is the
+    independent side of the identity <L(u), phi> = 2 dx sum phi (operator u).
+    """
     du = u.values[:, None] - u.values[None, :]
     dphi = phi.values[:, None] - phi.values[None, :]
-    pair = float((W.w * _signed_pow(du, W.p_pair) * dphi).sum())
-    tail = 2.0 * W.mesh.cell_width * float(
-        np.sum(W.tail * _signed_pow(u.values, W.p_bar) * phi.values)
-    )
+    flux = np.sign(du) * np.abs(du) ** (W.p_pair - 1.0)
+    pair = float((W.w * flux * dphi).sum())
+    tail_flux = np.sign(u.values) * np.abs(u.values) ** (W.p_bar - 1.0)
+    tail = 2.0 * W.mesh.cell_width * float(np.sum(W.tail * tail_flux * phi.values))
     return pair + tail

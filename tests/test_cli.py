@@ -46,6 +46,10 @@ class TestParseConfig:
         bad["mesh"]["cells"] = 10
         with pytest.raises(ConfigError, match="mesh.cells"):
             parse_config(json.dumps(bad), mode="poisson")
+        # the problem is one-dimensional: a dimension section is a typo too
+        bad = minimal_poisson_config(dimension={"N": 1})
+        with pytest.raises(ConfigError, match="'dimension'"):
+            parse_config(json.dumps(bad), mode="poisson")
 
     def test_mode_requirements(self):
         bad = minimal_poisson_config()

@@ -13,7 +13,7 @@ from fpxlap.catalog import pair_exponent, scalar_exponent
 from fpxlap.exponents import conjugate_exponent
 from fpxlap.poisson import initial_guess
 
-from util import bump_pair, const_pair, const_scalar, grid, random_w0
+from util import bump_pair, const_pair, const_scalar, grid, random_w0, zero_tails
 
 
 def make_problem(mesh, p, r_value, h_vals, g_vals, **tol):
@@ -133,7 +133,7 @@ class TestSolve:
     def test_energy_monotone_along_iterates(self, mesh64, rng):
         p = bump_pair(2.0, 0.5, s=0.25)
         prob = make_problem(mesh64, p, 3.2, rng.standard_normal(64), np.zeros(64))
-        sol = solve_poisson(prob, record_history=True)
+        sol = solve_poisson(prob)
         hist = np.asarray(sol.energy_history)
         assert sol.converged
         drops = np.diff(hist)
@@ -142,7 +142,7 @@ class TestSolve:
     def test_g_shift_translation_no_tails(self, mesh64, rng):
         # with tails suppressed and constant p, shifting g by c shifts u by c
         p = const_pair(2.0, 0.4)
-        W = assemble_weights(mesh64, p).suppress_tails()
+        W = zero_tails(assemble_weights(mesh64, p))
         h = grid(mesh64, rng.standard_normal(64))
         g0 = grid(mesh64, 0.3 * rng.standard_normal(64))
         base = PoissonProblem(mesh=mesh64, weights=W, p=p, r=const_scalar(3.0), h=h, g=g0)
@@ -307,7 +307,7 @@ class TestInteriorBlockSolver:
     @pytest.mark.parametrize("kind", SOLVER_CLASSES)
     def test_energy_history_monotone(self, kind, rng):
         prob = _class_problem(kind, rng)
-        sol = solve_poisson(prob, record_history=True)
+        sol = solve_poisson(prob)
         hist = np.asarray(sol.energy_history)
         assert sol.converged
         assert len(hist) == sol.iterations + 1

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fpxlap import ExponentField, GridFunction, ScalarExponent
+from fpxlap import ExponentField, GridFunction, KernelWeights, ScalarExponent
 
 
 def const_pair(value, s):
@@ -30,6 +30,12 @@ def affine_scalar(base, slope, R):
         evaluator=lambda x: base + slope * np.asarray(x),
         lower=base - abs(slope) * R, upper=base + abs(slope) * R,
     )
+
+
+def zero_tails(W):
+    """The same pair weights with the exterior-of-box tails dropped
+    (the R -> infinity limit of the tail terms)."""
+    return KernelWeights(W.mesh, W.w, W.p_pair, np.zeros_like(W.tail))
 
 
 def grid(mesh, values):
