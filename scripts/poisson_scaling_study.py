@@ -3,10 +3,12 @@
 
 Solves one problem per (n, exponent class): box [-2, 2], Omega = (-1, 1),
 s = 0.3, h = 1 + sin 3x on Omega and exterior datum g = 0.2 cos x, from the
-default cold start.  Reports the solve time (assembly excluded), outer
-iterations, CG iterations, backtracks, sup u over Omega and the final
-residual recomputed with the public ``energy_gradient``, so a speed-up that
-changes the answer shows at once.
+default cold start.  Reports the ``assemble_weights`` time (assemble_s) and
+its tracemalloc peak (assemble_peak_mb, from a second, traced call), the
+solve time (assembly excluded), outer iterations, CG iterations,
+backtracks, sup u over Omega and the final residual recomputed with the
+public ``energy_gradient``, so a speed-up that changes the answer shows at
+once.
 
 Classes: p1_5, p2, bump (gauss_bump 2 to 2.5) and p3 by default; any
 constant exponent can be named as pA_B (p1_3 is p = 1.3).  BLAS threads are
@@ -19,6 +21,7 @@ Usage: python scripts/poisson_scaling_study.py [--sizes 256 512 1024 2048]
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -38,9 +41,19 @@ def exponent_class(name):
     return "constant", {"value": value}, 0.5 * (value + critical)
 
 
+def assemble_peak_mb(mesh, p):
+    """tracemalloc peak of one ``assemble_weights`` call, in MB."""
+    tracemalloc.start()
+    try:
+        assemble_weights(mesh, p)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def run(sizes, classes):
-    print(f"{'n':>5} {'class':>6} {'seconds':>8} {'outer':>6} {'cg':>6} {'backtracks':>10} "
-          f"{'sup_u':>10} {'residual':>9} {'converged':>9}")
+    print(f"{'n':>5} {'class':>6} {'assemble_s':>10} {'assemble_peak_mb':>16} {'seconds':>8} "
+          f"{'outer':>6} {'cg':>6} {'backtracks':>10} {'sup_u':>10} {'residual':>9} {'converged':>9}")
     for n in sizes:
         mesh = build_mesh(R, n, OMEGA)
         x = mesh.cell_centers
@@ -49,14 +62,19 @@ def run(sizes, classes):
         for name in classes:
             kind, params, r_value = exponent_class(name)
             p = pair_exponent(kind, params, s=S, R=R)
-            prob = PoissonProblem(mesh=mesh, weights=assemble_weights(mesh, p), p=p,
+            start = time.perf_counter()
+            weights = assemble_weights(mesh, p)
+            assemble_s = time.perf_counter() - start
+            peak_mb = assemble_peak_mb(mesh, p)
+            prob = PoissonProblem(mesh=mesh, weights=weights, p=p,
                                   r=scalar_exponent("constant", {"value": r_value}, R), h=h, g=g)
             start = time.perf_counter()
             sol = solve_poisson(prob)
             seconds = time.perf_counter() - start
             residual = float(np.max(np.abs(energy_gradient(sol.u, prob).values)))
             sup_u = float(np.max(np.abs(sol.u.u.values[mesh.interior_mask])))
-            print(f"{n:>5} {name:>6} {seconds:>8.3f} {sol.iterations:>6} {sol.cg_iterations:>6} "
+            print(f"{n:>5} {name:>6} {assemble_s:>10.3f} {peak_mb:>16.1f} {seconds:>8.3f} "
+                  f"{sol.iterations:>6} {sol.cg_iterations:>6} "
                   f"{sol.backtracks:>10} {sup_u:>10.6f} {residual:>9.2e} {str(sol.converged):>9}",
                   flush=True)
 

@@ -8,7 +8,10 @@ A=[a1,a2], B=[b1,b2] and alpha = 1+s*p the double integral is
     phi(t) = |t|^(2-alpha) / ((1-alpha)(2-alpha)),
 
 which remains finite for adjacent cells exactly when alpha < 2, i.e.
-s*p < 1.  The per-cell tail is the one-sided exterior integral
+s*p < 1.  The weights are filled in blocks of rows over the upper triangle
+(about 2^16 pairs a block, so no n x n temporaries) and the lower triangle
+is its mirror; a constant exponent is kept as one read-only zero-stride
+array.  The per-cell tail is the one-sided exterior integral
 int_{|y|>R} |x_i-y|^(-(1+s*pbar(x_i))) dy; callers weight it by the cell
 measure when it enters a double-integral quantity.
 """
@@ -107,9 +110,18 @@ def restrict_interior(mesh: Mesh, interior_mask: np.ndarray) -> Mesh:
     return replace(mesh, interior_mask=mask, omega=mesh.omega)
 
 
-def _phi(t: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+# pairs per block of rows in ``assemble_weights``
+_BLOCK_PAIRS = 1 << 16
+
+
+def _phi(out: np.ndarray, t_rows: np.ndarray, t_cols: np.ndarray,
+         two_minus_alpha: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """phi(t_rows[i] - t_cols[j]) into out, with denom = (1-alpha)(2-alpha)."""
     # |t|^(2-alpha) vanishes at t=0 for alpha<2, matching the improper limit
-    return np.abs(t) ** (2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
+    np.subtract(t_rows[:, None], t_cols[None, :], out=out)
+    np.abs(out, out=out)
+    np.power(out, two_minus_alpha, out=out)
+    return np.divide(out, denom, out=out)
 
 
 @dataclass(frozen=True)
@@ -135,39 +147,73 @@ class KernelWeights:
 def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     """Exact pair weights and exterior tails for the frozen-exponent kernel.
 
+    ``w`` is filled one block of rows at a time: the block of rows
+    [i0, i1) covers the columns [i0, n), about ``_BLOCK_PAIRS`` pairs, and
+    its alpha, 2 - alpha and (1 - alpha)(2 - alpha) are formed once into
+    preallocated buffers shared by the four phi terms.  The lower triangle
+    is copied in as the transpose, so ``w`` is exactly symmetric; with the
+    grouping (phi(r-l) + phi(l-r)) - (phi(r-r) + phi(l-l)) every weight of
+    an exactly symmetric exponent equals the full-matrix formula bit for
+    bit.  A constant sampled exponent is stored as a read-only
+    ``np.broadcast_to`` of its value.
+
     Rejects configurations with s*p >= 1 on adjacent cell pairs, where the
     adjacent improper integral diverges for piecewise constants.
     """
     centers = mesh.cell_centers
     n = mesh.n_cells
     p_pair = p.pair_matrix(centers)
-    alpha = 1.0 + p.s * p_pair
-
-    adj = np.diagonal(alpha, offset=1)
+    adj = 1.0 + p.s * np.diagonal(p_pair, offset=1)
     if np.any(adj >= 2.0):
         worst = float(np.max(np.diagonal(p_pair, offset=1)))
         raise KernelError(
             f"non-integrable adjacency: s*p = {p.s * worst:.6g} >= 1 on adjacent cells; "
             "the piecewise-constant discretization requires s*p+ < 1"
         )
+    if p_pair.min() == p_pair.max():
+        p_pair = np.broadcast_to(p_pair.flat[0], (n, n))
 
     half = mesh.cell_width / 2.0
     left = centers - half
     right = centers + half
-    # grouped so that the matrix is exactly symmetric in floating point
-    a_far = _phi(right[:, None] - left[None, :], alpha) + _phi(left[:, None] - right[None, :], alpha)
-    a_near = _phi(right[:, None] - right[None, :], alpha) + _phi(left[:, None] - left[None, :], alpha)
-    w = a_far - a_near
-    np.fill_diagonal(w, 0.0)
-    if not np.all(np.isfinite(w)):
-        raise KernelError("non-finite kernel weight encountered")
-    if w.min() < 0.0:
+    w = np.empty((n, n))
+    buffers = np.empty((5, max(_BLOCK_PAIRS, n)))
+    w_min = w_max = 0.0
+    i0 = 0
+    while i0 < n:
+        cols = n - i0
+        rows = max(1, min(_BLOCK_PAIRS // cols, cols))
+        i1 = i0 + rows
+        alpha, two_m, denom, far, near = (buf[:rows * cols].reshape(rows, cols) for buf in buffers)
+        np.multiply(p_pair[i0:i1, i0:], p.s, out=alpha)
+        alpha += 1.0
+        np.subtract(2.0, alpha, out=two_m)
+        np.subtract(1.0, alpha, out=denom)
+        denom *= two_m
+        # grouped so that the matrix is exactly symmetric in floating point;
+        # alpha's buffer is free from here on and holds the second phi term
+        _phi(far, right[i0:i1], left[i0:], two_m, denom)
+        far += _phi(alpha, left[i0:i1], right[i0:], two_m, denom)
+        _phi(near, right[i0:i1], right[i0:], two_m, denom)
+        near += _phi(alpha, left[i0:i1], left[i0:], two_m, denom)
+        far -= near
+        # the block's own square: zero diagonal, lower part mirrored from above
+        square = far[:, :rows]
+        lower = np.tril_indices(rows, -1)
+        square[lower] = square.T[lower]
+        np.fill_diagonal(square, 0.0)
+        if not np.isfinite(far).all():
+            raise KernelError("non-finite kernel weight encountered")
+        w_min, w_max = min(w_min, float(far.min())), max(w_max, float(far.max()))
+        w[i0:i1, i0:] = far
+        w[i1:, i0:i1] = far[:, rows:].T
+        i0 = i1
+    if w_min < 0.0:
         # exact integrals of a positive kernel; allow only fp dust
-        if w.min() < -1e-12 * max(w.max(), 1.0):
+        if w_min < -1e-12 * max(w_max, 1.0):
             raise KernelError("negative kernel weight encountered")
-        w = np.maximum(w, 0.0)
+        np.maximum(w, 0.0, out=w)
 
     spbar = p.s * p.trace_values(centers)
     tail = ((centers + mesh.R) ** (-spbar) + (mesh.R - centers) ** (-spbar)) / spbar
     return KernelWeights(mesh=mesh, w=w, p_pair=p_pair, tail=tail)
-

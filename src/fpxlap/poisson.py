@@ -96,7 +96,7 @@ def energy(u, prob: PoissonProblem) -> float:
     """
     vals = _field(u).values
     W = prob.weights
-    _, power, tail_power = _pair_powers(vals, W)
+    _, power, tail_power = _pair_powers(vals, W, _uniform(W.p_pair))
     pair = float((W.w * power / W.p_pair).sum())
     dx = prob.mesh.cell_width
     tail = 2.0 * dx * float(np.sum(W.tail * tail_power / W.p_bar))

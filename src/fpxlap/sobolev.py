@@ -48,8 +48,11 @@ class DirichletPair:
 
 
 def _uniform(a: np.ndarray) -> float | None:
-    """The common value of a constant array, None when it varies."""
-    return float(a.flat[0]) if a.min() == a.max() else None
+    """The common value of a constant array, None when it varies; a
+    zero-stride array (a broadcast constant exponent) answers without a scan."""
+    if not any(a.strides) or a.min() == a.max():
+        return float(a.flat[0])
+    return None
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -57,11 +60,13 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
 
-def _pair_powers(vals: np.ndarray, W: KernelWeights):
+def _pair_powers(vals: np.ndarray, W: KernelWeights, p_const: float | None):
     """The one pair pass of the n x n references: d = u_i - u_j,
-    |d|^{p_ij} and the tail powers |u_i|^{pbar_i}; squares for uniform p = 2."""
+    |d|^{p_ij} and the tail powers |u_i|^{pbar_i}; squares when the uniform
+    exponent p_const (``_uniform(W.p_pair)``, scanned once by the caller)
+    is 2."""
     diff = vals[:, None] - vals[None, :]
-    if _uniform(W.p_pair) == 2.0:
+    if p_const == 2.0:
         return diff, diff * diff, vals * vals
     return diff, np.abs(diff) ** W.p_pair, np.abs(vals) ** W.p_bar
 
@@ -79,7 +84,7 @@ def _exterior_block(W: KernelWeights, variant: str):
 def gagliardo_modular(u: GridFunction, W: KernelWeights, variant: str = "rn") -> float:
     """Double-integral modular of u; 'rn' includes tails, 'omega' drops tails
     and the exterior-exterior pairs."""
-    _, power, tail_power = _pair_powers(u.values, W)
+    _, power, tail_power = _pair_powers(u.values, W, _uniform(W.p_pair))
     terms = W.w * power
     block = _exterior_block(W, variant)
     if block is not None:
@@ -132,25 +137,34 @@ def apply_operator(u: GridFunction, W: KernelWeights) -> np.ndarray:
                      + tail_i |u_i|^{pbar_i-2} u_i,
 
     with each flux taken from the shared pair pass as |d|^p / d (0 at
-    d = 0).  The self-cell term vanishes identically for piecewise
-    constants, which is the discrete counterpart of the principal-value
-    cancellation.
+    d = 0); at uniform p = 2 the fluxes are d and u themselves.  The
+    self-cell term vanishes identically for piecewise constants, which is
+    the discrete counterpart of the principal-value cancellation.
     """
-    diff, power, tail_power = _pair_powers(u.values, W)
-    flux = (W.w * _ratio(power, diff)).sum(axis=1) / W.mesh.cell_width
-    return flux + W.tail * _ratio(tail_power, u.values)
+    vals = u.values
+    p_const = _uniform(W.p_pair)
+    if p_const == 2.0:
+        pair, tail_flux = W.w * (vals[:, None] - vals[None, :]), vals
+    else:
+        diff, power, tail_power = _pair_powers(vals, W, p_const)
+        pair, tail_flux = W.w * _ratio(power, diff), _ratio(tail_power, vals)
+    return pair.sum(axis=1) / W.mesh.cell_width + W.tail * tail_flux
 
 
 def weak_form(u: GridFunction, phi: GridFunction, W: KernelWeights) -> float:
     """<L(u), phi> including the exterior tail pairing.
 
-    Its own pass, sign(d) |d|^{p-1}, apart from the shared one: it is the
-    independent side of the identity <L(u), phi> = 2 dx sum phi (operator u).
+    Its own pass, sign(d) |d|^{p-1} (d itself at uniform p = 2), apart from
+    the shared one: it is the independent side of the identity
+    <L(u), phi> = 2 dx sum phi (operator u).
     """
     du = u.values[:, None] - u.values[None, :]
     dphi = phi.values[:, None] - phi.values[None, :]
-    flux = np.sign(du) * np.abs(du) ** (W.p_pair - 1.0)
+    if _uniform(W.p_pair) == 2.0:
+        flux, tail_flux = du, u.values
+    else:
+        flux = np.sign(du) * np.abs(du) ** (W.p_pair - 1.0)
+        tail_flux = np.sign(u.values) * np.abs(u.values) ** (W.p_bar - 1.0)
     pair = float((W.w * flux * dphi).sum())
-    tail_flux = np.sign(u.values) * np.abs(u.values) ** (W.p_bar - 1.0)
     tail = 2.0 * W.mesh.cell_width * float(np.sum(W.tail * tail_flux * phi.values))
     return pair + tail

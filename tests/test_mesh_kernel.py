@@ -1,12 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from fpxlap import ExponentField, KernelError, MeshError, assemble_weights, build_mesh
+from fpxlap import ExponentField, KernelError, MeshError, assemble_weights, build_mesh, mesh_kernel
+from fpxlap.catalog import pair_exponent
 
-from util import bump_pair, const_pair
+from util import bump_pair, const_pair, reference_weights
+
+CATALOG_KINDS = [
+    ("constant", {"value": 1.5}),
+    ("constant", {"value": 2.0}),
+    ("constant", {"value": 3.0}),
+    ("gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 1.0}),
+    ("affine", {"base": 2.0, "slope": 0.1}),
+    ("radial", {"base": 1.8, "slope": 0.05}),
+]
 
 
 class TestBuildMesh:
@@ -107,6 +119,85 @@ class TestWeights:
         W = assemble_weights(mesh, p)
         assert np.array_equal(W.w, W.w.T)
         assert W.w.min() >= 0.0 and np.all(np.diagonal(W.w) == 0.0)
+
+
+def _assert_matches_reference(mesh, p):
+    W, ref = assemble_weights(mesh, p), reference_weights(mesh, p)
+    assert np.array_equal(W.w, ref.w)
+    assert np.array_equal(W.p_pair, ref.p_pair)
+    assert np.array_equal(W.tail, ref.tail)
+
+
+class TestBlockAssembly:
+    """The row-block, mirrored assembly against the full-matrix formula."""
+
+    # n = 333 spans two blocks of the default size, the second one short
+    @pytest.mark.parametrize("n", [16, 96, 128, 192, 333])
+    @pytest.mark.parametrize("kind,params", CATALOG_KINDS)
+    def test_bit_identical_to_full_matrix_formula(self, n, kind, params):
+        mesh = build_mesh(2.0, n, [(-1.0, 1.0)])
+        _assert_matches_reference(mesh, pair_exponent(kind, params, s=0.3, R=2.0))
+
+    @pytest.mark.parametrize("block_pairs", [50, 1000])
+    @pytest.mark.parametrize("kind,params", CATALOG_KINDS)
+    def test_bit_identical_with_small_blocks(self, monkeypatch, block_pairs, kind, params):
+        # one row per block (50 pairs), then blocks of a few rows each
+        monkeypatch.setattr(mesh_kernel, "_BLOCK_PAIRS", block_pairs)
+        mesh = build_mesh(2.0, 96, [(-1.0, 1.0)])
+        _assert_matches_reference(mesh, pair_exponent(kind, params, s=0.3, R=2.0))
+
+    @pytest.mark.parametrize("block_pairs", [50, 1000, 1 << 16])
+    def test_nearly_symmetric_exponent_gives_symmetric_weights(self, monkeypatch, block_pairs):
+        # p(x, y) - p(y, x) = 1e-13 (x - y): inside the validation's symmetry
+        # tolerance, but the lower triangle must still be the upper's mirror
+        monkeypatch.setattr(mesh_kernel, "_BLOCK_PAIRS", block_pairs)
+        mesh = build_mesh(2.0, 96, [(-1.0, 1.0)])
+        p = ExponentField(
+            evaluator=lambda x, y: 2.0 + 0.3 * np.exp(-(np.asarray(x) - np.asarray(y)) ** 2)
+            + 1e-13 * np.asarray(x),
+            p_minus=2.0 - 1e-12, p_plus=2.3 + 1e-12, s=0.3,
+        )
+        assert not np.array_equal(p.pair_matrix(mesh.cell_centers), p.pair_matrix(mesh.cell_centers).T)
+        W = assemble_weights(mesh, p)
+        assert np.array_equal(W.w, W.w.T)
+        upper = np.triu_indices(96, 1)
+        assert np.array_equal(W.w[upper], reference_weights(mesh, p).w[upper])
+
+    def test_constant_exponent_is_one_read_only_value(self, mesh64):
+        W = assemble_weights(mesh64, const_pair(2.5, 0.3))
+        assert W.p_pair.shape == (64, 64) and W.p_pair.strides == (0, 0)
+        assert np.all(W.p_pair == 2.5) and np.all(W.p_bar == 2.5)
+        with pytest.raises(ValueError):
+            W.p_pair[0, 1] = 2.0
+
+    def test_variable_exponent_is_dense(self, mesh64):
+        W = assemble_weights(mesh64, bump_pair(2.0, 0.5, s=0.3))
+        assert W.p_pair.flags.c_contiguous and W.p_pair.flags.writeable
+
+    @pytest.mark.parametrize("kind,params", CATALOG_KINDS[3:5])
+    def test_peak_memory_at_most_three_and_a_half_arrays(self, kind, params):
+        n = 1024
+        mesh = build_mesh(2.0, n, [(-1.0, 1.0)])
+        p = pair_exponent(kind, params, s=0.3, R=2.0)
+        tracemalloc.start()
+        try:
+            assemble_weights(mesh, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * n * n
+
+    @pytest.mark.xfail(strict=True, reason="fl(right_i - left_(i+1)) is a few ulps, not 0, and "
+                                           "phi(eps) = eps^0.2 / c is not negligible")
+    def test_adjacent_weights_equal_closed_form(self):
+        # adjacent cells of width h: phi(0) + phi(2h) - 2 phi(h) with phi(0) = 0
+        mesh = build_mesh(2.0, 96, [(-1.0, 1.0)])
+        p = const_pair(2.0, 0.4)
+        alpha = 1.0 + 0.4 * 2.0
+        h = mesh.cell_width
+        phi = lambda t: t ** (2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
+        adjacent = np.diagonal(assemble_weights(mesh, p).w, 1)
+        np.testing.assert_allclose(adjacent, phi(2.0 * h) - 2.0 * phi(h), rtol=1e-12, atol=0.0)
 
 
 def _exterior_integral(x, a, R):

@@ -50,3 +50,25 @@ def random_w0(rng, mesh, scale=1.0):
     """Random zero-exterior grid function."""
     vals = np.where(mesh.interior_mask, scale * rng.standard_normal(mesh.n_cells), 0.0)
     return GridFunction(mesh, vals)
+
+
+def reference_weights(mesh, p):
+    """The full-matrix four-phi assembly: every n x n pair at once, with no
+    blocks and no mirror; the oracle for ``assemble_weights``."""
+    centers = mesh.cell_centers
+    p_pair = p.pair_matrix(centers)
+    alpha = 1.0 + p.s * p_pair
+
+    def phi(t):
+        return np.abs(t) ** (2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
+
+    half = mesh.cell_width / 2.0
+    left, right = centers - half, centers + half
+    a_far = phi(right[:, None] - left[None, :]) + phi(left[:, None] - right[None, :])
+    a_near = phi(right[:, None] - right[None, :]) + phi(left[:, None] - left[None, :])
+    w = a_far - a_near
+    np.fill_diagonal(w, 0.0)
+    w = np.maximum(w, 0.0)
+    spbar = p.s * p.trace_values(centers)
+    tail = ((centers + mesh.R) ** (-spbar) + (mesh.R - centers) ** (-spbar)) / spbar
+    return KernelWeights(mesh, w, p_pair, tail)
