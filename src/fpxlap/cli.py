@@ -39,7 +39,7 @@ _SCHEMA = {
     "nonlinearity": {"kind": None, "params": None},
     "fixedpoint": {"theta": None, "max_iter": None},
     "decompose": {"shells": None},
-    "tolerances": {"el_residual": None, "step": None, "max_iter": None},
+    "tolerances": {"el_residual": None, "max_iter": None},
     "checks": {"norm_modular": None, "holder": None, "cara": None, "edm": None},
 }
 
@@ -115,9 +115,12 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
     if cfg_mode not in ("validate", "verify", None):
         if "order" in doc and "s" not in doc["order"]:
             errors.append("order.s missing")
-    tol_sec = doc.get("tolerances", {})
-    for k, v in tol_sec.items():
-        if not (isinstance(v, (int, float)) and v > 0):
+    for sec in ("fixedpoint", "tolerances"):
+        v = doc.get(sec, {}).get("max_iter", 1)
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            errors.append(f"{sec}.max_iter must be a positive integer")
+    for k, v in doc.get("tolerances", {}).items():
+        if k != "max_iter" and not (isinstance(v, (int, float)) and v > 0):
             errors.append(f"tolerances.{k} must be positive")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
@@ -153,13 +156,11 @@ def _build_data(cfg: RunConfig, mesh: Mesh, name: str) -> GridFunction:
     return catalog.data_function(sec["kind"], sec.get("params", {}), mesh)
 
 
-def _tolerances(cfg: RunConfig) -> Tolerances:
-    sec = cfg.section("tolerances", {})
-    return Tolerances(
-        el_residual=float(sec.get("el_residual", 1e-8)),
-        step=float(sec.get("step", 1e-20)),
-        max_iter=int(sec.get("max_iter", 50_000)),
-    )
+def _given(cfg: RunConfig, name: str, casts) -> dict:
+    """The keys of a config section that the config sets, cast; a key left
+    out takes the default of the solver it goes to."""
+    sec = cfg.section(name, {})
+    return {key: cast(sec[key]) for key, cast in casts if key in sec}
 
 
 def format_float(v: float) -> str:
@@ -270,11 +271,12 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
     r = _build_r(cfg, mesh)
     g = _build_data(cfg, mesh, "g")
     h = _build_data(cfg, mesh, "h")
-    report.add("growth_pair_ok", validate_growth_pair(r, p, mesh))
-    if not validate_growth_pair(r, p, mesh):
+    growth_ok = validate_growth_pair(r, p, mesh)
+    report.add("growth_pair_ok", growth_ok)
+    if not growth_ok:
         return 1
-    prob = PoissonProblem(mesh=mesh, weights=weights, p=p, r=r, h=h, g=g,
-                          tolerances=_tolerances(cfg))
+    tol = Tolerances(**_given(cfg, "tolerances", (("el_residual", float), ("max_iter", int))))
+    prob = PoissonProblem(mesh=mesh, weights=weights, p=p, r=r, h=h, g=g, tolerances=tol)
 
     if cfg.mode == "poisson":
         sol = solve_poisson(prob)
@@ -294,10 +296,7 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
     report.add("check.growth_screen.defect", screen.value)
     if not screen.passed:
         return 1
-    # keys left out of the config take the solvers' defaults
-    fp_sec = cfg.section("fixedpoint", {})
-    fp_opts = {key: cast(fp_sec[key]) for key, cast in (("theta", float), ("max_iter", int))
-               if key in fp_sec}
+    fp_opts = _given(cfg, "fixedpoint", (("theta", float), ("max_iter", int)))
     if cfg.mode == "semilinear":
         sol, trace = fixed_point_solve(f, prob, **fp_opts)
         write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)

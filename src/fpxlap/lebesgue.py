@@ -20,6 +20,10 @@ class BisectionError(RuntimeError):
     """The Luxemburg root-finder did not converge in its step budget."""
 
 
+_NEWTON_RTOL = 1e-10     # Newton step (relative in lam) that ends _luxemburg_root
+_NEWTON_MAX_STEPS = 200  # steps after which it raises BisectionError
+
+
 @dataclass(frozen=True)
 class GridFunction:
     mesh: Mesh
@@ -69,7 +73,7 @@ def modular(u: GridFunction, q: ScalarExponent, region=None) -> float:
     return float(np.sum(np.abs(u.values[mask]) ** qv) * u.mesh.cell_width)
 
 
-def _luxemburg_root(groups, rtol: float, max_iter: int) -> float:
+def _luxemburg_root(groups) -> float:
     """lam = e^t at the root of phi(t) = log sum exp(a - q t) over the groups.
 
     Each group is a pair (a, q) of equal-shape arrays: a holds the logs of
@@ -81,9 +85,10 @@ def _luxemburg_root(groups, rtol: float, max_iter: int) -> float:
     max-shift, lands left of the root from any start and then rises to it
     monotonically.  The first step, from t = 0, gives log rho / q_mean with
     q_mean the rho-weighted mean exponent, which lies inside the bracket
-    [log rho / q-, log rho / q+].  Stops once a step is at most ``rtol``
-    (relative in lam) and raises BisectionError after ``max_iter`` steps.
-    Returns 0 when every term vanishes.
+    [log rho / q-, log rho / q+].  Stops once a step is at most
+    ``_NEWTON_RTOL`` (relative in lam) and raises BisectionError after
+    ``_NEWTON_MAX_STEPS`` steps; both are read at call time, so the seminorm
+    and the norm share them.  Returns 0 when every term vanishes.
     """
     shift = max(float(a.max()) for a, _ in groups)
     if shift == -math.inf:
@@ -94,7 +99,7 @@ def _luxemburg_root(groups, rtol: float, max_iter: int) -> float:
         return math.exp((shift + math.log(total)) / q_lo)
     work = [np.empty(a.shape) for a, _ in groups]
     t, step = 0.0, math.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_STEPS):
         for (a, q), z in zip(groups, work):
             np.multiply(q, -t, out=z)
             z += a
@@ -107,20 +112,19 @@ def _luxemburg_root(groups, rtol: float, max_iter: int) -> float:
             weighted += float(np.vdot(q, z))
         step = (shift + math.log(total)) * total / weighted
         t += step
-        if abs(step) <= rtol:
+        if abs(step) <= _NEWTON_RTOL:
             return math.exp(t)
-    raise BisectionError(
-        f"Luxemburg Newton solve did not converge in {max_iter} steps (last step {step:.3e})"
-    )
+    raise BisectionError(f"Luxemburg Newton solve did not converge in {_NEWTON_MAX_STEPS}"
+                         f" steps (last step {step:.3e})")
 
 
-def luxemburg_norm(u: GridFunction, q: ScalarExponent, region=None,
-                   rtol: float = 1e-10, max_iter: int = 200) -> float:
+def luxemburg_norm(u: GridFunction, q: ScalarExponent, region=None) -> float:
     """inf{lam > 0 : rho_q(u/lam) <= 1} by Newton's method on log lam.
 
     With u scaled by its sup, the modular terms |u_i|^q_i dx are formed
     once as logs, and each Newton step costs one exp pass over them (see
-    ``_luxemburg_root``).  A constant exponent gives the closed form
+    ``_luxemburg_root``, which stops at ``_NEWTON_RTOL`` within
+    ``_NEWTON_MAX_STEPS`` steps).  A constant exponent gives the closed form
     rho^(1/q) with no iteration.  Returns 0 for the zero function.
     """
     mask = _region_mask(u.mesh, region)
@@ -134,7 +138,7 @@ def luxemburg_norm(u: GridFunction, q: ScalarExponent, region=None,
         logs = np.log(vals / vmax)
     logs *= qv
     logs += np.log(u.mesh.cell_width)
-    return vmax * _luxemburg_root([(logs, qv)], rtol, max_iter)
+    return vmax * _luxemburg_root([(logs, qv)])
 
 
 def pairing(u: GridFunction, v: GridFunction, region=None) -> float:

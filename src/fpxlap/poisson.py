@@ -31,14 +31,18 @@ from .sobolev import (DirichletPair, _pair_powers, _ratio, _uniform, apply_opera
                       weak_form)
 
 
+_MIN_STEP = 1e-20      # smallest Armijo step tried before an iteration gives up
+_ENERGY_TOL = 1e-8     # energy drop forgiven by minimizer_equivalence_check
+_HOLDOUT_SLACK = 0.10  # holdout ratio above 1 forgiven by lr_estimate_check
+
+
 @dataclass(frozen=True)
 class Tolerances:
     el_residual: float = 1e-8
-    step: float = 1e-20
     max_iter: int = 50_000
 
     def __post_init__(self):
-        if self.el_residual <= 0 or self.step <= 0 or self.max_iter <= 0:
+        if self.el_residual <= 0 or self.max_iter <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -363,7 +367,7 @@ class _InteriorBlock:
                 slope = float(grad @ d)
             alpha = 1.0
             accepted = False
-            while alpha >= tol.step:
+            while alpha >= _MIN_STEP:
                 trial = vals.copy()
                 trial[rows] += alpha * d
                 e_trial, trial_point = evaluate(trial)
@@ -450,12 +454,11 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
 
 
 def minimizer_equivalence_check(sol: PoissonSolution, prob: PoissonProblem,
-                                trials: int, rng: np.random.Generator,
-                                energy_tol: float = 1e-8) -> CheckResult:
+                                trials: int, rng: np.random.Generator) -> CheckResult:
     """Convexity certificate for the minimizer/weak-solution equivalence.
 
     For random zero-exterior perturbations phi with full norm at most 1:
-    energy(u+phi) >= energy(u) - energy_tol, and the weak-form residual
+    energy(u+phi) >= energy(u) - _ENERGY_TOL, and the weak-form residual
     |<L(u),phi> - int h phi| stays below el_residual * sum|phi_i|.
     """
     mesh = prob.mesh
@@ -481,13 +484,13 @@ def minimizer_equivalence_check(sol: PoissonSolution, prob: PoissonProblem,
                   - dx * float(np.sum(prob.h.values[interior] * phi.values[interior])))
         allowance = prob.tolerances.el_residual * float(np.sum(np.abs(phi.values))) + 1e-14
         worst_residual = max(worst_residual, res - allowance)
-    passed = worst_energy >= -energy_tol and worst_residual <= 0.0
+    passed = worst_energy >= -_ENERGY_TOL and worst_residual <= 0.0
     return CheckResult(
         name="minimizer_equivalence",
         passed=bool(passed),
         value=float(worst_energy),
-        bound=-energy_tol,
-        slack=float(worst_energy + energy_tol),
+        bound=-_ENERGY_TOL,
+        slack=float(worst_energy + _ENERGY_TOL),
         detail=f"worst_residual_margin={worst_residual:.3e}",
     )
 
@@ -530,29 +533,26 @@ def _affine_envelope_fit(a: np.ndarray, b: np.ndarray) -> tuple[float, float, bo
     return best[0], best[1], True
 
 
-def lr_estimate_check(family, prob_template: PoissonProblem, g: GridFunction,
-                      slack: float = 0.10) -> EstimateReport:
+def lr_estimate_check(family, prob_template: PoissonProblem) -> EstimateReport:
     """Fit/holdout protocol for the r-norm a-priori estimate.
 
-    Solves each right-hand side with the shared exterior datum, forms
+    Solves each right-hand side with the template's exterior datum, forms
     a_k = max(||u_k||_r^{p+-1}, ||u_k||_r^{p--1}) and
     b_k = ||h_k||_{r'}^{(p+-1)/(p--1)}, fits the least nonnegative affine
-    majorant on a training half and verifies it with the given slack on the
-    held-out half.  The halves interleave the family so both cover the same
-    scale range (the a(b) relation is concave when p varies, so a majorant
-    fitted on a gappy range would be unfair to the middle).
+    majorant on a training half and verifies it on the held-out half, up to
+    the ratio 1 + ``_HOLDOUT_SLACK``.  The halves interleave the family so
+    both cover the same scale range (the a(b) relation is concave when p
+    varies, so a majorant fitted on a gappy range would be unfair to the middle).
     """
     if len(family) < 8:
         raise ValueError("estimate protocol needs at least 8 right-hand sides")
-    prob0 = prob_template.with_g(g)
-    W = prob0.weights
+    W, r = prob_template.weights, prob_template.r
     p_plus, p_minus = W.p_plus, W.p_minus
-    r = prob0.r
     rc = conjugate_exponent(r)
-    mask = prob0.mesh.interior_mask
+    mask = prob_template.mesh.interior_mask
     a_vals, b_vals = [], []
     for h in family:
-        prob = prob0.with_h(h)
+        prob = prob_template.with_h(h)
         sol = solve_poisson(prob)
         if not sol.converged:
             return EstimateReport(0.0, 0.0, feasible=False,
@@ -582,5 +582,5 @@ def lr_estimate_check(family, prob_template: PoissonProblem, g: GridFunction,
         else:
             ratios.append(ak / bound)
     report.worst_ratio = float(max(ratios)) if ratios else 0.0
-    report.holdout_passed = report.worst_ratio <= 1.0 + slack
+    report.holdout_passed = report.worst_ratio <= 1.0 + _HOLDOUT_SLACK
     return report

@@ -59,28 +59,29 @@ class Nonlinearity:
         return self.evaluator(x, t)
 
 
-def _default_t_lattice() -> np.ndarray:
-    mags = np.logspace(-3, 3, 25)
-    return np.concatenate([-mags[::-1], [0.0], mags])
+# the t values of growth_screen: 0 and +-10^-3 .. 10^3, 25 per sign
+_T_LATTICE = np.concatenate([-np.logspace(3, -3, 25), [0.0], np.logspace(-3, 3, 25)])
+_BOUND_TOL = 1e-12             # excess forgiven by growth_screen and nemytsky_bound_check
+_CALIBRATION_SAMPLES = 64      # fields drawn by calibrate_nemytsky_constant
+_CALIBRATION_HEADROOM = 1.05   # factor it applies to their worst ratio
 
 
-def growth_screen(f: Nonlinearity, mesh: Mesh, p: ExponentField,
-                  t_lattice: np.ndarray | None = None,
-                  tol: float = 1e-12) -> CheckResult:
-    """Sampled check of |f(x,t)| <= a(x) + C |t|^{pbar(x)-1} on interior cells."""
+def growth_screen(f: Nonlinearity, mesh: Mesh, p: ExponentField) -> CheckResult:
+    """Sampled check of |f(x,t)| <= a(x) + C |t|^{pbar(x)-1} on interior
+    cells, at every t of ``_T_LATTICE``."""
     centers = mesh.cell_centers[mesh.interior_mask]
     pbar = p.trace_values(centers)
     avals = f.a.values[mesh.interior_mask]
-    ts = _default_t_lattice() if t_lattice is None else np.asarray(t_lattice, dtype=float)
-    fv = np.asarray(f.evaluator(centers[:, None], ts[None, :]), dtype=float)
+    ts = _T_LATTICE[None, :]
+    fv = np.asarray(f.evaluator(centers[:, None], ts), dtype=float)
     fv = fv * np.ones((centers.size, ts.size))
     if not np.all(np.isfinite(fv)):
         raise NemytskyError("nonlinearity produced non-finite values on the screen lattice")
-    bound = avals[:, None] + f.c_growth * np.abs(ts[None, :]) ** (pbar[:, None] - 1.0)
+    bound = avals[:, None] + f.c_growth * np.abs(ts) ** (pbar[:, None] - 1.0)
     defect = float(np.max(np.abs(fv) - bound))
     return CheckResult(
         name="growth_screen",
-        passed=defect <= tol,
+        passed=defect <= _BOUND_TOL,
         value=defect,
         bound=0.0,
         slack=-defect,
@@ -133,9 +134,9 @@ def gamma_exponent(r: ScalarExponent, p: ExponentField) -> ScalarExponent:
     return ScalarExponent(evaluator=ev, lower=1.0 / gap_max, upper=1.0 / gap_min)
 
 
-def measure_constant(mesh: Mesh, gamma: ScalarExponent, region=None) -> float:
-    """C_Omega = 2 max(|O|^(1/gamma+), |O|^(1/gamma-)) on the region."""
-    mask = mesh.interior_mask if region is None else np.asarray(region, dtype=bool)
+def measure_constant(mesh: Mesh, gamma: ScalarExponent) -> float:
+    """C_Omega = 2 max(|O|^(1/gamma+), |O|^(1/gamma-)) on the interior."""
+    mask = mesh.interior_mask
     measure = float(mask.sum()) * mesh.cell_width
     gvals = gamma.values(mesh.cell_centers[mask])
     g_lo, g_hi = float(gvals.min()), float(gvals.max())
@@ -160,33 +161,31 @@ def _bound_bracket(f: Nonlinearity, u: GridFunction, r: ScalarExponent,
 
 
 def calibrate_nemytsky_constant(f: Nonlinearity, r: ScalarExponent, p: ExponentField,
-                                mesh: Mesh, rng: np.random.Generator,
-                                n_samples: int = 64, headroom: float = 1.05) -> float:
+                                mesh: Mesh, rng: np.random.Generator) -> float:
     """Freeze the bound constant as the worst calibration ratio plus headroom.
 
-    The calibration family spans amplitudes 1e-3..1e3 so both power regimes
-    of the bracket are exercised before the constant is frozen.
+    The ``_CALIBRATION_SAMPLES`` calibration fields span amplitudes 1e-3..1e3
+    so both power regimes of the bracket are exercised before the constant is
+    frozen at ``_CALIBRATION_HEADROOM`` times the worst ratio.
     """
     worst = 0.0
-    scales = np.logspace(-3, 3, n_samples)
-    for scale in scales:
+    for scale in np.logspace(-3, 3, _CALIBRATION_SAMPLES):
         raw = np.zeros(mesh.n_cells)
         raw[mesh.interior_mask] = scale * rng.standard_normal(int(mesh.interior_mask.sum()))
         lhs, bracket = _bound_bracket(f, GridFunction(mesh, raw), r, p, mesh)
         if bracket > 0:
             worst = max(worst, lhs / bracket)
-    return worst * headroom if worst > 0 else headroom
+    return worst * _CALIBRATION_HEADROOM if worst > 0 else _CALIBRATION_HEADROOM
 
 
 def nemytsky_bound_check(f: Nonlinearity, u: GridFunction, r: ScalarExponent,
-                         p: ExponentField, c_frozen: float,
-                         tol: float = 1e-12) -> CheckResult:
+                         p: ExponentField, c_frozen: float) -> CheckResult:
     """||N_f u||_{r'} <= C (||a||_{pbar'} + (C_Om ||u||_r)^{p+-1} + (C_Om ||u||_r)^{p--1})."""
     lhs, bracket = _bound_bracket(f, u, r, p, u.mesh)
     bound = c_frozen * bracket
     return CheckResult(
         name="nemytsky_bound",
-        passed=lhs <= bound + tol,
+        passed=lhs <= bound + _BOUND_TOL,
         value=lhs,
         bound=bound,
         slack=bound - lhs,
@@ -240,28 +239,29 @@ def invariant_ball_radius(c_bound: float, a_norm: float, k1: float, k2: float,
 # sup-norm of the semilinear residual (energy_gradient with h = N_f(u))
 # that certifies a fixed point or ends the shell sweeps
 _RESIDUAL_TARGET = 1e-6
+# conjugate-norm Picard increment that ends the fixed-point iteration
+_INCREMENT_TOL = 1e-8
 # floor of the halved damping factor
 _THETA_MIN = 1e-3
 # most shell sweeps one decomposition runs
 _MAX_SWEEPS = 200
 
 
-def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
-                      g: GridFunction | None = None, theta: float = 1.0,
-                      max_iter: int = 200, tol: float = 1e-8, *,
-                      _block: _InteriorBlock | None = None
+def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
+                      max_iter: int = 200, *, _block: _InteriorBlock | None = None
                       ) -> tuple[PoissonSolution, FixedPointTrace]:
     """Picard iteration for h = N_f(T(h)), damped by theta when needed.
 
     Starts from h0 = N_f applied to the datum-filled grid with the damping
     factor at its cap ``theta`` (1, undamped, by default) and halves it, down
-    to ``_THETA_MIN``, whenever the increment norm grows twice in a row.  A
-    non-finite increment, or one above 1e12 max(1, first increment), stops
-    the run.  Non-convergence is returned in the trace, never raised: the
-    caller may retry with a smaller cap.  A converged run is certified by the
-    sup-norm of ``energy_gradient`` at the final field, at most
-    ``_RESIDUAL_TARGET``.  Every Poisson solve of the call shares one
-    interior block, since only h changes between them.
+    to ``_THETA_MIN``, whenever the increment norm grows twice in a row, for
+    at most ``max_iter`` (>= 1) steps or until the increment is at most
+    ``_INCREMENT_TOL``.  A non-finite increment, or one above
+    1e12 max(1, first increment), stops the run.  Non-convergence is returned
+    in the trace, never raised: the caller may retry with a smaller cap.  A
+    converged run is certified by the sup-norm of ``energy_gradient`` at the
+    final field, at most ``_RESIDUAL_TARGET``.  Every Poisson solve of the
+    call shares one interior block, since only h changes between them.
 
     ``_block`` is private to the package: ``solve_by_decomposition`` passes
     the block of a shell, which it reuses across sweeps, after screening the
@@ -270,7 +270,8 @@ def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError("damping theta must lie in (0, 1]")
-    prob = prob_template if g is None else prob_template.with_g(g)
+    if max_iter < 1:
+        raise ValueError("fixed-point max_iter must be at least 1")
     if _block is None:
         require_growth(f, prob.mesh, prob.p)
         _block = _InteriorBlock(prob.mesh, prob.weights)
@@ -288,7 +289,6 @@ def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
         trace.backtracks += sol_k.backtracks
         return sol_k
 
-    sol = None
     grew = 0
     prev_inc = np.inf
     cap = None
@@ -311,7 +311,7 @@ def fixed_point_solve(f: Nonlinearity, prob_template: PoissonProblem,
             trace.h_star = h
             trace.converged = False
             return sol, trace
-        if inc <= tol:
+        if inc <= _INCREMENT_TOL:
             trace.converged = True
             break
         if inc > prev_inc:
@@ -385,8 +385,7 @@ def _anderson_mix(dxs: list[np.ndarray], dfs: list[np.ndarray], swept: np.ndarra
 
 def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
                            prob_template: PoissonProblem, theta: float = 1.0,
-                           max_iter: int = 200, tol: float = 1e-8
-                           ) -> tuple[PoissonSolution, DecompositionReport]:
+                           max_iter: int = 200) -> tuple[PoissonSolution, DecompositionReport]:
     """Sequential shell solves with the freshest global field as exterior data.
 
     Each sweep solves the semilinear problem (``fixed_point_solve`` with the
@@ -439,9 +438,7 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
         sweep_traces = []
         for j, (shell_prob, block) in enumerate(zip(shell_probs, blocks)):
             sub_prob = shell_prob.with_g(GridFunction(shell_prob.mesh, current))
-            sol_j, trace_j = fixed_point_solve(
-                f, sub_prob, theta=theta, max_iter=max_iter, tol=tol, _block=block,
-            )
+            sol_j, trace_j = fixed_point_solve(f, sub_prob, theta, max_iter, _block=block)
             if not trace_j.converged:
                 raise DecompositionError(j, sweep, "fixed-point iteration did not converge")
             current = sol_j.u.u.values.copy()

@@ -93,16 +93,16 @@ def gagliardo_modular(u: GridFunction, W: KernelWeights, variant: str = "rn") ->
     return float(terms.sum()) + 2.0 * W.mesh.cell_width * float(np.sum(W.tail * tail_power))
 
 
-def gagliardo_seminorm(u: GridFunction, W: KernelWeights, variant: str = "rn",
-                       rtol: float = 1e-10, max_iter: int = 200) -> float:
+def gagliardo_seminorm(u: GridFunction, W: KernelWeights, variant: str = "rn") -> float:
     """inf{lam > 0 : rho(u/lam) <= 1} by Newton's method on log lam.
 
     With u scaled by its sup, the pair terms log w_ij + p_ij log|u_i-u_j|
     are formed once, in place in the difference buffer ('omega' sets the
     exterior-exterior pairs to -inf), and 'rn' adds the n tail terms as a
     second group; each Newton step is one exp pass over them (see
-    ``lebesgue._luxemburg_root``).  A constant exponent gives the closed form
-    rho^(1/p) with no iteration.
+    ``lebesgue._luxemburg_root``, with the tolerance ``_NEWTON_RTOL`` and
+    the budget ``_NEWTON_MAX_STEPS`` of ``lebesgue``).  A constant exponent
+    gives the closed form rho^(1/p) with no iteration.
     """
     block = _exterior_block(W, variant)
     vmax = float(np.abs(u.values).max())
@@ -121,13 +121,12 @@ def gagliardo_seminorm(u: GridFunction, W: KernelWeights, variant: str = "rn",
             groups.append((tail_logs, W.p_bar))
         else:
             logs[block] = -np.inf
-    return vmax * _luxemburg_root(groups, rtol, max_iter)
+    return vmax * _luxemburg_root(groups)
 
 
-def full_norm(u: GridFunction, W: KernelWeights, q: ScalarExponent,
-              variant: str = "omega") -> float:
-    """Seminorm plus Luxemburg norm over the interior region."""
-    return gagliardo_seminorm(u, W, variant) + luxemburg_norm(u, q, u.mesh.interior_mask)
+def full_norm(u: GridFunction, W: KernelWeights, q: ScalarExponent) -> float:
+    """'omega' seminorm plus Luxemburg norm over the interior region."""
+    return gagliardo_seminorm(u, W, "omega") + luxemburg_norm(u, q, u.mesh.interior_mask)
 
 
 def apply_operator(u: GridFunction, W: KernelWeights) -> np.ndarray:

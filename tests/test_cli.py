@@ -50,6 +50,10 @@ class TestParseConfig:
         bad = minimal_poisson_config(dimension={"N": 1})
         with pytest.raises(ConfigError, match="'dimension'"):
             parse_config(json.dumps(bad), mode="poisson")
+        # the Armijo step floor is a fixed constant of the solver
+        bad = minimal_poisson_config(tolerances={"step": 1e-20})
+        with pytest.raises(ConfigError, match="tolerances.step"):
+            parse_config(json.dumps(bad), mode="poisson")
 
     def test_mode_requirements(self):
         bad = minimal_poisson_config()
@@ -168,6 +172,21 @@ class TestRun:
         code, out = run_cli(tmp_path, "semilinear", cfg)
         assert code == 0
         assert "solver.theta_final: 1\n" in (out / "report").read_text()
+
+    @pytest.mark.parametrize("section", ("fixedpoint", "tolerances"))
+    @pytest.mark.parametrize("max_iter", (0, 2.7))
+    def test_max_iter_must_be_positive_integer(self, tmp_path, capsys, section, max_iter):
+        cfg = minimal_poisson_config()
+        cfg["nonlinearity"] = {
+            "kind": "arctan",
+            "params": {"eps": 0.05, "a": {"kind": "constant", "params": {"value": 0.3}}},
+        }
+        cfg[section] = {"max_iter": max_iter}
+        code, out = run_cli(tmp_path, "semilinear", cfg)
+        assert code == 1
+        assert f"error: invalid config:\n  - {section}.max_iter must be a positive integer" \
+            in capsys.readouterr().err
+        assert not (out / "report").exists()
 
     def test_stiff_semilinear_exits_two(self, tmp_path):
         cfg = minimal_poisson_config()

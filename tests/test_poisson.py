@@ -163,8 +163,7 @@ class TestSolve:
     def test_nonconvergence_is_reported(self, mesh64):
         # p = 2 converges in one iteration, so use a nonlinear exponent
         prob = make_problem(mesh64, const_pair(3.0, 0.28), 4.0,
-                            np.ones(64), np.zeros(64), el_residual=1e-8, step=1e-20,
-                            max_iter=1)
+                            np.ones(64), np.zeros(64), el_residual=1e-8, max_iter=1)
         sol = solve_poisson(prob)
         assert not sol.converged
         assert sol.iterations == 1
@@ -195,7 +194,7 @@ class TestEstimate:
     def test_zero_family_feasible_at_origin(self, mesh64):
         prob = make_problem(mesh64, const_pair(2.0, 0.4), 3.0, np.zeros(64), np.zeros(64))
         family = [GridFunction.zeros(mesh64) for _ in range(8)]
-        report = lr_estimate_check(family, prob, prob.g)
+        report = lr_estimate_check(family, prob)
         assert report.feasible and report.holdout_passed
         assert report.k1 == pytest.approx(0.0, abs=1e-12)
         assert report.k2 == pytest.approx(0.0, abs=1e-12)
@@ -206,7 +205,7 @@ class TestEstimate:
         base = np.cos(2.0 * mesh64.cell_centers)
         family = [grid(mesh64, k * base) for k in np.linspace(0.25, 4.0, 16)]
         prob = make_problem(mesh64, const_pair(2.0, 0.4), 3.0, np.zeros(64), np.zeros(64))
-        report = lr_estimate_check(family, prob, prob.g)
+        report = lr_estimate_check(family, prob)
         assert report.feasible
         assert report.holdout_passed
         # linearity: a_k proportional to b_k, intercept negligible

@@ -209,10 +209,14 @@ class TestFixedPoint:
         assert trace.converged
         assert np.allclose(sol.u.u.values, 0.0, atol=1e-12)
 
+    def test_max_iter_below_one_rejected(self, mesh96):
+        with pytest.raises(ValueError, match="max_iter"):
+            fixed_point_solve(arctan_nonlinearity(mesh96), make_template(mesh96), max_iter=0)
+
     def test_fixed_point_certificate(self, mesh96):
         f = arctan_nonlinearity(mesh96)
         template = make_template(mesh96)
-        sol, trace = fixed_point_solve(f, template, theta=0.5, tol=1e-8)
+        sol, trace = fixed_point_solve(f, template, theta=0.5)
         assert trace.converged
         assert trace.residual <= 1e-6
         # rows are (increment, inner EL residual)
