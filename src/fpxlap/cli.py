@@ -71,16 +71,17 @@ class RunConfig:
 
 
 def _check_keys(doc, schema, prefix, errors):
-    if not isinstance(doc, dict):
-        errors.append(f"{prefix or 'config'}: expected an object")
-        return
     for key, val in doc.items():
         if key not in schema:
             errors.append(f"unknown key {prefix + key!r}")
             continue
         sub = schema[key]
-        if isinstance(sub, dict) and isinstance(val, dict):
+        if not isinstance(sub, dict):
+            continue
+        if isinstance(val, dict):
             _check_keys(val, sub, prefix + key + ".", errors)
+        else:
+            errors.append(f"{prefix + key}: expected an object")
 
 
 def parse_config(text: str, mode: str | None = None) -> RunConfig:
@@ -90,7 +91,11 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(["config: expected an object"])
     _check_keys(doc, _SCHEMA, "", errors)
+    # the checks below read only the sections that are objects; _check_keys named the rest
+    sections = {key: val for key, val in doc.items() if isinstance(val, dict)}
 
     cfg_mode = doc.get("mode", mode)
     if cfg_mode is None:
@@ -105,21 +110,20 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
             if sec not in doc:
                 errors.append(f"mode {cfg_mode!r} requires section {sec!r}")
 
-    mesh_sec = doc.get("mesh", {})
-    if "mesh" in doc:
+    if "mesh" in sections:
         for k in ("R", "n_cells"):
-            if k not in mesh_sec:
+            if k not in sections["mesh"]:
                 errors.append(f"mesh.{k} missing")
-    if "omega" in doc and "intervals" not in doc["omega"]:
+    if "omega" in sections and "intervals" not in sections["omega"]:
         errors.append("omega.intervals missing")
     if cfg_mode not in ("validate", "verify", None):
-        if "order" in doc and "s" not in doc["order"]:
+        if "order" in sections and "s" not in sections["order"]:
             errors.append("order.s missing")
     for sec in ("fixedpoint", "tolerances"):
-        v = doc.get(sec, {}).get("max_iter", 1)
+        v = sections.get(sec, {}).get("max_iter", 1)
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             errors.append(f"{sec}.max_iter must be a positive integer")
-    for k, v in doc.get("tolerances", {}).items():
+    for k, v in sections.get("tolerances", {}).items():
         if k != "max_iter" and not (isinstance(v, (int, float)) and v > 0):
             errors.append(f"tolerances.{k} must be positive")
     seed = doc.get("seed", 0)

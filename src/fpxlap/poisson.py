@@ -7,10 +7,12 @@ The energy of a field u equal to g on exterior cells is
            - dx sum_{i interior} h_i u_i,
 
 strictly convex in the interior unknowns, minimized by damped lagged-weight
-linearization with Armijo backtracking.  The lagged weights are floored
-where differences degenerate; the floor shrinks with the gradient residual
-(the IRLS rule), and the weights come from the accepted point's |d|^p, so
-an iteration makes one power pass per trial point and none for the model.
+linearization with Armijo backtracking.  The solver works in row blocks
+over the interior rows, where each pair is formed once: one pass per trial
+point gives the energy, the gradient and the unfloored lagged weights
+w |d|^{p-2} = w |d|^p / d^2, so no pair gets a second power.  The lagged
+weights are floored where differences degenerate, in a short pass over the
+kept blocks; the floor shrinks with the gradient residual (the IRLS rule).
 The gradient component at an interior cell equals the weak-form residual
 against that cell's indicator, so the stopping rule certifies the discrete
 Euler-Lagrange equations directly.
@@ -27,7 +29,7 @@ from .checks import CheckResult, EstimateReport
 from .exponents import ExponentField, ScalarExponent, conjugate_exponent, trace_exponent, validate_growth_pair
 from .lebesgue import GridFunction, luxemburg_norm
 from .mesh_kernel import KernelWeights, Mesh
-from .sobolev import (DirichletPair, _pair_powers, _ratio, _uniform, apply_operator, full_norm,
+from .sobolev import (DirichletPair, _pair_powers, _uniform, apply_operator, full_norm,
                       weak_form)
 
 
@@ -133,32 +135,57 @@ def initial_guess(prob: PoissonProblem) -> GridFunction:
     return GridFunction(prob.mesh, vals)
 
 
-def _row_block(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """a[rows], as a view when the (sorted) rows are contiguous."""
-    if rows[-1] - rows[0] + 1 == rows.size:
-        return a[rows[0]:rows[-1] + 1]
-    return a[rows]
+# pairs per row block of the interior solve: a block's scratch stays in cache
+_BLOCK_PAIRS = 1 << 15
+# d^2 is raised to at least this, so an exact tie d = 0 gives weight and flux 0, not 0/0
+_TINY = np.finfo(float).tiny
 
 
-def _lagged_weights(power: np.ndarray, diff: np.ndarray, floor: float, p) -> np.ndarray:
-    """max(|d|, floor)^{p-2} from power = |d|^p, without a second power pass.
+def _row_blocks(m: int, n: int):
+    """Row ranges [i0, i1) of m rows whose columns [i0, n) hold about
+    ``_BLOCK_PAIRS`` pairs (at least one row a block); rows left over with
+    fewer than half a block's pairs join the last block."""
+    i0 = 0
+    while i0 < m:
+        i1 = min(i0 + max(1, _BLOCK_PAIRS // (n - i0)), m)
+        if (m - i1) * (n - i1) < _BLOCK_PAIRS // 2:
+            i1 = m
+        yield i0, i1
+        i0 = i1
 
-    power / d^2 where |d| >= floor, floor^{p-2} on the rest (p a float or an
-    array shaped like diff).
-    """
-    out = diff * diff
-    small = out < floor * floor
-    np.maximum(out, floor * floor, out=out)
-    np.divide(power, out, out=out)
-    out[small] = floor ** (p - 2.0) if np.isscalar(p) else floor ** (p[small] - 2.0)
+
+def _runs(idx: np.ndarray) -> list[tuple[int, int, int]]:
+    """(offset, start, stop) of each run of consecutive integers in idx, so
+    that a[idx] is a[start:stop] of every run, placed at its offset."""
+    cut = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
+    return [(b0, int(idx[b0]), int(idx[b1 - 1]) + 1) for b0, b1 in zip([0] + cut, cut + [idx.size])]
+
+
+def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[rows][:, cols] into out, one slice copy per run of rows and run of columns."""
+    for r, r0, r1 in _runs(rows):
+        for c, c0, c1 in _runs(cols):
+            out[r:r + r1 - r0, c:c + c1 - c0] = a[r0:r1, c0:c1]
     return out
+
+
+def _floor_weights(k: np.ndarray, a: np.ndarray, w: np.ndarray, p, floor: float) -> None:
+    """k = w |d|^{p-2} (a = |d|) becomes w max(|d|, floor)^{p-2} in place.
+
+    Only the entries below the floor get a power of their own; p is a float
+    or an array shaped like k.
+    """
+    small = a < floor
+    k[small] = w[small] * floor ** ((p if np.isscalar(p) else p[small]) - 2.0)
 
 
 def _exterior_energy(W: KernelWeights, interior: np.ndarray, vals: np.ndarray,
                      dx: float, p) -> float:
     """Energy of the pairs and tails whose cells all sit at exterior data.
 
-    p is the uniform pair exponent as a float, or None when it varies.
+    p is the uniform pair exponent as a float, or None when it varies.  Away
+    from p = 2 the exterior pairs are summed once each, over their upper
+    triangle in row blocks.
     """
     g = np.where(interior, 0.0, vals)
     if p == 2.0:
@@ -168,11 +195,17 @@ def _exterior_energy(W: KernelWeights, interior: np.ndarray, vals: np.ndarray,
         pair = float((g * g) @ wg[:, 0] - g @ wg[:, 1])
         return pair + dx * float(W.tail @ (g * g))
     ext = np.flatnonzero(~interior)
-    block = np.ix_(ext, ext)
-    p_ext = W.p_pair[block] if p is None else p
-    diff = g[ext, None] - g[None, ext]
-    pair = float(np.vdot(W.w[block] / p_ext, np.abs(diff) ** p_ext))
-    return pair + 2.0 * dx * float(W.tail / W.p_bar @ np.abs(g) ** W.p_bar)
+    g_ext = g[ext]
+    pair = 0.0
+    for i0, i1 in _row_blocks(ext.size, ext.size):
+        shape = (i1 - i0, ext.size - i0)
+        p_block = p if p is not None else _gather(W.p_pair, ext[i0:i1], ext[i0:], np.empty(shape))
+        terms = _gather(W.w, ext[i0:i1], ext[i0:], np.empty(shape))
+        terms /= p_block
+        terms *= np.abs(g_ext[i0:i1, None] - g_ext[None, i0:]) ** p_block
+        # the block's own square repeats its pairs below the diagonal
+        pair += float(terms[:, i1 - i0:].sum()) + float(np.triu(terms[:, :i1 - i0]).sum())
+    return 2.0 * pair + 2.0 * dx * float(W.tail / W.p_bar @ np.abs(g) ** W.p_bar)
 
 
 def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
@@ -211,36 +244,74 @@ def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
 class _InteriorBlock:
     """The interior-row set-up of ``solve_poisson`` for one (mesh, weights).
 
-    Holds what every solve on this pair shares: the interior rows, the m x n
-    row blocks of the weights and exponents, the energy and model weights
-    derived from them, and the tail terms.  The exterior-exterior energy
-    depends on the datum only and is recomputed whenever a solve brings a
-    different g object.  For uniform p = 2 the block also holds the model
-    Hessian, the same matrix on every call; once the block is reused for a
-    second solve it factors that Hessian once and takes every later
-    direction by one application of the inverse instead of CG.  A one-off
-    solve never pays for the factor.
+    Columns are ordered [interior | exterior | tail]: the tail of interior
+    row i is one more column, of weight dx tail_i, exponent pbar_i and value
+    0, so the pair pass also covers the tail terms.  The m interior rows are
+    cut into blocks of about ``_BLOCK_PAIRS`` pairs, and the block of rows
+    [i0, i1) holds the columns from interior column i0 on.  So each
+    interior-interior pair lies in one block, once, above the diagonal (the
+    block's own square has weight 0 below its diagonal), and each
+    interior-exterior pair and each tail lies in one block.
+
+    Each block keeps, from ``__init__`` on: its weights, gathered and doubled
+    (2 w, since each pair enters the energy and the gradient twice), its
+    exponents when p varies, and, away from uniform p = 2, buffers for the
+    |d| and 2 w |d|^{p-2} of the last evaluated point.  The blocks share
+    scratch for d and one temporary.  The model pass reads only the kept
+    |d| and 2 w |d|^{p-2}: it floors them and writes the model Hessian's
+    upper blocks, then mirrors them.  The last evaluated point is always
+    the accepted one when a model is built, since a trial is either
+    accepted or followed by another trial.
+
+    The exterior-exterior energy depends on the datum only and is
+    recomputed whenever a solve brings a different g object.  For uniform
+    p = 2 the block also holds the model Hessian, the same matrix on every
+    call; once the block is reused for a second solve it factors that
+    Hessian once and takes every later direction by one application of the
+    inverse instead of CG.  A one-off solve never pays for the factor.
     """
 
     def __init__(self, mesh: Mesh, weights: KernelWeights):
         self.mesh, self.weights = mesh, weights
         interior = mesh.interior_mask
         self.rows = rows = np.flatnonzero(interior)
-        dx = mesh.cell_width
-        self.tail = tail = weights.tail[rows]
-        self.w_rows = w_rows = _row_block(weights.w, rows)
+        self.cols = cols = np.concatenate([rows, np.flatnonzero(~interior)])
+        m, n = rows.size, mesh.n_cells
+        self.m = m
         self.p_const = p_const = _uniform(weights.p_pair)
         self.quadratic = quadratic = p_const == 2.0
-        if p_const is None:
-            p_rows, p_bar = _row_block(weights.p_pair, rows), weights.p_bar[rows]
-        else:
-            p_rows = p_bar = p_const
-        self.p_rows, self.p_bar = p_rows, p_bar
-        # a pair with one exterior cell appears twice in the full double sum
-        self.w_energy = w_rows * np.where(interior, 1.0, 2.0) / p_rows
-        self.w_model = w_rows if quadratic else np.maximum(p_rows - 1.0, 1.0) * w_rows
-        self.tail_energy = 2.0 * dx * tail / p_bar
-        self.tail_model = np.maximum(p_bar - 1.0, 1.0) * tail
+        tail = mesh.cell_width * weights.tail[rows]
+        p_bar = weights.p_bar[rows]
+        spans = list(_row_blocks(m, n + 1))
+        shapes = [(i1 - i0, n + 1 - i0) for i0, i1 in spans]
+        sizes = [r * c for r, c in shapes]
+        kept = None if quadratic else np.empty((2, sum(sizes)))
+        scratch = np.empty((2, max(sizes)))
+        ones = np.ones(n + 1)
+        self._values = vc = np.zeros(n + 1)  # the field in column order; the tail column's 0 stays
+        self._x = vc[:m]
+        self.blocks = []
+        offset = 0
+        for (i0, i1), shape, size in zip(spans, shapes, sizes):
+            w = np.empty(shape)
+            _gather(weights.w, rows[i0:i1], cols[i0:], w[:, :-1])
+            w[:, -1] = tail[i0:i1]
+            w *= 2.0
+            # the square's pairs below its diagonal are the ones above it
+            w[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = 0.0
+            p = p_const
+            if p_const is None:
+                p = _gather(weights.p_pair, rows[i0:i1], cols[i0:], np.empty(shape))
+                p[:, -1] = p_bar[i0:i1]
+            a, k = (None, None) if kept is None else (
+                buf[offset:offset + size].reshape(shape) for buf in kept)
+            d, t = (buf[:size].reshape(shape) for buf in scratch)
+            # with the views the pass reads: row and column values, the block's
+            # interior columns of t, and ones for its row and column sums
+            self.blocks.append((i0, i1, w, p, a, k, d, t, vc[i0:i1, None], vc[None, i0:],
+                                t[:, :m - i0], ones[:shape[1]], ones[:shape[0]]))
+            offset += size
+        self._model = None if quadratic else np.empty((m, m))
         self._g = None          # the datum whose exterior energy is cached
         self._e_fixed = 0.0
         self._hessian = None    # quadratic model Hessian, built on first use
@@ -254,16 +325,81 @@ class _InteriorBlock:
             self._g = g
         return self._e_fixed
 
+    def _pass(self, v: np.ndarray, source: np.ndarray) -> tuple[float, np.ndarray]:
+        """Energy without the exterior-exterior pairs, and gradient, at the field v.
+
+        One pass over each block forms d and |d|^p once and sums the energy,
+        the gradient's row sums minus its antisymmetric column sums, and away
+        from uniform p = 2 keeps |d| and w |d|^{p-2} = w |d|^p / d^2.
+        """
+        quadratic, variable = self.quadratic, self.p_const is None
+        self._values[:-1] = v[self.cols]
+        flux = np.zeros(self.m)
+        total = 0.0
+        for i0, i1, w, p, a, k, d, t, x, y, core, ones_c, ones_r in self.blocks:
+            np.subtract(x, y, out=d)
+            if quadratic:
+                np.multiply(d, w, out=t)
+                total += np.vdot(t, d)
+            else:
+                np.abs(d, out=a)
+                np.power(a, p, out=k)
+                if variable:
+                    total += np.vdot(w, np.divide(k, p, out=t))
+                else:
+                    total += np.vdot(w, k)
+                np.multiply(d, d, out=t)
+                np.maximum(t, _TINY, out=t)
+                np.divide(k, t, out=k)
+                k *= w
+                np.multiply(k, d, out=t)
+            flux[i0:i1] += t @ ones_c
+            flux[i0:] -= ones_r @ core
+        flux -= source
+        energy = float(total) if variable else float(total) / self.p_const
+        return energy - float(source @ self._x), flux
+
+    def _hessian_of(self, weights, scale: float, out: np.ndarray) -> np.ndarray:
+        """scale (diag(row sums) - core) into out, for pair weights laid out
+        as the blocks: the upper blocks are written and mirrored."""
+        m = self.m
+        degree = np.zeros(m)
+        for (i0, i1, *_), k in zip(self.blocks, weights):
+            core = k[:, :m - i0]
+            np.multiply(core, -scale, out=out[i0:i1, i0:])
+            out[i1:, i0:i1] = out[i0:i1, i1:].T
+            square = out[i0:i1, i0:i1]
+            square += square.T
+            degree[i0:i1] += k.sum(axis=1)
+            degree[i0:] += core.sum(axis=0)
+        np.fill_diagonal(out, scale * degree)
+        return out
+
     def _quadratic_hessian(self) -> np.ndarray:
         """2 (diag(row sums + dx tail) - core): the p = 2 Hessian, and the
         model of any energy at a constant field."""
         if self._hessian is None:
-            hess = self.w_rows[:, self.rows]
-            hess *= -2.0
-            hess[np.diag_indices_from(hess)] += 2.0 * (self.w_rows.sum(axis=1)
-                                                       + self.mesh.cell_width * self.tail)
-            self._hessian = hess
+            self._hessian = self._hessian_of([w for _, _, w, *_ in self.blocks], 1.0,
+                                             np.empty((self.m, self.m)))
         return self._hessian
+
+    def _model_hessian(self, floor_pair: float, floor_tail: float) -> np.ndarray:
+        """The lagged model's Hessian at the last evaluated point: its kept
+        w |d|^{p-2} floored to w max(|d|, floor)^{p-2} (the tail column with
+        its own floor) and scaled by max(p-1, 1)."""
+        variable = self.p_const is None
+        kept = []
+        for _, _, w, p, a, k, _, t, *_ in self.blocks:
+            _floor_weights(k, a, w, p, floor_pair)
+            # the tail column's floor is the larger one: one power per row
+            p_tail = p[:, -1] if variable else p
+            k[:, -1] = w[:, -1] * np.maximum(a[:, -1], floor_tail) ** (p_tail - 2.0)
+            if variable:
+                np.subtract(p, 1.0, out=t)
+                k *= np.maximum(t, 1.0, out=t)
+            kept.append(k)
+        scale = 1.0 if variable else max(self.p_const - 1.0, 1.0)
+        return self._hessian_of(kept, scale, self._model)
 
     def _factor_direction(self, grad: np.ndarray) -> np.ndarray:
         if self._inverse is None:
@@ -284,36 +420,16 @@ class _InteriorBlock:
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite initial field")
 
-        dx = mesh.cell_width
-        h_int = prob.h.values[rows]
-        tail, w_rows, p_rows, p_bar = self.tail, self.w_rows, self.p_rows, self.p_bar
-        w_energy, w_model = self.w_energy, self.w_model
-        tail_energy, tail_model = self.tail_energy, self.tail_model
+        source = mesh.cell_width * prob.h.values[rows]
         e_fixed = self._exterior_energy(prob.g)
 
         def evaluate(v):
-            x = v[rows]
-            diff = x[:, None] - v[None, :]
-            if quadratic:
-                power, tail_power = diff * diff, x * x
-            else:
-                power, tail_power = np.abs(diff) ** p_rows, np.abs(x) ** p_bar
-            e = (float(np.vdot(w_energy, power)) + float(tail_energy @ tail_power)
-                 - dx * float(h_int @ x) + e_fixed)
-            return e, (x, diff, power, tail_power)
+            e, grad = self._pass(v, source)
+            return e + e_fixed, grad
 
-        def gradient_of(point):
-            x, diff, power, tail_power = point
-            if quadratic:
-                flux, tail_flux = diff, x
-            else:
-                flux, tail_flux = _ratio(power, diff), _ratio(tail_power, x)
-            return 2.0 * np.einsum("ij,ij->i", w_rows, flux) + 2.0 * dx * tail * tail_flux - dx * h_int
-
-        def model_direction(v, point, grad, floor_rel, rtol):
+        def model_direction(v, grad, floor_rel, rtol):
             if factored:
                 return self._factor_direction(grad), 0
-            x, diff, power, tail_power = point
             dmax = float(v.max() - v.min())
             scale = max(float(np.abs(v).max()), dmax)
             if quadratic or scale == 0.0 or dmax == 0.0:
@@ -321,20 +437,12 @@ class _InteriorBlock:
                 return _pcg(self._quadratic_hessian(), -grad, rtol)
             floor_pair = max(1e-13 * scale, floor_rel * dmax)
             floor_tail = max(1e-13 * scale, floor_rel * scale)
-            # the accepted point's |d|^p gives the lagged weights: no second power pass
-            om = _lagged_weights(power, diff, floor_pair, p_rows)
-            om *= w_model
-            tau = tail_model * _lagged_weights(tail_power, x, floor_tail, p_bar)
-            # model Hessian on the interior unknowns: 2 (diag(row sums + dx tau) - core)
-            hess = om[:, rows]
-            hess *= -2.0
-            hess[np.diag_indices_from(hess)] += 2.0 * (om.sum(axis=1) + dx * tau)
-            return _pcg(hess, -grad, rtol)
+            # the last evaluated point is the accepted one: its kept blocks give the weights
+            return _pcg(self._model_hessian(floor_pair, floor_tail), -grad, rtol)
 
-        e_now, point = evaluate(vals)
+        e_now, grad = evaluate(vals)
         if not np.isfinite(e_now):
             raise ValueError("non-finite energy at the initial field")
-        grad = gradient_of(point)
         residual = first_residual = float(np.max(np.abs(grad)))
         history = [e_now]
         converged = False
@@ -355,7 +463,7 @@ class _InteriorBlock:
                 rtol = 1e-2
             else:
                 rtol = min(1e-2, 0.9 * (residual / prev_residual) ** 2)
-            d, n_cg = model_direction(vals, point, grad, floor_rel, rtol)
+            d, n_cg = model_direction(vals, grad, floor_rel, rtol)
             cg_total += n_cg
             cap = 10.0 * (1.0 + float(np.abs(vals).max()))
             dn = float(np.abs(d).max())
@@ -370,19 +478,16 @@ class _InteriorBlock:
             while alpha >= _MIN_STEP:
                 trial = vals.copy()
                 trial[rows] += alpha * d
-                e_trial, trial_point = evaluate(trial)
+                e_trial, trial_grad = evaluate(trial)
                 if np.isfinite(e_trial) and e_trial <= e_now + 1e-4 * alpha * slope + guard * (1.0 + abs(e_now)):
-                    trial_grad = None
                     if e_trial >= e_now - guard * (1.0 + abs(e_now)):
                         # energy change below fp resolution: demand residual progress
-                        trial_grad = gradient_of(trial_point)
                         accepted = float(np.max(np.abs(trial_grad))) < residual * (1.0 - 1e-3)
                     else:
                         accepted = True
                     if accepted:
-                        vals, point = trial, trial_point
+                        vals, grad = trial, trial_grad
                         e_now = min(e_trial, e_now)
-                        grad = gradient_of(point) if trial_grad is None else trial_grad
                         break
                 alpha *= 0.5
                 backtracks += 1
@@ -413,16 +518,21 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
     """Minimize the energy over the interior unknowns.
 
     Pairs with both cells outside Omega never change, so every pass works on
-    the m x n block of interior rows (m interior cells): the energy is the
-    block sum with exterior columns counted twice, plus the exterior-exterior
-    energy.  Each trial point costs one power pass |d|^p; the gradient at an
-    accepted point follows from it as |d|^p / d and is carried into the next
-    iteration.
+    the m interior rows (m interior cells), in row blocks of about
+    ``_BLOCK_PAIRS`` pairs that hold each interior-interior pair once, above
+    the diagonal, each interior-exterior pair once and each row's tail as
+    one more column.  The energy is the blocks' sum plus the
+    exterior-exterior energy.  Each trial point costs one pass over the
+    blocks: it forms d and |d|^p once per pair and adds up the energy, the
+    gradient (row sums minus the antisymmetric column sums of the fluxes
+    w |d|^p / d) and the lagged weights w |d|^p / d^2, which the block keeps
+    with |d| for the model.
 
     Each iteration builds the weighted-graph-Laplacian model of the energy
-    with lagged pair weights max(p-1,1) w max(|u_i-u_j|, floor)^{p-2}, taken
-    from the accepted point's power as |d|^p / d^2 (only pairs below the floor
-    get a power of their own), and the tail terms likewise.  The floor is
+    with lagged pair weights max(p-1,1) w max(|u_i-u_j|, floor)^{p-2}: a
+    second, short pass over the kept blocks floors them (only pairs below
+    the floor get a power of their own, and each tail one), then writes the
+    model Hessian's upper blocks and mirrors them.  The floor is
     floor_rel times the field's spread (for the tails, the larger of its sup
     and its spread).  floor_rel starts at 0.3 and after each accepted step
     becomes max(min(floor_rel / 2, 0.3 r_k / r_0), 1e-14), with r_k the

@@ -188,6 +188,21 @@ class TestRun:
             in capsys.readouterr().err
         assert not (out / "report").exists()
 
+    @pytest.mark.parametrize("section", ("fixedpoint", "tolerances"))
+    @pytest.mark.parametrize("value", (5, [200]))
+    def test_section_must_be_object(self, tmp_path, capsys, section, value):
+        cfg = minimal_poisson_config()
+        cfg["nonlinearity"] = {
+            "kind": "arctan",
+            "params": {"eps": 0.05, "a": {"kind": "constant", "params": {"value": 0.3}}},
+        }
+        cfg[section] = value
+        code, out = run_cli(tmp_path, "semilinear", cfg)
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: invalid config:\n  - {section}: expected an object\n"
+        assert not (out / "report").exists()
+
     def test_stiff_semilinear_exits_two(self, tmp_path):
         cfg = minimal_poisson_config()
         del cfg["data"]["h"]
