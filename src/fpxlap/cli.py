@@ -119,10 +119,12 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
     if cfg_mode not in ("validate", "verify", None):
         if "order" in sections and "s" not in sections["order"]:
             errors.append("order.s missing")
-    for sec in ("fixedpoint", "tolerances"):
-        v = sections.get(sec, {}).get("max_iter", 1)
+    counts = [("mesh", "n_cells"), ("fixedpoint", "max_iter"), ("tolerances", "max_iter"),
+              ("decompose", "shells")] + [("checks", k) for k in _SCHEMA["checks"]]
+    for sec, k in counts:
+        v = sections.get(sec, {}).get(k, 1)
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            errors.append(f"{sec}.max_iter must be a positive integer")
+            errors.append(f"{sec}.{k} must be a positive integer")
     for k, v in sections.get("tolerances", {}).items():
         if k != "max_iter" and not (isinstance(v, (int, float)) and v > 0):
             errors.append(f"tolerances.{k} must be positive")

@@ -9,11 +9,13 @@ A=[a1,a2], B=[b1,b2] and alpha = 1+s*p the double integral is
 
 which remains finite for adjacent cells exactly when alpha < 2, i.e.
 s*p < 1.  The weights are filled in blocks of rows over the upper triangle
-(about 2^16 pairs a block, so no n x n temporaries) and the lower triangle
+(about 2^15 pairs a block, so no n x n temporaries) and the lower triangle
 is its mirror; a constant exponent is kept as one read-only zero-stride
-array.  The per-cell tail is the one-sided exterior integral
-int_{|y|>R} |x_i-y|^(-(1+s*pbar(x_i))) dy; callers weight it by the cell
-measure when it enters a double-integral quantity.
+array.  ``_row_blocks`` is the package's one row-block partition, which
+the Poisson solve's pair pass also uses.  The per-cell tail is the
+one-sided exterior integral int_{|y|>R} |x_i-y|^(-(1+s*pbar(x_i))) dy;
+callers weight it by the cell measure when it enters a double-integral
+quantity.
 """
 
 from __future__ import annotations
@@ -110,8 +112,21 @@ def restrict_interior(mesh: Mesh, interior_mask: np.ndarray) -> Mesh:
     return replace(mesh, interior_mask=mask, omega=mesh.omega)
 
 
-# pairs per block of rows in ``assemble_weights``
-_BLOCK_PAIRS = 1 << 16
+# pairs per block of rows over an upper triangle: a block's scratch stays in cache
+_BLOCK_PAIRS = 1 << 15
+
+
+def _row_blocks(m: int, n: int):
+    """Row ranges [i0, i1) of m rows, where row i holds the columns [i, n),
+    of about ``_BLOCK_PAIRS`` pairs each (at least one row a block); rows
+    left over with fewer than half a block's pairs join the last block."""
+    i0 = 0
+    while i0 < m:
+        i1 = min(i0 + max(1, _BLOCK_PAIRS // (n - i0)), m)
+        if (m - i1) * (n - i1) < _BLOCK_PAIRS // 2:
+            i1 = m
+        yield i0, i1
+        i0 = i1
 
 
 def _phi(out: np.ndarray, t_rows: np.ndarray, t_cols: np.ndarray,
@@ -147,15 +162,15 @@ class KernelWeights:
 def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     """Exact pair weights and exterior tails for the frozen-exponent kernel.
 
-    ``w`` is filled one block of rows at a time: the block of rows
-    [i0, i1) covers the columns [i0, n), about ``_BLOCK_PAIRS`` pairs, and
-    its alpha, 2 - alpha and (1 - alpha)(2 - alpha) are formed once into
-    preallocated buffers shared by the four phi terms.  The lower triangle
-    is copied in as the transpose, so ``w`` is exactly symmetric; with the
-    grouping (phi(r-l) + phi(l-r)) - (phi(r-r) + phi(l-l)) every weight of
-    an exactly symmetric exponent equals the full-matrix formula bit for
-    bit.  A constant sampled exponent is stored as a read-only
-    ``np.broadcast_to`` of its value.
+    ``w`` is filled one block of rows of ``_row_blocks(n, n)`` at a time:
+    the block of rows [i0, i1) covers the columns [i0, n), and its alpha,
+    2 - alpha and (1 - alpha)(2 - alpha) are formed once into preallocated
+    buffers shared by the four phi terms.  The lower triangle is copied in
+    as the transpose, so ``w`` is exactly symmetric; with the grouping
+    (phi(r-l) + phi(l-r)) - (phi(r-r) + phi(l-l)) every weight of an
+    exactly symmetric exponent equals the full-matrix formula bit for bit.
+    A constant sampled exponent is stored as a read-only ``np.broadcast_to``
+    of its value.
 
     Rejects configurations with s*p >= 1 on adjacent cell pairs, where the
     adjacent improper integral diverges for piecewise constants.
@@ -177,13 +192,11 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     left = centers - half
     right = centers + half
     w = np.empty((n, n))
-    buffers = np.empty((5, max(_BLOCK_PAIRS, n)))
+    spans = list(_row_blocks(n, n))
+    buffers = np.empty((5, max((i1 - i0) * (n - i0) for i0, i1 in spans)))
     w_min = w_max = 0.0
-    i0 = 0
-    while i0 < n:
-        cols = n - i0
-        rows = max(1, min(_BLOCK_PAIRS // cols, cols))
-        i1 = i0 + rows
+    for i0, i1 in spans:
+        rows, cols = i1 - i0, n - i0
         alpha, two_m, denom, far, near = (buf[:rows * cols].reshape(rows, cols) for buf in buffers)
         np.multiply(p_pair[i0:i1, i0:], p.s, out=alpha)
         alpha += 1.0
@@ -207,7 +220,6 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
         w_min, w_max = min(w_min, float(far.min())), max(w_max, float(far.max()))
         w[i0:i1, i0:] = far
         w[i1:, i0:i1] = far[:, rows:].T
-        i0 = i1
     if w_min < 0.0:
         # exact integrals of a positive kernel; allow only fp dust
         if w_min < -1e-12 * max(w_max, 1.0):

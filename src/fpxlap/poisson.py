@@ -10,9 +10,11 @@ strictly convex in the interior unknowns, minimized by damped lagged-weight
 linearization with Armijo backtracking.  The solver works in row blocks
 over the interior rows, where each pair is formed once: one pass per trial
 point gives the energy, the gradient and the unfloored lagged weights
-w |d|^{p-2} = w |d|^p / d^2, so no pair gets a second power.  The lagged
-weights are floored where differences degenerate, in a short pass over the
-kept blocks; the floor shrinks with the gradient residual (the IRLS rule).
+w |d|^{p-2} = w |d|^p / d^2, so no pair gets a second power.  The pairs
+between exterior cells go through the same pass once per datum, in row
+blocks of the exterior rows.  The lagged weights are floored where
+differences degenerate, in a short pass over the kept blocks; the floor
+shrinks with the gradient residual (the IRLS rule).
 The gradient component at an interior cell equals the weak-form residual
 against that cell's indicator, so the stopping rule certifies the discrete
 Euler-Lagrange equations directly.
@@ -28,7 +30,7 @@ import numpy as np
 from .checks import CheckResult, EstimateReport
 from .exponents import ExponentField, ScalarExponent, conjugate_exponent, trace_exponent, validate_growth_pair
 from .lebesgue import GridFunction, luxemburg_norm
-from .mesh_kernel import KernelWeights, Mesh
+from .mesh_kernel import KernelWeights, Mesh, _row_blocks
 from .sobolev import (DirichletPair, _pair_powers, _uniform, apply_operator, full_norm,
                       weak_form)
 
@@ -135,38 +137,8 @@ def initial_guess(prob: PoissonProblem) -> GridFunction:
     return GridFunction(prob.mesh, vals)
 
 
-# pairs per row block of the interior solve: a block's scratch stays in cache
-_BLOCK_PAIRS = 1 << 15
 # d^2 is raised to at least this, so an exact tie d = 0 gives weight and flux 0, not 0/0
 _TINY = np.finfo(float).tiny
-
-
-def _row_blocks(m: int, n: int):
-    """Row ranges [i0, i1) of m rows whose columns [i0, n) hold about
-    ``_BLOCK_PAIRS`` pairs (at least one row a block); rows left over with
-    fewer than half a block's pairs join the last block."""
-    i0 = 0
-    while i0 < m:
-        i1 = min(i0 + max(1, _BLOCK_PAIRS // (n - i0)), m)
-        if (m - i1) * (n - i1) < _BLOCK_PAIRS // 2:
-            i1 = m
-        yield i0, i1
-        i0 = i1
-
-
-def _runs(idx: np.ndarray) -> list[tuple[int, int, int]]:
-    """(offset, start, stop) of each run of consecutive integers in idx, so
-    that a[idx] is a[start:stop] of every run, placed at its offset."""
-    cut = (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
-    return [(b0, int(idx[b0]), int(idx[b1 - 1]) + 1) for b0, b1 in zip([0] + cut, cut + [idx.size])]
-
-
-def _gather(a: np.ndarray, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a[rows][:, cols] into out, one slice copy per run of rows and run of columns."""
-    for r, r0, r1 in _runs(rows):
-        for c, c0, c1 in _runs(cols):
-            out[r:r + r1 - r0, c:c + c1 - c0] = a[r0:r1, c0:c1]
-    return out
 
 
 def _floor_weights(k: np.ndarray, a: np.ndarray, w: np.ndarray, p, floor: float) -> None:
@@ -177,35 +149,6 @@ def _floor_weights(k: np.ndarray, a: np.ndarray, w: np.ndarray, p, floor: float)
     """
     small = a < floor
     k[small] = w[small] * floor ** ((p if np.isscalar(p) else p[small]) - 2.0)
-
-
-def _exterior_energy(W: KernelWeights, interior: np.ndarray, vals: np.ndarray,
-                     dx: float, p) -> float:
-    """Energy of the pairs and tails whose cells all sit at exterior data.
-
-    p is the uniform pair exponent as a float, or None when it varies.  Away
-    from p = 2 the exterior pairs are summed once each, over their upper
-    triangle in row blocks.
-    """
-    g = np.where(interior, 0.0, vals)
-    if p == 2.0:
-        # with g = 0 inside, sum_{i,j ext} w_ij (g_i-g_j)^2 / 2
-        # = g^2 . (w 1_ext) - g . w g: one pass over w and no block gather
-        wg = W.w @ np.column_stack([~interior, g])
-        pair = float((g * g) @ wg[:, 0] - g @ wg[:, 1])
-        return pair + dx * float(W.tail @ (g * g))
-    ext = np.flatnonzero(~interior)
-    g_ext = g[ext]
-    pair = 0.0
-    for i0, i1 in _row_blocks(ext.size, ext.size):
-        shape = (i1 - i0, ext.size - i0)
-        p_block = p if p is not None else _gather(W.p_pair, ext[i0:i1], ext[i0:], np.empty(shape))
-        terms = _gather(W.w, ext[i0:i1], ext[i0:], np.empty(shape))
-        terms /= p_block
-        terms *= np.abs(g_ext[i0:i1, None] - g_ext[None, i0:]) ** p_block
-        # the block's own square repeats its pairs below the diagonal
-        pair += float(terms[:, i1 - i0:].sum()) + float(np.triu(terms[:, :i1 - i0]).sum())
-    return 2.0 * pair + 2.0 * dx * float(W.tail / W.p_bar @ np.abs(g) ** W.p_bar)
 
 
 def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
@@ -242,33 +185,37 @@ def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
 
 
 class _InteriorBlock:
-    """The interior-row set-up of ``solve_poisson`` for one (mesh, weights).
+    """The row-block set-up of ``solve_poisson`` for one (mesh, weights).
 
-    Columns are ordered [interior | exterior | tail]: the tail of interior
-    row i is one more column, of weight dx tail_i, exponent pbar_i and value
-    0, so the pair pass also covers the tail terms.  The m interior rows are
-    cut into blocks of about ``_BLOCK_PAIRS`` pairs, and the block of rows
-    [i0, i1) holds the columns from interior column i0 on.  So each
-    interior-interior pair lies in one block, once, above the diagonal (the
-    block's own square has weight 0 below its diagonal), and each
-    interior-exterior pair and each tail lies in one block.
+    Columns are ordered [interior | exterior | tail]: the tail of row i is
+    one more column, of weight dx tail_i, exponent pbar_i and value 0, so the
+    pair pass also covers the tail terms.  In this order row i holds the
+    columns from column i on, so each pair lies above the diagonal once.
+    The m interior rows are cut into blocks by ``_row_blocks``, and so are
+    the exterior rows on their own: an exterior row holds the exterior
+    columns from its own on and its tail.  Each block of rows [i0, i1)
+    holds the columns from i0 on, and its own square has weight 0 below its
+    diagonal.  So each pair and each tail lies in one block, once.
 
-    Each block keeps, from ``__init__`` on: its weights, gathered and doubled
-    (2 w, since each pair enters the energy and the gradient twice), its
-    exponents when p varies, and, away from uniform p = 2, buffers for the
-    |d| and 2 w |d|^{p-2} of the last evaluated point.  The blocks share
-    scratch for d and one temporary.  The model pass reads only the kept
-    |d| and 2 w |d|^{p-2}: it floors them and writes the model Hessian's
-    upper blocks, then mirrors them.  The last evaluated point is always
-    the accepted one when a model is built, since a trial is either
-    accepted or followed by another trial.
+    Each block keeps, from ``__init__`` on, its weights, gathered and
+    doubled (2 w, since each pair enters the energy and the gradient twice),
+    and its exponents when p varies.  Away from uniform p = 2 each interior
+    block also keeps buffers for the |d| and 2 w |d|^{p-2} of the last
+    evaluated point.  All blocks share scratch for d and one temporary, and
+    the exterior blocks take their |d| and 2 w |d|^{p-2} from scratch too.
+    The model pass reads only the interior blocks' kept |d| and
+    2 w |d|^{p-2}: it floors them and writes the model Hessian's upper
+    blocks, then mirrors them.  The last evaluated point is always the
+    accepted one when a model is built, since a trial is either accepted or
+    followed by another trial.
 
-    The exterior-exterior energy depends on the datum only and is
-    recomputed whenever a solve brings a different g object.  For uniform
-    p = 2 the block also holds the model Hessian, the same matrix on every
-    call; once the block is reused for a second solve it factors that
-    Hessian once and takes every later direction by one application of the
-    inverse instead of CG.  A one-off solve never pays for the factor.
+    The exterior blocks depend on the datum only: the same pass runs over
+    them at v = g whenever a solve brings a different g object, and their
+    energy is kept.  For uniform p = 2 the block also holds the model
+    Hessian, the same matrix on every call; once the block is reused for a
+    second solve it factors that Hessian once and takes every later
+    direction by one application of the inverse instead of CG.  A one-off
+    solve never pays for the factor.
     """
 
     def __init__(self, mesh: Mesh, weights: KernelWeights):
@@ -280,63 +227,68 @@ class _InteriorBlock:
         self.m = m
         self.p_const = p_const = _uniform(weights.p_pair)
         self.quadratic = quadratic = p_const == 2.0
-        tail = mesh.cell_width * weights.tail[rows]
-        p_bar = weights.p_bar[rows]
-        spans = list(_row_blocks(m, n + 1))
-        shapes = [(i1 - i0, n + 1 - i0) for i0, i1 in spans]
+        tail = mesh.cell_width * weights.tail[cols]
+        p_bar = weights.p_bar[cols]
+        # the interior rows [0, m), then the exterior rows [m, n), in column order
+        spans = [(r0, r1, r0 + i0, r0 + i1) for r0, r1 in ((0, m), (m, n))
+                 for i0, i1 in _row_blocks(r1 - r0, n + 1 - r0)]
+        shapes = [(i1 - i0, n + 1 - i0) for _, _, i0, i1 in spans]
         sizes = [r * c for r, c in shapes]
-        kept = None if quadratic else np.empty((2, sum(sizes)))
-        scratch = np.empty((2, max(sizes)))
+        scratch = np.empty((3, max(sizes)))
         ones = np.ones(n + 1)
         self._values = vc = np.zeros(n + 1)  # the field in column order; the tail column's 0 stays
-        self._x = vc[:m]
-        self.blocks = []
-        offset = 0
-        for (i0, i1), shape, size in zip(spans, shapes, sizes):
+        self.blocks, self._exterior = [], []
+        for (r0, r1, i0, i1), shape, size in zip(spans, shapes, sizes):
             w = np.empty(shape)
-            _gather(weights.w, rows[i0:i1], cols[i0:], w[:, :-1])
+            w[:, :-1] = weights.w[cols[i0:i1]][:, cols[i0:]]
             w[:, -1] = tail[i0:i1]
             w *= 2.0
             # the square's pairs below its diagonal are the ones above it
             w[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = 0.0
             p = p_const
             if p_const is None:
-                p = _gather(weights.p_pair, rows[i0:i1], cols[i0:], np.empty(shape))
+                p = np.empty(shape)
+                p[:, :-1] = weights.p_pair[cols[i0:i1]][:, cols[i0:]]
                 p[:, -1] = p_bar[i0:i1]
-            a, k = (None, None) if kept is None else (
-                buf[offset:offset + size].reshape(shape) for buf in kept)
-            d, t = (buf[:size].reshape(shape) for buf in scratch)
-            # with the views the pass reads: row and column values, the block's
-            # interior columns of t, and ones for its row and column sums
-            self.blocks.append((i0, i1, w, p, a, k, d, t, vc[i0:i1, None], vc[None, i0:],
-                                t[:, :m - i0], ones[:shape[1]], ones[:shape[0]]))
-            offset += size
+            d, t, free = (buf[:size].reshape(shape) for buf in scratch)
+            # the exterior rows keep nothing: their |d| and 2 w |d|^{p-2} share scratch
+            a = k = None if quadratic else free
+            if r0 == 0 and not quadratic:
+                a, k = np.empty((2,) + shape)
+            # with the views the pass reads: row and column values, the columns
+            # of t whose cells are rows of the same kind, and ones for the sums;
+            # the flux of the rows is indexed from the first row of their kind
+            (self._exterior if r0 else self.blocks).append(
+                (i0 - r0, i1 - r0, w, p, a, k, d, t, vc[i0:i1, None], vc[None, i0:],
+                 t[:, :r1 - i0], ones[:shape[1]], ones[:shape[0]]))
         self._model = None if quadratic else np.empty((m, m))
-        self._g = None          # the datum whose exterior energy is cached
+        self._g = None          # the datum whose exterior energy is kept
         self._e_fixed = 0.0
         self._hessian = None    # quadratic model Hessian, built on first use
         self._inverse = None    # its inverse (p = 2), built on first reuse
         self._solves = 0
 
     def _exterior_energy(self, g: GridFunction) -> float:
+        """Energy of the pairs and tails whose cells are all exterior, at g."""
         if g is not self._g:
-            self._e_fixed = _exterior_energy(self.weights, self.mesh.interior_mask, g.values,
-                                             self.mesh.cell_width, self.p_const)
+            flux = np.zeros(self.mesh.n_cells - self.m)  # the exterior rows' flux is not used
+            self._e_fixed = self._pass(g.values, self._exterior, flux)
             self._g = g
         return self._e_fixed
 
-    def _pass(self, v: np.ndarray, source: np.ndarray) -> tuple[float, np.ndarray]:
-        """Energy without the exterior-exterior pairs, and gradient, at the field v.
+    def _pass(self, v: np.ndarray, blocks: list, flux: np.ndarray) -> float:
+        """Energy of the blocks' pairs and tails at the field v; their gradient
+        is added into flux, indexed like the blocks' rows.
 
         One pass over each block forms d and |d|^p once and sums the energy,
         the gradient's row sums minus its antisymmetric column sums, and away
-        from uniform p = 2 keeps |d| and w |d|^{p-2} = w |d|^p / d^2.
+        from uniform p = 2 leaves |d| and w |d|^{p-2} = w |d|^p / d^2 in the
+        block's buffers.
         """
         quadratic, variable = self.quadratic, self.p_const is None
         self._values[:-1] = v[self.cols]
-        flux = np.zeros(self.m)
         total = 0.0
-        for i0, i1, w, p, a, k, d, t, x, y, core, ones_c, ones_r in self.blocks:
+        for i0, i1, w, p, a, k, d, t, x, y, core, ones_c, ones_r in blocks:
             np.subtract(x, y, out=d)
             if quadratic:
                 np.multiply(d, w, out=t)
@@ -355,9 +307,7 @@ class _InteriorBlock:
                 np.multiply(k, d, out=t)
             flux[i0:i1] += t @ ones_c
             flux[i0:] -= ones_r @ core
-        flux -= source
-        energy = float(total) if variable else float(total) / self.p_const
-        return energy - float(source @ self._x), flux
+        return float(total) if variable else float(total) / self.p_const
 
     def _hessian_of(self, weights, scale: float, out: np.ndarray) -> np.ndarray:
         """scale (diag(row sums) - core) into out, for pair weights laid out
@@ -424,7 +374,9 @@ class _InteriorBlock:
         e_fixed = self._exterior_energy(prob.g)
 
         def evaluate(v):
-            e, grad = self._pass(v, source)
+            grad = np.zeros(self.m)
+            e = self._pass(v, self.blocks, grad) - float(source @ v[rows])
+            grad -= source
             return e + e_fixed, grad
 
         def model_direction(v, grad, floor_rel, rtol):
@@ -518,15 +470,16 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
     """Minimize the energy over the interior unknowns.
 
     Pairs with both cells outside Omega never change, so every pass works on
-    the m interior rows (m interior cells), in row blocks of about
-    ``_BLOCK_PAIRS`` pairs that hold each interior-interior pair once, above
-    the diagonal, each interior-exterior pair once and each row's tail as
-    one more column.  The energy is the blocks' sum plus the
-    exterior-exterior energy.  Each trial point costs one pass over the
-    blocks: it forms d and |d|^p once per pair and adds up the energy, the
-    gradient (row sums minus the antisymmetric column sums of the fluxes
-    w |d|^p / d) and the lagged weights w |d|^p / d^2, which the block keeps
-    with |d| for the model.
+    the m interior rows (m interior cells), in the row blocks of
+    ``mesh_kernel._row_blocks`` that hold each interior-interior pair once,
+    above the diagonal, each interior-exterior pair once and each row's tail
+    as one more column.  The energy is the blocks' sum plus the
+    exterior-exterior energy, which the same pass gives once per datum over
+    row blocks of the exterior rows.  Each trial point costs one pass over
+    the interior blocks: it forms d and |d|^p once per pair and adds up the
+    energy, the gradient (row sums minus the antisymmetric column sums of
+    the fluxes w |d|^p / d) and the lagged weights w |d|^p / d^2, which the
+    block keeps with |d| for the model.
 
     Each iteration builds the weighted-graph-Laplacian model of the energy
     with lagged pair weights max(p-1,1) w max(|u_i-u_j|, floor)^{p-2}: a

@@ -188,6 +188,29 @@ class TestRun:
             in capsys.readouterr().err
         assert not (out / "report").exists()
 
+    @pytest.mark.parametrize("mode,section,key", (
+        ("poisson", "mesh", "n_cells"), ("decompose", "decompose", "shells"),
+        ("verify", "checks", "norm_modular"), ("verify", "checks", "holder"),
+        ("verify", "checks", "cara"), ("verify", "checks", "edm")))
+    @pytest.mark.parametrize("value", (0, -5, 96.9, True))
+    def test_counts_must_be_positive_integers(self, tmp_path, capsys, mode, section, key, value):
+        if mode == "verify":
+            cfg = {"mesh": {"R": 2.0, "n_cells": 64}, "omega": {"intervals": [[-1.0, 1.0]]},
+                   "checks": {"norm_modular": 10}}
+        else:
+            cfg = minimal_poisson_config()
+            cfg["nonlinearity"] = {
+                "kind": "arctan",
+                "params": {"eps": 0.05, "a": {"kind": "constant", "params": {"value": 0.3}}},
+            }
+            cfg["decompose"] = {"shells": 3}
+        cfg[section][key] = value
+        code, out = run_cli(tmp_path, mode, cfg)
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: invalid config:\n  - {section}.{key} must be a positive integer\n"
+        assert not (out / "report").exists()
+
     @pytest.mark.parametrize("section", ("fixedpoint", "tolerances"))
     @pytest.mark.parametrize("value", (5, [200]))
     def test_section_must_be_object(self, tmp_path, capsys, section, value):

@@ -131,7 +131,7 @@ def _assert_matches_reference(mesh, p):
 class TestBlockAssembly:
     """The row-block, mirrored assembly against the full-matrix formula."""
 
-    # n = 333 spans two blocks of the default size, the second one short
+    # n = 333 spans two blocks of the default size
     @pytest.mark.parametrize("n", [16, 96, 128, 192, 333])
     @pytest.mark.parametrize("kind,params", CATALOG_KINDS)
     def test_bit_identical_to_full_matrix_formula(self, n, kind, params):

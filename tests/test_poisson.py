@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from fpxlap import (GridFunction, KernelWeights, PoissonProblem, Tolerances,
                     gagliardo_modular, lr_estimate_check, luxemburg_norm,
                     minimizer_equivalence_check, restrict_interior, shell_partition,
                     solve_poisson, weak_form)
+from fpxlap import mesh_kernel
 from fpxlap import poisson as poisson_module
 from fpxlap.catalog import pair_exponent, scalar_exponent
 from fpxlap.exponents import conjugate_exponent
@@ -448,7 +451,9 @@ def _study_problem(kind, n):
                           h=grid(mesh, 1.0 + np.sin(3.0 * x)), g=grid(mesh, 0.2 * np.cos(x)))
 
 
-OMEGAS = {"one": [(-1.0, 1.0)], "three": [(-1.7, -1.1), (-0.6, 0.2), (0.7, 1.5)]}
+# "shell": the middle of three shells of (-1, 1), with exterior columns on both sides
+OMEGAS = {"one": [(-1.0, 1.0)], "three": [(-1.7, -1.1), (-0.6, 0.2), (0.7, 1.5)],
+          "shell": [(-1.0, 1.0)]}
 
 
 def _oracle_problem(kind, omega, rng):
@@ -459,7 +464,24 @@ def _oracle_problem(kind, omega, rng):
                   "gauss_bump": (bump_pair(2.0, 0.5, s=0.25), 3.2),
                   "affine": (pair_exponent("affine", {"base": 2.0, "slope": 0.3}, s=0.3, R=2.0),
                              2.6)}[kind]
-    return make_problem(mesh, p, r_value, rng.standard_normal(64), 0.3 * rng.standard_normal(64))
+    prob = make_problem(mesh, p, r_value, rng.standard_normal(64), 0.3 * rng.standard_normal(64))
+    if omega != "shell":
+        return prob
+    shell = restrict_interior(mesh, shell_partition(mesh, 3)[1])
+    W = prob.weights
+    return PoissonProblem(mesh=shell, weights=KernelWeights(mesh=shell, w=W.w, p_pair=W.p_pair,
+                                                            tail=W.tail),
+                          p=p, r=prob.r, h=grid(shell, prob.h.values), g=grid(shell, prob.g.values))
+
+
+def _brute_exterior_energy(prob):
+    """sum_{i<j ext} 2 w |g_i-g_j|^p / p + 2 dx sum_ext tail |g|^pbar / pbar, term by term."""
+    W, g, dx = prob.weights, prob.g.values, prob.mesh.cell_width
+    ext = np.flatnonzero(prob.mesh.exterior_mask)
+    terms = [2.0 * W.w[i, j] * abs(g[i] - g[j]) ** W.p_pair[i, j] / W.p_pair[i, j]
+             for i, j in itertools.combinations(ext, 2)]
+    terms += [2.0 * dx * W.tail[i] * abs(g[i]) ** W.p_bar[i] / W.p_bar[i] for i in ext]
+    return math.fsum(terms)
 
 
 def _dense_model_hessian(prob, v, floor_pair, floor_tail):
@@ -484,19 +506,22 @@ class TestModelFloor:
     @pytest.mark.parametrize("block_pairs", (None, 700, 1))
     def test_block_pass_matches_dense_reference(self, kind, omega, block_pairs, rng, monkeypatch):
         if block_pairs is not None:
-            # 700: several blocks, m not a multiple of their rows; 1: one row a block
-            monkeypatch.setattr(poisson_module, "_BLOCK_PAIRS", block_pairs)
+            # 700: blocks of several row counts; 1: one row a block
+            monkeypatch.setattr(mesh_kernel, "_BLOCK_PAIRS", block_pairs)
         prob = _oracle_problem(kind, omega, rng)
         mesh = prob.mesh
         block = poisson_module._InteriorBlock(mesh, prob.weights)
         rows, ext = block.rows, np.flatnonzero(mesh.exterior_mask)
-        spans = [(i0, i1) for i0, i1, *_ in block.blocks]
+        # the interior row blocks, then the exterior ones
+        spans = [[(i0, i1) for i0, i1, *_ in blocks] for blocks in (block.blocks, block._exterior)]
         if block_pairs is None:
-            assert spans == [(0, rows.size)]
+            assert spans == [[(0, rows.size)], [(0, ext.size)]]
         elif block_pairs == 1:
-            assert all(i1 - i0 == 1 for i0, i1 in spans) and len(spans) == rows.size
+            assert [[i1 - i0 for i0, i1 in s] for s in spans] == [[1] * rows.size, [1] * ext.size]
         else:
-            assert len({i1 - i0 for i0, i1 in spans}) > 1
+            assert len({i1 - i0 for s in spans for i0, i1 in s}) > 1
+        assert block._exterior_energy(prob.g) == pytest.approx(_brute_exterior_energy(prob),
+                                                               rel=1e-13, abs=0.0)
         v = np.where(mesh.interior_mask, rng.standard_normal(64), prob.g.values)
         # exact ties d = 0: interior-interior, interior-exterior and a tail
         v[rows[::4]] = v[rows[1]]
@@ -507,8 +532,10 @@ class TestModelFloor:
         ref_grad = energy_gradient(u, prob).values[rows]
         diff, x = np.abs(v[rows, None] - v[None, :]), np.abs(v[rows])
         for q in (0.1, 0.5, 0.9):
-            e, grad = block._pass(v, source)
+            grad = np.zeros(rows.size)
+            e = block._pass(v, block.blocks, grad) - source @ v[rows]
             e += block._exterior_energy(prob.g)
+            grad -= source
             assert e == pytest.approx(energy(u, prob), rel=1e-13, abs=0.0)
             assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
             floor_pair, floor_tail = float(np.quantile(diff, q)), float(np.quantile(x, q))
