@@ -8,14 +8,12 @@ A=[a1,a2], B=[b1,b2] and alpha = 1+s*p the double integral is
     phi(t) = |t|^(2-alpha) / ((1-alpha)(2-alpha)),
 
 which remains finite for adjacent cells exactly when alpha < 2, i.e.
-s*p < 1.  The weights are filled in blocks of rows over the upper triangle
-(about 2^15 pairs a block, so no n x n temporaries) and the lower triangle
-is its mirror; a constant exponent is kept as one read-only zero-stride
-array.  ``_row_blocks`` is the package's one row-block partition, which
-the Poisson solve's pair pass also uses.  The per-cell tail is the
-one-sided exterior integral int_{|y|>R} |x_i-y|^(-(1+s*pbar(x_i))) dy;
-callers weight it by the cell measure when it enters a double-integral
-quantity.
+s*p < 1.  The weights are filled over the upper triangle in the row blocks
+of ``_row_blocks``, which the Poisson solve uses too (about 2^15 pairs a
+block, so no n x n temporaries), and the lower triangle is its mirror; a
+constant exponent is kept as one read-only zero-stride array.  The per-cell
+tail is the one-sided exterior integral int_{|y|>R} |x_i-y|^(-(1+s*pbar(x_i)))
+dy; callers weight it by the cell measure in a double-integral quantity.
 """
 
 from __future__ import annotations
@@ -193,7 +191,9 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     right = centers + half
     w = np.empty((n, n))
     spans = list(_row_blocks(n, n))
-    buffers = np.empty((5, max((i1 - i0) * (n - i0) for i0, i1 in spans)))
+    # two blocks' room at least: freeing it raises glibc's mmap threshold past
+    # the 2 MB temporaries of n = 512, which would otherwise get fresh pages per call
+    buffers = np.empty((5, max(2 * _BLOCK_PAIRS, *((i1 - i0) * (n - i0) for i0, i1 in spans))))
     w_min = w_max = 0.0
     for i0, i1 in spans:
         rows, cols = i1 - i0, n - i0

@@ -10,9 +10,9 @@ strictly convex in the interior unknowns, minimized by damped lagged-weight
 linearization with Armijo backtracking.  The solver works in row blocks
 over the interior rows, where each pair is formed once: one pass per trial
 point gives the energy, the gradient and the unfloored lagged weights
-w |d|^{p-2} = w |d|^p / d^2, so no pair gets a second power.  The pairs
-between exterior cells go through the same pass once per datum, in row
-blocks of the exterior rows.  The lagged weights are floored where
+w |d|^{p-2} = w |d|^p / d^2, so no pair gets a second power.  Pairs
+between exterior cells go through the same pass once per datum (at uniform
+p = 2, one product with w).  The lagged weights are floored where
 differences degenerate, in a short pass over the kept blocks; the floor
 shrinks with the gradient residual (the IRLS rule).
 The gradient component at an interior cell equals the weak-form residual
@@ -151,6 +151,20 @@ def _floor_weights(k: np.ndarray, a: np.ndarray, w: np.ndarray, p, floor: float)
     k[small] = w[small] * floor ** ((p if np.isscalar(p) else p[small]) - 2.0)
 
 
+def _gather(a: np.ndarray, runs: list, i0: int, i1: int, out: np.ndarray) -> None:
+    """a[cols[i0:i1]][:, cols[i0:]] into out, one slice copy per pair of runs
+    (j0, j1, shift): cols[j] = j + shift for j in [j0, j1)."""
+    for r0, r1, r_shift in runs:
+        r0, r1 = max(r0, i0), min(r1, i1)
+        if r0 >= r1:
+            continue
+        for c0, c1, c_shift in runs:
+            c0 = max(c0, i0)
+            if c0 < c1:
+                out[r0 - i0:r1 - i0, c0 - i0:c1 - i0] = a[r0 + r_shift:r1 + r_shift,
+                                                            c0 + c_shift:c1 + c_shift]
+
+
 def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     """Jacobi-preconditioned CG for A d = rhs from d = 0.
 
@@ -188,34 +202,28 @@ class _InteriorBlock:
     """The row-block set-up of ``solve_poisson`` for one (mesh, weights).
 
     Columns are ordered [interior | exterior | tail]: the tail of row i is
-    one more column, of weight dx tail_i, exponent pbar_i and value 0, so the
-    pair pass also covers the tail terms.  In this order row i holds the
-    columns from column i on, so each pair lies above the diagonal once.
-    The m interior rows are cut into blocks by ``_row_blocks``, and so are
-    the exterior rows on their own: an exterior row holds the exterior
-    columns from its own on and its tail.  Each block of rows [i0, i1)
-    holds the columns from i0 on, and its own square has weight 0 below its
-    diagonal.  So each pair and each tail lies in one block, once.
+    one more column, of weight dx tail_i, exponent pbar_i and value 0.  In
+    this order row i holds the columns from column i on, and ``_row_blocks``
+    cuts the interior rows, and the exterior rows on their own, into blocks:
+    the block of rows [i0, i1) holds the columns from i0 on, with weight 0
+    below the diagonal of its own square, so each pair and each tail lies in
+    one block, once.
 
-    Each block keeps, from ``__init__`` on, its weights, gathered and
-    doubled (2 w, since each pair enters the energy and the gradient twice),
-    and its exponents when p varies.  Away from uniform p = 2 each interior
-    block also keeps buffers for the |d| and 2 w |d|^{p-2} of the last
-    evaluated point.  All blocks share scratch for d and one temporary, and
-    the exterior blocks take their |d| and 2 w |d|^{p-2} from scratch too.
-    The model pass reads only the interior blocks' kept |d| and
-    2 w |d|^{p-2}: it floors them and writes the model Hessian's upper
-    blocks, then mirrors them.  The last evaluated point is always the
-    accepted one when a model is built, since a trial is either accepted or
-    followed by another trial.
+    Each interior block keeps its weights, gathered and doubled (each pair
+    enters the energy and the gradient twice), its exponents when p varies
+    and, away from uniform p = 2, the |d| and 2 w |d|^{p-2} of the last
+    evaluated point, which the model pass floors into the model Hessian's
+    upper blocks.  The last evaluated point is always the accepted one when
+    a model is built, since a trial is either accepted or followed by another.
 
-    The exterior blocks depend on the datum only: the same pass runs over
-    them at v = g whenever a solve brings a different g object, and their
-    energy is kept.  For uniform p = 2 the block also holds the model
-    Hessian, the same matrix on every call; once the block is reused for a
-    second solve it factors that Hessian once and takes every later
-    direction by one application of the inverse instead of CG.  A one-off
-    solve never pays for the factor.
+    The exterior energy is recomputed whenever a solve brings a different g
+    object: the exterior blocks are gathered, go through the same pass at
+    v = g for the energy only, and are dropped.  At uniform p = 2 it is the
+    quadratic form g^2 . (w 1_ext) - g . w g instead, one product with w,
+    which costs less for the new datum of every shell solve.  A p = 2 block
+    also holds the model Hessian; once reused for a second solve it factors
+    that Hessian once and takes every later direction by one application of
+    the inverse instead of CG.  A one-off solve never pays for the factor.
     """
 
     def __init__(self, mesh: Mesh, weights: KernelWeights):
@@ -223,62 +231,84 @@ class _InteriorBlock:
         interior = mesh.interior_mask
         self.rows = rows = np.flatnonzero(interior)
         self.cols = cols = np.concatenate([rows, np.flatnonzero(~interior)])
-        m, n = rows.size, mesh.n_cells
-        self.m = m
-        self.p_const = p_const = _uniform(weights.p_pair)
-        self.quadratic = quadratic = p_const == 2.0
-        tail = mesh.cell_width * weights.tail[cols]
-        p_bar = weights.p_bar[cols]
-        # the interior rows [0, m), then the exterior rows [m, n), in column order
-        spans = [(r0, r1, r0 + i0, r0 + i1) for r0, r1 in ((0, m), (m, n))
-                 for i0, i1 in _row_blocks(r1 - r0, n + 1 - r0)]
-        shapes = [(i1 - i0, n + 1 - i0) for _, _, i0, i1 in spans]
-        sizes = [r * c for r, c in shapes]
-        scratch = np.empty((3, max(sizes)))
-        ones = np.ones(n + 1)
-        self._values = vc = np.zeros(n + 1)  # the field in column order; the tail column's 0 stays
-        self.blocks, self._exterior = [], []
-        for (r0, r1, i0, i1), shape, size in zip(spans, shapes, sizes):
-            w = np.empty(shape)
-            w[:, :-1] = weights.w[cols[i0:i1]][:, cols[i0:]]
-            w[:, -1] = tail[i0:i1]
-            w *= 2.0
-            # the square's pairs below its diagonal are the ones above it
-            w[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = 0.0
-            p = p_const
-            if p_const is None:
-                p = np.empty(shape)
-                p[:, :-1] = weights.p_pair[cols[i0:i1]][:, cols[i0:]]
-                p[:, -1] = p_bar[i0:i1]
-            d, t, free = (buf[:size].reshape(shape) for buf in scratch)
-            # the exterior rows keep nothing: their |d| and 2 w |d|^{p-2} share scratch
-            a = k = None if quadratic else free
-            if r0 == 0 and not quadratic:
-                a, k = np.empty((2,) + shape)
-            # with the views the pass reads: row and column values, the columns
-            # of t whose cells are rows of the same kind, and ones for the sums;
-            # the flux of the rows is indexed from the first row of their kind
-            (self._exterior if r0 else self.blocks).append(
-                (i0 - r0, i1 - r0, w, p, a, k, d, t, vc[i0:i1, None], vc[None, i0:],
-                 t[:, :r1 - i0], ones[:shape[1]], ones[:shape[0]]))
-        self._model = None if quadratic else np.empty((m, m))
+        # the runs of consecutive cells in cols, for ``_gather``
+        cut = (np.flatnonzero(np.diff(cols) != 1) + 1).tolist()
+        self._runs = [(j0, j1, int(cols[j0]) - j0) for j0, j1 in zip([0] + cut, cut + [cols.size])]
+        self.m = m = rows.size
+        self.p_const = _uniform(weights.p_pair)
+        self.quadratic = self.p_const == 2.0
+        self._values = np.zeros(mesh.n_cells + 1)  # the field in column order; the tail's 0 stays
+        self._scratch = np.empty((2, 0))  # d and one temporary, grown to the largest block
+        self.blocks = list(self._gather_blocks(0, m))
+        self._model = None if self.quadratic else np.empty((m, m))
         self._g = None          # the datum whose exterior energy is kept
         self._e_fixed = 0.0
         self._hessian = None    # quadratic model Hessian, built on first use
         self._inverse = None    # its inverse (p = 2), built on first reuse
         self._solves = 0
 
+    def _gather_blocks(self, r0: int, r1: int):
+        """The row blocks of the interior rows [r0, r1) = [0, m) or of the
+        exterior rows [m, n), one at a time, with the views ``_pass`` reads."""
+        weights, cols, n = self.weights, self.cols, self.mesh.n_cells
+        spans = [(r0 + i0, r0 + i1) for i0, i1 in _row_blocks(r1 - r0, n + 1 - r0)]
+        shapes = [(i1 - i0, n + 1 - i0) for i0, i1 in spans]
+        sizes = [r * c for r, c in shapes]
+        if self._scratch.shape[1] < max(sizes):
+            self._scratch = np.empty((2, max(sizes)))
+        # |d| and |d|^p: kept by each interior block away from p = 2, for the
+        # model; the exterior blocks share one buffer for both
+        keep = r0 == 0 and not self.quadratic
+        held = np.empty((2, sum(sizes))) if keep else np.empty(max(sizes)) if r0 else None
+        offset = 0
+        ones = np.ones(n + 1)
+        vc = self._values
+        for (i0, i1), shape, size in zip(spans, shapes, sizes):
+            w = np.empty(shape)
+            _gather(weights.w, self._runs, i0, i1, w)
+            w[:, -1] = self.mesh.cell_width * weights.tail[cols[i0:i1]]
+            w *= 2.0
+            # the square's pairs below its diagonal are the ones above it
+            w[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = 0.0
+            p = self.p_const
+            if p is None:
+                p = np.empty(shape)
+                _gather(weights.p_pair, self._runs, i0, i1, p)
+                p[:, -1] = weights.p_bar[cols[i0:i1]]
+            d, t = (buf[:size].reshape(shape) for buf in self._scratch)
+            a = k = None
+            if keep:
+                a, k = (buf[offset:offset + size].reshape(shape) for buf in held)
+                offset += size
+            elif r0:
+                a = k = held[:size].reshape(shape)
+            # with the views the pass reads: row and column values, the columns
+            # of t whose cells are rows of the same kind, and ones for the sums;
+            # the flux of the rows is indexed from the first row of their kind
+            yield (i0 - r0, i1 - r0, w, p, a, k, d, t, vc[i0:i1, None], vc[None, i0:],
+                   t[:, :r1 - i0], ones[:shape[1]], ones[:shape[0]])
+
     def _exterior_energy(self, g: GridFunction) -> float:
         """Energy of the pairs and tails whose cells are all exterior, at g."""
         if g is not self._g:
-            flux = np.zeros(self.mesh.n_cells - self.m)  # the exterior rows' flux is not used
-            self._e_fixed = self._pass(g.values, self._exterior, flux)
             self._g = g
+            if self.quadratic:
+                # with g = 0 inside, sum_{i,j ext} w_ij (g_i-g_j)^2 / 2
+                # = g^2 . (w 1_ext) - g . w g: one pass over w and no block gather
+                ext = self.mesh.exterior_mask
+                vals = np.where(ext, g.values, 0.0)
+                wg = self.weights.w @ np.column_stack([ext, vals])
+                pair = float((vals * vals) @ wg[:, 0] - vals @ wg[:, 1])
+                tails = float(self.weights.tail @ (vals * vals))
+                self._e_fixed = pair + self.mesh.cell_width * tails
+            else:
+                exterior = self._gather_blocks(self.m, self.mesh.n_cells)
+                self._e_fixed = self._pass(g.values, exterior)
         return self._e_fixed
 
-    def _pass(self, v: np.ndarray, blocks: list, flux: np.ndarray) -> float:
+    def _pass(self, v: np.ndarray, blocks, flux: np.ndarray | None = None) -> float:
         """Energy of the blocks' pairs and tails at the field v; their gradient
-        is added into flux, indexed like the blocks' rows.
+        is added into flux, indexed like the blocks' rows, unless flux is None.
 
         One pass over each block forms d and |d|^p once and sums the energy,
         the gradient's row sums minus its antisymmetric column sums, and away
@@ -300,6 +330,8 @@ class _InteriorBlock:
                     total += np.vdot(w, np.divide(k, p, out=t))
                 else:
                     total += np.vdot(w, k)
+                if flux is None:
+                    continue  # the exterior rows: energy only
                 np.multiply(d, d, out=t)
                 np.maximum(t, _TINY, out=t)
                 np.divide(k, t, out=k)
@@ -375,7 +407,7 @@ class _InteriorBlock:
 
         def evaluate(v):
             grad = np.zeros(self.m)
-            e = self._pass(v, self.blocks, grad) - float(source @ v[rows])
+            e = self._pass(v, self.blocks, grad) - float(source @ self._values[:self.m])
             grad -= source
             return e + e_fixed, grad
 
@@ -473,13 +505,13 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
     the m interior rows (m interior cells), in the row blocks of
     ``mesh_kernel._row_blocks`` that hold each interior-interior pair once,
     above the diagonal, each interior-exterior pair once and each row's tail
-    as one more column.  The energy is the blocks' sum plus the
-    exterior-exterior energy, which the same pass gives once per datum over
-    row blocks of the exterior rows.  Each trial point costs one pass over
-    the interior blocks: it forms d and |d|^p once per pair and adds up the
-    energy, the gradient (row sums minus the antisymmetric column sums of
-    the fluxes w |d|^p / d) and the lagged weights w |d|^p / d^2, which the
-    block keeps with |d| for the model.
+    as one more column.  The energy is their sum plus the exterior-exterior
+    energy, which the same pass over the exterior rows gives once per datum
+    (at uniform p = 2, one product with w).  Each trial point costs one pass
+    over the interior blocks: it forms d and |d|^p once per pair and adds up
+    the energy, the gradient (row sums minus the antisymmetric column sums
+    of the fluxes w |d|^p / d) and the lagged weights w |d|^p / d^2, which
+    the block keeps with |d| for the model.
 
     Each iteration builds the weighted-graph-Laplacian model of the energy
     with lagged pair weights max(p-1,1) w max(|u_i-u_j|, floor)^{p-2}: a

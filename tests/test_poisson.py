@@ -506,20 +506,25 @@ class TestModelFloor:
     @pytest.mark.parametrize("block_pairs", (None, 700, 1))
     def test_block_pass_matches_dense_reference(self, kind, omega, block_pairs, rng, monkeypatch):
         if block_pairs is not None:
-            # 700: blocks of several row counts; 1: one row a block
+            # 700: several blocks, m not a multiple of their rows; 1: one row a block
             monkeypatch.setattr(mesh_kernel, "_BLOCK_PAIRS", block_pairs)
         prob = _oracle_problem(kind, omega, rng)
         mesh = prob.mesh
         block = poisson_module._InteriorBlock(mesh, prob.weights)
         rows, ext = block.rows, np.flatnonzero(mesh.exterior_mask)
-        # the interior row blocks, then the exterior ones
-        spans = [[(i0, i1) for i0, i1, *_ in blocks] for blocks in (block.blocks, block._exterior)]
+        spans = [(i0, i1) for i0, i1, *_ in block.blocks]
+        ext_spans = [(i0, i1) for i0, i1, *_ in block._gather_blocks(rows.size, mesh.n_cells)]
         if block_pairs is None:
-            assert spans == [[(0, rows.size)], [(0, ext.size)]]
+            assert spans == [(0, rows.size)] and ext_spans == [(0, ext.size)]
         elif block_pairs == 1:
-            assert [[i1 - i0 for i0, i1 in s] for s in spans] == [[1] * rows.size, [1] * ext.size]
+            assert all(i1 - i0 == 1 for i0, i1 in spans) and len(spans) == rows.size
+            assert all(i1 - i0 == 1 for i0, i1 in ext_spans) and len(ext_spans) == ext.size
+        elif omega == "shell":
+            # a shell's few interior rows fit in one block, its many exterior rows do not
+            assert spans == [(0, rows.size)]
+            assert len({i1 - i0 for i0, i1 in ext_spans}) > 1
         else:
-            assert len({i1 - i0 for s in spans for i0, i1 in s}) > 1
+            assert len({i1 - i0 for i0, i1 in spans}) > 1
         assert block._exterior_energy(prob.g) == pytest.approx(_brute_exterior_energy(prob),
                                                                rel=1e-13, abs=0.0)
         v = np.where(mesh.interior_mask, rng.standard_normal(64), prob.g.values)
