@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -84,6 +85,16 @@ def _check_keys(doc, schema, prefix, errors):
             errors.append(f"{prefix + key}: expected an object")
 
 
+def _finite(v) -> bool:
+    """A finite JSON number: json reads Infinity and NaN, and a bool is an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _intervals(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(_finite, pair)) for pair in v)
+
+
 def parse_config(text: str, mode: str | None = None) -> RunConfig:
     """Validate a JSON config document; collects all field errors at once."""
     errors = []
@@ -126,10 +137,17 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             errors.append(f"{sec}.{k} must be a positive integer")
     for k, v in sections.get("tolerances", {}).items():
-        if k != "max_iter" and not (isinstance(v, (int, float)) and v > 0):
-            errors.append(f"tolerances.{k} must be positive")
+        if k != "max_iter" and not (_finite(v) and v > 0):
+            errors.append(f"tolerances.{k} must be a finite positive number")
+    for sec, k in (("mesh", "R"), ("order", "s"), ("fixedpoint", "theta")):
+        if k in sections.get(sec, {}) and not _finite(sections[sec][k]):
+            errors.append(f"{sec}.{k} must be a finite number")
+    if not _intervals(sections.get("omega", {}).get("intervals", [])):
+        errors.append("omega.intervals must be a list of [a, b] pairs of finite numbers")
+    if not isinstance(sections.get("output", {}).get("dir", ""), str):
+        errors.append("output.dir must be a string")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         errors.append("seed must be an integer")
 
     if errors:

@@ -2,17 +2,20 @@
 
 The energy of a field u equal to g on exterior cells is
 
-    E(u) = sum_{i<j} 2 w_ij |u_i-u_j|^{p_ij} / p_ij
-           + 2 dx sum_i tail_i |u_i|^{pbar_i} / pbar_i
-           - dx sum_{i interior} h_i u_i,
+    E(u) = sum_{i<j, i or j in Omega} 2 w_ij |u_i-u_j|^{p_ij} / p_ij
+           + 2 dx sum_{i in Omega} tail_i |u_i|^{pbar_i} / pbar_i
+           - dx sum_{i in Omega} h_i u_i,
 
-strictly convex in the interior unknowns, minimized by damped lagged-weight
-linearization with Armijo backtracking.  The solver works in row blocks
-over the interior rows, where each pair is formed once: one pass per trial
-point gives the energy, the gradient and the unfloored lagged weights
-w |d|^{p-2} = w |d|^p / d^2, so no pair gets a second power.  Pairs
-between exterior cells go through the same pass once per datum (at uniform
-p = 2, one product with w).  The lagged weights are floored where
+the pairs and tails that the weak form sees, since its test functions
+vanish off Omega.  The pairs of two exterior cells and the exterior tails
+depend on g alone: they would add a constant, which cannot move the
+minimizer and is infinite for data without finite energy on the whole
+complement, so they are left out.  E is strictly convex in the interior
+unknowns and is minimized by damped lagged-weight linearization with Armijo
+backtracking.  The solver works in row blocks over the interior rows, where
+each pair is formed once: one pass per trial point gives the energy, the
+gradient and the unfloored lagged weights w |d|^{p-2} = w |d|^p / d^2, so
+no pair gets a second power.  The lagged weights are floored where
 differences degenerate, in a short pass over the kept blocks; the floor
 shrinks with the gradient residual (the IRLS rule).
 The gradient component at an interior cell equals the weak-form residual
@@ -31,8 +34,8 @@ from .checks import CheckResult, EstimateReport
 from .exponents import ExponentField, ScalarExponent, conjugate_exponent, trace_exponent, validate_growth_pair
 from .lebesgue import GridFunction, luxemburg_norm
 from .mesh_kernel import KernelWeights, Mesh, _row_blocks
-from .sobolev import (DirichletPair, _pair_powers, _uniform, apply_operator, full_norm,
-                      weak_form)
+from .sobolev import (DirichletPair, _exterior_block, _pair_powers, _uniform, apply_operator,
+                      full_norm, weak_form)
 
 
 _MIN_STEP = 1e-20      # smallest Armijo step tried before an iteration gives up
@@ -46,8 +49,9 @@ class Tolerances:
     max_iter: int = 50_000
 
     def __post_init__(self):
-        if self.el_residual <= 0 or self.max_iter <= 0:
-            raise ValueError("tolerances must be positive")
+        # a non-finite tolerance would certify an unsolved field (inf) or none (nan)
+        if not (0 < self.el_residual < np.inf) or self.max_iter <= 0:
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -98,19 +102,22 @@ def energy(u, prob: PoissonProblem) -> float:
     """Energy of a field on the full n x n pair matrix.
 
     Plain reference implementation on the pair pass that the modular and
-    the operator share: sum w |d|^p / p plus the tails over pbar, minus the
-    source.  ``solve_poisson`` evaluates the same energy on its interior-row
-    block, and tests and checks recompute with this one.
+    the operator share: sum w |d|^p / p over the pairs with a cell in Omega
+    plus the tails of the interior cells over pbar, minus the source.  The
+    exterior-exterior block is the one the 'omega' modular drops, since it
+    depends on g alone.  ``solve_poisson`` evaluates the same energy on its
+    interior-row block, and tests and checks recompute with this one.
     """
     vals = _field(u).values
     W = prob.weights
     _, power, tail_power = _pair_powers(vals, W, _uniform(W.p_pair))
-    pair = float((W.w * power / W.p_pair).sum())
+    pair = W.w * power / W.p_pair
+    pair[_exterior_block(W, "omega")] = 0.0
     dx = prob.mesh.cell_width
-    tail = 2.0 * dx * float(np.sum(W.tail * tail_power / W.p_bar))
     mask = prob.mesh.interior_mask
+    tail = 2.0 * dx * float(np.sum(W.tail[mask] * tail_power[mask] / W.p_bar[mask]))
     source = dx * float(np.sum(prob.h.values[mask] * vals[mask]))
-    return pair + tail - source
+    return float(pair.sum()) + tail - source
 
 
 def energy_gradient(u, prob: PoissonProblem) -> GridFunction:
@@ -204,26 +211,22 @@ class _InteriorBlock:
     Columns are ordered [interior | exterior | tail]: the tail of row i is
     one more column, of weight dx tail_i, exponent pbar_i and value 0.  In
     this order row i holds the columns from column i on, and ``_row_blocks``
-    cuts the interior rows, and the exterior rows on their own, into blocks:
-    the block of rows [i0, i1) holds the columns from i0 on, with weight 0
-    below the diagonal of its own square, so each pair and each tail lies in
-    one block, once.
+    cuts the interior rows into blocks: the block of rows [i0, i1) holds the
+    columns from i0 on, with weight 0 below the diagonal of its own square,
+    so each pair with a cell in Omega and each interior tail lies in one
+    block, once.  The blocks hold the whole energy.
 
-    Each interior block keeps its weights, gathered and doubled (each pair
-    enters the energy and the gradient twice), its exponents when p varies
-    and, away from uniform p = 2, the |d| and 2 w |d|^{p-2} of the last
+    Each block keeps its weights, gathered and doubled (each pair enters
+    the energy and the gradient twice), its exponents when p varies and,
+    away from uniform p = 2, the |d| and 2 w |d|^{p-2} of the last
     evaluated point, which the model pass floors into the model Hessian's
     upper blocks.  The last evaluated point is always the accepted one when
     a model is built, since a trial is either accepted or followed by another.
 
-    The exterior energy is recomputed whenever a solve brings a different g
-    object: the exterior blocks are gathered, go through the same pass at
-    v = g for the energy only, and are dropped.  At uniform p = 2 it is the
-    quadratic form g^2 . (w 1_ext) - g . w g instead, one product with w,
-    which costs less for the new datum of every shell solve.  A p = 2 block
-    also holds the model Hessian; once reused for a second solve it factors
-    that Hessian once and takes every later direction by one application of
-    the inverse instead of CG.  A one-off solve never pays for the factor.
+    A p = 2 block also holds the model Hessian; once reused for a second
+    solve it factors that Hessian once and takes every later direction by
+    one application of the inverse instead of CG.  A one-off solve never
+    pays for the factor.
     """
 
     def __init__(self, mesh: Mesh, weights: KernelWeights):
@@ -238,28 +241,21 @@ class _InteriorBlock:
         self.p_const = _uniform(weights.p_pair)
         self.quadratic = self.p_const == 2.0
         self._values = np.zeros(mesh.n_cells + 1)  # the field in column order; the tail's 0 stays
-        self._scratch = np.empty((2, 0))  # d and one temporary, grown to the largest block
-        self.blocks = list(self._gather_blocks(0, m))
+        self.blocks = list(self._gather_blocks())
         self._model = None if self.quadratic else np.empty((m, m))
-        self._g = None          # the datum whose exterior energy is kept
-        self._e_fixed = 0.0
         self._hessian = None    # quadratic model Hessian, built on first use
         self._inverse = None    # its inverse (p = 2), built on first reuse
         self._solves = 0
 
-    def _gather_blocks(self, r0: int, r1: int):
-        """The row blocks of the interior rows [r0, r1) = [0, m) or of the
-        exterior rows [m, n), one at a time, with the views ``_pass`` reads."""
-        weights, cols, n = self.weights, self.cols, self.mesh.n_cells
-        spans = [(r0 + i0, r0 + i1) for i0, i1 in _row_blocks(r1 - r0, n + 1 - r0)]
+    def _gather_blocks(self):
+        """The row blocks of the interior rows, with the views ``_pass`` reads."""
+        weights, cols, m, n = self.weights, self.cols, self.m, self.mesh.n_cells
+        spans = list(_row_blocks(m, n + 1))
         shapes = [(i1 - i0, n + 1 - i0) for i0, i1 in spans]
         sizes = [r * c for r, c in shapes]
-        if self._scratch.shape[1] < max(sizes):
-            self._scratch = np.empty((2, max(sizes)))
-        # |d| and |d|^p: kept by each interior block away from p = 2, for the
-        # model; the exterior blocks share one buffer for both
-        keep = r0 == 0 and not self.quadratic
-        held = np.empty((2, sum(sizes))) if keep else np.empty(max(sizes)) if r0 else None
+        scratch = np.empty((2, max(sizes)))  # d and one temporary, shared by the blocks
+        # |d| and |d|^p, kept by each block away from p = 2, for the model
+        held = None if self.quadratic else np.empty((2, sum(sizes)))
         offset = 0
         ones = np.ones(n + 1)
         vc = self._values
@@ -275,40 +271,19 @@ class _InteriorBlock:
                 p = np.empty(shape)
                 _gather(weights.p_pair, self._runs, i0, i1, p)
                 p[:, -1] = weights.p_bar[cols[i0:i1]]
-            d, t = (buf[:size].reshape(shape) for buf in self._scratch)
+            d, t = (buf[:size].reshape(shape) for buf in scratch)
             a = k = None
-            if keep:
+            if held is not None:
                 a, k = (buf[offset:offset + size].reshape(shape) for buf in held)
                 offset += size
-            elif r0:
-                a = k = held[:size].reshape(shape)
-            # with the views the pass reads: row and column values, the columns
-            # of t whose cells are rows of the same kind, and ones for the sums;
-            # the flux of the rows is indexed from the first row of their kind
-            yield (i0 - r0, i1 - r0, w, p, a, k, d, t, vc[i0:i1, None], vc[None, i0:],
-                   t[:, :r1 - i0], ones[:shape[1]], ones[:shape[0]])
+            # with the views the pass reads: row and column values, the
+            # interior columns of t, and ones for the sums
+            yield (i0, i1, w, p, a, k, d, t, vc[i0:i1, None], vc[None, i0:],
+                   t[:, :m - i0], ones[:shape[1]], ones[:shape[0]])
 
-    def _exterior_energy(self, g: GridFunction) -> float:
-        """Energy of the pairs and tails whose cells are all exterior, at g."""
-        if g is not self._g:
-            self._g = g
-            if self.quadratic:
-                # with g = 0 inside, sum_{i,j ext} w_ij (g_i-g_j)^2 / 2
-                # = g^2 . (w 1_ext) - g . w g: one pass over w and no block gather
-                ext = self.mesh.exterior_mask
-                vals = np.where(ext, g.values, 0.0)
-                wg = self.weights.w @ np.column_stack([ext, vals])
-                pair = float((vals * vals) @ wg[:, 0] - vals @ wg[:, 1])
-                tails = float(self.weights.tail @ (vals * vals))
-                self._e_fixed = pair + self.mesh.cell_width * tails
-            else:
-                exterior = self._gather_blocks(self.m, self.mesh.n_cells)
-                self._e_fixed = self._pass(g.values, exterior)
-        return self._e_fixed
-
-    def _pass(self, v: np.ndarray, blocks, flux: np.ndarray | None = None) -> float:
+    def _pass(self, v: np.ndarray, flux: np.ndarray) -> float:
         """Energy of the blocks' pairs and tails at the field v; their gradient
-        is added into flux, indexed like the blocks' rows, unless flux is None.
+        is added into flux.
 
         One pass over each block forms d and |d|^p once and sums the energy,
         the gradient's row sums minus its antisymmetric column sums, and away
@@ -318,7 +293,7 @@ class _InteriorBlock:
         quadratic, variable = self.quadratic, self.p_const is None
         self._values[:-1] = v[self.cols]
         total = 0.0
-        for i0, i1, w, p, a, k, d, t, x, y, core, ones_c, ones_r in blocks:
+        for i0, i1, w, p, a, k, d, t, x, y, core, ones_c, ones_r in self.blocks:
             np.subtract(x, y, out=d)
             if quadratic:
                 np.multiply(d, w, out=t)
@@ -330,8 +305,6 @@ class _InteriorBlock:
                     total += np.vdot(w, np.divide(k, p, out=t))
                 else:
                     total += np.vdot(w, k)
-                if flux is None:
-                    continue  # the exterior rows: energy only
                 np.multiply(d, d, out=t)
                 np.maximum(t, _TINY, out=t)
                 np.divide(k, t, out=k)
@@ -403,13 +376,12 @@ class _InteriorBlock:
             raise ValueError("non-finite initial field")
 
         source = mesh.cell_width * prob.h.values[rows]
-        e_fixed = self._exterior_energy(prob.g)
 
         def evaluate(v):
             grad = np.zeros(self.m)
-            e = self._pass(v, self.blocks, grad) - float(source @ self._values[:self.m])
+            e = self._pass(v, grad) - float(source @ self._values[:self.m])
             grad -= source
-            return e + e_fixed, grad
+            return e, grad
 
         def model_direction(v, grad, floor_rel, rtol):
             if factored:
@@ -501,14 +473,13 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
                   _block: _InteriorBlock | None = None) -> PoissonSolution:
     """Minimize the energy over the interior unknowns.
 
-    Pairs with both cells outside Omega never change, so every pass works on
-    the m interior rows (m interior cells), in the row blocks of
-    ``mesh_kernel._row_blocks`` that hold each interior-interior pair once,
-    above the diagonal, each interior-exterior pair once and each row's tail
-    as one more column.  The energy is their sum plus the exterior-exterior
-    energy, which the same pass over the exterior rows gives once per datum
-    (at uniform p = 2, one product with w).  Each trial point costs one pass
-    over the interior blocks: it forms d and |d|^p once per pair and adds up
+    The energy counts only the pairs with a cell in Omega and the interior
+    tails (see the module docstring), so every pass works on the m interior
+    rows (m interior cells), in the row blocks of ``mesh_kernel._row_blocks``
+    that hold each interior-interior pair once, above the diagonal, each
+    interior-exterior pair once and each row's tail as one more column.
+    Each trial point costs one pass over these blocks: it forms d and |d|^p
+    once per pair and adds up
     the energy, the gradient (row sums minus the antisymmetric column sums
     of the fluxes w |d|^p / d) and the lagged weights w |d|^p / d^2, which
     the block keeps with |d| for the model.

@@ -247,6 +247,12 @@ _THETA_MIN = 1e-3
 _MAX_SWEEPS = 200
 
 
+def _semilinear_residual(f: Nonlinearity, prob: PoissonProblem, u: GridFunction) -> float:
+    """Sup-norm over the interior of ``energy_gradient`` at u with h = N_f(u)."""
+    grad = energy_gradient(u, prob.with_h(nemytsky(f, u)))
+    return float(np.max(np.abs(grad.values[prob.mesh.interior_mask])))
+
+
 def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
                       max_iter: int = 200, *, _block: _InteriorBlock | None = None
                       ) -> tuple[PoissonSolution, FixedPointTrace]:
@@ -327,8 +333,7 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
     if not trace.converged:
         return sol, trace
     final = solve(h)
-    residual_grid = energy_gradient(final.u, prob.with_h(nemytsky(f, final.u.u)))
-    residual = float(np.max(np.abs(residual_grid.values[mask])))
+    residual = _semilinear_residual(f, prob, final.u.u)
     trace.residual = residual
     trace.converged = final.converged and residual <= _RESIDUAL_TARGET
     return final, trace
@@ -414,9 +419,7 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     mask_all = prob.mesh.interior_mask
 
     def global_residual(values):
-        u = GridFunction(prob.mesh, values)
-        grad = energy_gradient(u, prob.with_h(nemytsky(f, u)))
-        return float(np.max(np.abs(grad.values[mask_all])))
+        return _semilinear_residual(f, prob, GridFunction(prob.mesh, values))
 
     # one problem and one interior block per shell, validated once; each
     # sweep only swaps the datum

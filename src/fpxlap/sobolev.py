@@ -72,7 +72,8 @@ def _pair_powers(vals: np.ndarray, W: KernelWeights, p_const: float | None):
 
 
 def _exterior_block(W: KernelWeights, variant: str):
-    """Index of the exterior-exterior pairs that the 'omega' variant drops."""
+    """Index of the exterior-exterior pairs, which the 'omega' variant drops;
+    ``poisson.energy`` drops them too, since they depend on g alone."""
     if variant == "rn":
         return None
     if variant == "omega":

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -224,6 +225,40 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err == \
             f"error: invalid config:\n  - {section}: expected an object\n"
+        assert not (out / "report").exists()
+
+    # json reads Infinity and NaN and a bool is an int, so each is named
+    # as an error; an infinite tolerance would certify an unsolved field
+    @pytest.mark.parametrize("section,key,value,message", (
+        ("tolerances", "el_residual", math.inf, "tolerances.el_residual must be a finite positive number"),
+        ("tolerances", "el_residual", math.nan, "tolerances.el_residual must be a finite positive number"),
+        ("tolerances", "el_residual", True, "tolerances.el_residual must be a finite positive number"),
+        ("mesh", "R", math.inf, "mesh.R must be a finite number"),
+        ("mesh", "R", True, "mesh.R must be a finite number"),
+        ("mesh", "R", [2], "mesh.R must be a finite number"),
+        ("order", "s", math.nan, "order.s must be a finite number"),
+        ("order", "s", True, "order.s must be a finite number"),
+        ("fixedpoint", "theta", math.inf, "fixedpoint.theta must be a finite number"),
+        ("fixedpoint", "theta", True, "fixedpoint.theta must be a finite number"),
+        ("omega", "intervals", 5, "omega.intervals must be a list of [a, b] pairs of finite numbers"),
+        ("omega", "intervals", [[-1.0, [1.0]]],
+         "omega.intervals must be a list of [a, b] pairs of finite numbers"),
+        ("output", "dir", 5, "output.dir must be a string"),
+        (None, "seed", True, "seed must be an integer"),
+    ))
+    def test_bad_value_is_rejected(self, tmp_path, capsys, section, key, value, message):
+        cfg = minimal_poisson_config()
+        cfg["nonlinearity"] = {
+            "kind": "arctan",
+            "params": {"eps": 0.05, "a": {"kind": "constant", "params": {"value": 0.3}}},
+        }
+        if section is None:
+            cfg[key] = value
+        else:
+            cfg.setdefault(section, {})[key] = value
+        code, out = run_cli(tmp_path, "semilinear", cfg)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: invalid config:\n  - {message}\n"
         assert not (out / "report").exists()
 
     def test_stiff_semilinear_exits_two(self, tmp_path):

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -53,11 +52,44 @@ class TestEnergy:
         prob = make_problem(mesh64, p, 3.2, rng.standard_normal(64), np.zeros(64))
         dx = mesh64.cell_width
         for _ in range(20):
-            u = grid(mesh64, rng.standard_normal(64))
+            # the Dirichlet class of g = 0: the 'rn' modular has no exterior term
+            u = random_w0(rng, mesh64)
             source = dx * float(np.sum(prob.h.values[mesh64.interior_mask]
                                        * u.values[mesh64.interior_mask]))
             lower = gagliardo_modular(u, prob.weights) / prob.weights.p_plus - source
             assert energy(u, prob) >= lower - 1e-12
+
+    @pytest.mark.parametrize("kind", ("p1_5", "p2", "gauss_bump", "affine"))
+    @pytest.mark.parametrize("omega", ("one", "three", "shell"))
+    def test_constant_field_leaves_interior_tails_and_source(self, kind, omega, rng):
+        prob = _oracle_problem(kind, omega, rng)
+        mesh, W, c = prob.mesh, prob.weights, -0.7
+        u = grid(mesh, np.full(64, c))
+        prob = prob.with_g(u)
+        dx, rows = mesh.cell_width, np.flatnonzero(mesh.interior_mask)
+        exact = math.fsum([2.0 * dx * W.tail[i] * abs(c) ** W.p_bar[i] / W.p_bar[i] for i in rows]
+                          + [-dx * prob.h.values[i] * c for i in rows])
+        assert energy(u, prob) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert _block_energy(prob, u.values) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ("p1_5", "p2", "gauss_bump", "affine"))
+    @pytest.mark.parametrize("omega", ("one", "three", "shell"))
+    def test_zero_interior_leaves_interior_exterior_pairs(self, kind, omega, rng):
+        prob = _oracle_problem(kind, omega, rng)
+        mesh, W, g = prob.mesh, prob.weights, prob.g.values
+        u = grid(mesh, np.where(mesh.interior_mask, 0.0, g))
+        rows, ext = np.flatnonzero(mesh.interior_mask), np.flatnonzero(mesh.exterior_mask)
+        exact = math.fsum(2.0 * W.w[i, j] * abs(g[j]) ** W.p_pair[i, j] / W.p_pair[i, j]
+                          for i in rows for j in ext)
+        assert energy(u, prob) == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert _block_energy(prob, u.values) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def _block_energy(prob, v):
+    """The energy of the field v from one pass over a fresh interior block."""
+    block = poisson_module._InteriorBlock(prob.mesh, prob.weights)
+    rows = block.rows
+    return block._pass(v, np.zeros(rows.size)) - prob.mesh.cell_width * prob.h.values[rows] @ v[rows]
 
 
 class TestGradient:
@@ -162,6 +194,12 @@ class TestSolve:
             v = random_w0(rng, mesh64)
             energies = [energy(grid(mesh64, t * v.values), prob) for t in (10.0, 100.0, 1000.0)]
             assert energies[0] < energies[1] < energies[2]
+
+    @pytest.mark.parametrize("el_residual", (0.0, -1e-8, math.inf, math.nan))
+    def test_tolerance_must_be_finite_and_positive(self, el_residual):
+        # an infinite tolerance certifies any field, a nan one none
+        with pytest.raises(ValueError, match="positive and finite"):
+            Tolerances(el_residual=el_residual)
 
     def test_nonconvergence_is_reported(self, mesh64):
         # p = 2 converges in one iteration, so use a nonlinear exponent
@@ -364,7 +402,7 @@ class TestInteriorBlockSolver:
             warm = reused.u.u
 
     @pytest.mark.parametrize("kind", ("p2", "p1_5", "gauss_bump", "shell"))
-    def test_block_recomputes_exterior_energy_after_with_g(self, kind, rng):
+    def test_block_reused_across_g_reports_reference_energy(self, kind, rng):
         if kind == "p2":
             mesh = build_mesh(2.0, 64, [(-1.0, 1.0)])
             prob = make_problem(mesh, const_pair(2.0, 0.4), 3.0, rng.standard_normal(64),
@@ -474,16 +512,6 @@ def _oracle_problem(kind, omega, rng):
                           p=p, r=prob.r, h=grid(shell, prob.h.values), g=grid(shell, prob.g.values))
 
 
-def _brute_exterior_energy(prob):
-    """sum_{i<j ext} 2 w |g_i-g_j|^p / p + 2 dx sum_ext tail |g|^pbar / pbar, term by term."""
-    W, g, dx = prob.weights, prob.g.values, prob.mesh.cell_width
-    ext = np.flatnonzero(prob.mesh.exterior_mask)
-    terms = [2.0 * W.w[i, j] * abs(g[i] - g[j]) ** W.p_pair[i, j] / W.p_pair[i, j]
-             for i, j in itertools.combinations(ext, 2)]
-    terms += [2.0 * dx * W.tail[i] * abs(g[i]) ** W.p_bar[i] / W.p_bar[i] for i in ext]
-    return math.fsum(terms)
-
-
 def _dense_model_hessian(prob, v, floor_pair, floor_tail):
     """2 (diag(sum_j M_ij + dx tau_i) - M on the interior pairs) over the full
     n x n pair matrix, M = max(p-1, 1) w max(|d|, floor)^{p-2} and
@@ -513,20 +541,15 @@ class TestModelFloor:
         block = poisson_module._InteriorBlock(mesh, prob.weights)
         rows, ext = block.rows, np.flatnonzero(mesh.exterior_mask)
         spans = [(i0, i1) for i0, i1, *_ in block.blocks]
-        ext_spans = [(i0, i1) for i0, i1, *_ in block._gather_blocks(rows.size, mesh.n_cells)]
         if block_pairs is None:
-            assert spans == [(0, rows.size)] and ext_spans == [(0, ext.size)]
+            assert spans == [(0, rows.size)]
         elif block_pairs == 1:
             assert all(i1 - i0 == 1 for i0, i1 in spans) and len(spans) == rows.size
-            assert all(i1 - i0 == 1 for i0, i1 in ext_spans) and len(ext_spans) == ext.size
         elif omega == "shell":
-            # a shell's few interior rows fit in one block, its many exterior rows do not
+            # a shell's few interior rows fit in one block
             assert spans == [(0, rows.size)]
-            assert len({i1 - i0 for i0, i1 in ext_spans}) > 1
         else:
             assert len({i1 - i0 for i0, i1 in spans}) > 1
-        assert block._exterior_energy(prob.g) == pytest.approx(_brute_exterior_energy(prob),
-                                                               rel=1e-13, abs=0.0)
         v = np.where(mesh.interior_mask, rng.standard_normal(64), prob.g.values)
         # exact ties d = 0: interior-interior, interior-exterior and a tail
         v[rows[::4]] = v[rows[1]]
@@ -538,8 +561,7 @@ class TestModelFloor:
         diff, x = np.abs(v[rows, None] - v[None, :]), np.abs(v[rows])
         for q in (0.1, 0.5, 0.9):
             grad = np.zeros(rows.size)
-            e = block._pass(v, block.blocks, grad) - source @ v[rows]
-            e += block._exterior_energy(prob.g)
+            e = block._pass(v, grad) - source @ v[rows]
             grad -= source
             assert e == pytest.approx(energy(u, prob), rel=1e-13, abs=0.0)
             assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))

@@ -35,19 +35,20 @@ def brute_modular(u, W):
 
 
 def brute_energy(u, prob):
-    """Literal pair-sum energy: pairs and tails over their exponents, minus
-    the interior source term."""
+    """Literal pair-sum energy: the pairs with an interior end and the
+    interior tails over their exponents, minus the interior source term."""
     W, dx = prob.weights, prob.mesh.cell_width
-    n = W.mesh.n_cells
+    n, interior = W.mesh.n_cells, prob.mesh.interior_mask
     total = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            p = W.p_pair[i, j]
-            total += 2.0 * W.w[i, j] * abs(u.values[i] - u.values[j]) ** p / p
+            if interior[i] or interior[j]:
+                p = W.p_pair[i, j]
+                total += 2.0 * W.w[i, j] * abs(u.values[i] - u.values[j]) ** p / p
     for i in range(n):
-        p = W.p_pair[i, i]
-        total += 2.0 * dx * W.tail[i] * abs(u.values[i]) ** p / p
-        if prob.mesh.interior_mask[i]:
+        if interior[i]:
+            p = W.p_pair[i, i]
+            total += 2.0 * dx * W.tail[i] * abs(u.values[i]) ** p / p
             total -= dx * prob.h.values[i] * u.values[i]
     return total
 
