@@ -8,6 +8,9 @@ validation report cross-checks against sampled values.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .exponents import ExponentError, ExponentField, ScalarExponent
@@ -23,14 +26,42 @@ class CatalogError(ValueError):
 MIN_PAIR_EXPONENT = 1.1  # conditioning guard for |t|^{p-2} t near p -> 1
 
 
+def _finite(v) -> bool:
+    """A real number that is a finite float: json reads Infinity, NaN and
+    integers of any size, and a bool is an int."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _require(params: dict, keys: tuple[str, ...], kind: str) -> list[float]:
+    """The values of exactly the params ``keys``, each a finite number."""
+    if not isinstance(params, dict):
+        raise CatalogError(f"{kind}: params must be an object")
     missing = [k for k in keys if k not in params]
     if missing:
         raise CatalogError(f"{kind}: missing params {missing}")
     extra = [k for k in params if k not in keys]
     if extra:
         raise CatalogError(f"{kind}: unknown params {extra}")
+    bad = [k for k in keys if not _finite(params[k])]
+    if bad:
+        raise CatalogError(f"{kind}: params {bad} must be finite numbers")
     return [float(params[k]) for k in keys]
+
+
+def _with_data(params: dict, name: str, keys: tuple[str, ...], kind: str, mesh: Mesh):
+    """A nonlinearity's {kind, params} data function ``name`` and its other params ``keys``."""
+    if not isinstance(params, dict):
+        raise CatalogError(f"{kind}: params must be an object")
+    sub = params.get(name)
+    if not (isinstance(sub, dict) and set(sub) == {"kind", "params"}):
+        raise CatalogError(f"{kind}: param {name!r} must be a {{kind, params}} object")
+    values = _require({k: v for k, v in params.items() if k != name}, keys, kind)
+    return data_function(**sub, mesh=mesh), values
 
 
 def pair_exponent(kind: str, params: dict, s: float, R: float) -> ExponentField:
@@ -118,31 +149,23 @@ def nonlinearity(kind: str, params: dict, mesh: Mesh, p: ExponentField) -> Nonli
     arctan:   f = a(x) + eps * arctan(t)
     power:    f = coef * |t|^{pbar(x)-2} t    (natural-growth power)
     """
-    spec = dict(params)
     if kind == "source":
-        sub = spec.pop("h", None)
-        if sub is None or spec:
-            raise CatalogError("source nonlinearity needs exactly the 'h' param")
-        h = data_function(sub["kind"], sub.get("params", {}), mesh)
+        h, _ = _with_data(params, "h", (), "nonlinearity.source", mesh)
         ev = lambda x, t: np.interp(np.asarray(x), mesh.cell_centers, h.values) + 0.0 * np.asarray(t)
         return Nonlinearity(evaluator=ev, a=GridFunction(mesh, np.abs(h.values)), c_growth=0.0)
     if kind in ("linear", "arctan"):
-        sub = spec.pop("a", None)
-        if sub is None:
-            raise CatalogError(f"{kind} nonlinearity needs an 'a' param")
-        a = data_function(sub["kind"], sub.get("params", {}), mesh)
+        key = "coef" if kind == "linear" else "eps"
+        a, (c,) = _with_data(params, "a", (key,), f"nonlinearity.{kind}", mesh)
         if np.any(a.values < 0):
             raise CatalogError("growth offset a(x) must be nonnegative")
         a_interp = lambda x: np.interp(np.asarray(x), mesh.cell_centers, a.values)
         if kind == "linear":
-            (coef,) = _require(spec, ("coef",), "nonlinearity.linear")
-            ev = lambda x, t: a_interp(x) + coef * np.asarray(t)
-            return Nonlinearity(evaluator=ev, a=a, c_growth=abs(coef))
-        (eps,) = _require(spec, ("eps",), "nonlinearity.arctan")
-        ev = lambda x, t: a_interp(x) + eps * np.arctan(np.asarray(t))
-        return Nonlinearity(evaluator=ev, a=a, c_growth=abs(eps))
+            ev = lambda x, t: a_interp(x) + c * np.asarray(t)
+        else:
+            ev = lambda x, t: a_interp(x) + c * np.arctan(np.asarray(t))
+        return Nonlinearity(evaluator=ev, a=a, c_growth=abs(c))
     if kind == "power":
-        (coef,) = _require(spec, ("coef",), "nonlinearity.power")
+        (coef,) = _require(params, ("coef",), "nonlinearity.power")
 
         def ev(x, t):
             pbar = np.asarray(p.evaluator(x, x))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -18,30 +17,58 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog
-from .exponents import ExponentField, ScalarExponent, validate_exponent_field, validate_growth_pair
+from .catalog import _finite
+from .exponents import validate_exponent_field, validate_growth_pair
 from .lebesgue import GridFunction
 from .mesh_kernel import Mesh, assemble_weights, build_mesh
-from .poisson import PoissonProblem, Tolerances, solve_poisson
+from .poisson import PoissonProblem, Tolerances, _is_count, solve_poisson
 from .semilinear import fixed_point_solve, growth_screen, solve_by_decomposition
 from .suites import run_suites
 
 MODES = ("validate", "poisson", "semilinear", "decompose", "verify")
 
+
+def _intervals(v) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(pair, list) and len(pair) == 2 and all(map(_finite, pair)) for pair in v)
+
+
+_FINITE = (_finite, "a finite number")
+_POSITIVE = (lambda v: _finite(v) and v > 0, "a finite positive number")
+_COUNT = (_is_count, "a positive integer")
+# a catalog entry, passed to the catalog as its keyword arguments; the
+# catalog checks the names and values of its params
+_ENTRY = {"kind": (lambda v: isinstance(v, str), "a string"),
+          "params": (lambda v: isinstance(v, dict), "an object")}
+
+# a dict is an object and its keys; a leaf is (test, what the value must be)
 _SCHEMA = {
-    "mode": None,
-    "seed": None,
-    "output": {"dir": None},
-    "mesh": {"R": None, "n_cells": None, "dump_weights": None},
-    "omega": {"intervals": None},
-    "order": {"s": None},
-    "exponent": {"kind": None, "params": None},
-    "growth": {"r": {"kind": None, "params": None}},
-    "data": {"h": {"kind": None, "params": None}, "g": {"kind": None, "params": None}},
-    "nonlinearity": {"kind": None, "params": None},
-    "fixedpoint": {"theta": None, "max_iter": None},
-    "decompose": {"shells": None},
-    "tolerances": {"el_residual": None, "max_iter": None},
-    "checks": {"norm_modular": None, "holder": None, "cara": None, "edm": None},
+    "mode": None,  # checked against the requested mode in parse_config
+    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "output": {"dir": (lambda v: isinstance(v, str), "a string")},
+    "mesh": {"R": _FINITE, "n_cells": _COUNT,
+             "dump_weights": (lambda v: isinstance(v, bool), "a boolean")},
+    "omega": {"intervals": (_intervals, "a list of [a, b] pairs of finite numbers")},
+    "order": {"s": _FINITE},
+    "exponent": _ENTRY,
+    "growth": {"r": _ENTRY},
+    "data": {"h": _ENTRY, "g": _ENTRY},
+    "nonlinearity": _ENTRY,
+    "fixedpoint": {"theta": _FINITE, "max_iter": _COUNT},
+    "decompose": {"shells": _COUNT},
+    "tolerances": {"el_residual": _POSITIVE, "max_iter": _COUNT},
+    "checks": {"norm_modular": _COUNT, "holder": _COUNT, "cara": _COUNT, "edm": _COUNT},
+}
+
+# the keys each object must set, by its path
+_REQUIRED = {
+    "mesh": ("R", "n_cells"),
+    "omega": ("intervals",),
+    "order": ("s",),
+    "growth": ("r",),
+    "decompose": ("shells",),
+    **{path: ("kind", "params")
+       for path in ("exponent", "growth.r", "data.h", "data.g", "nonlinearity")},
 }
 
 _MODE_REQUIRES = {
@@ -67,32 +94,26 @@ class RunConfig:
     raw: dict
     out_dir: Path = field(default=Path("."))
 
-    def section(self, name, default=None):
-        return self.raw.get(name, default)
 
-
-def _check_keys(doc, schema, prefix, errors):
+def _check_keys(doc, schema, path, errors):
+    """Name each unknown key, non-object section, wrongly typed value and
+    missing required key of doc."""
+    for key in _REQUIRED.get(path, ()):
+        if key not in doc:
+            errors.append(f"{path}.{key} missing")
     for key, val in doc.items():
+        name = f"{path}.{key}" if path else key
         if key not in schema:
-            errors.append(f"unknown key {prefix + key!r}")
+            errors.append(f"unknown key {name!r}")
             continue
-        sub = schema[key]
-        if not isinstance(sub, dict):
-            continue
-        if isinstance(val, dict):
-            _check_keys(val, sub, prefix + key + ".", errors)
-        else:
-            errors.append(f"{prefix + key}: expected an object")
-
-
-def _finite(v) -> bool:
-    """A finite JSON number: json reads Infinity and NaN, and a bool is an int."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _intervals(v) -> bool:
-    return isinstance(v, list) and all(
-        isinstance(pair, list) and len(pair) == 2 and all(map(_finite, pair)) for pair in v)
+        rule = schema[key]
+        if isinstance(rule, dict):
+            if isinstance(val, dict):
+                _check_keys(val, rule, name, errors)
+            else:
+                errors.append(f"{name}: expected an object")
+        elif rule is not None and not rule[0](val):
+            errors.append(f"{name} must be {rule[1]}")
 
 
 def parse_config(text: str, mode: str | None = None) -> RunConfig:
@@ -105,8 +126,6 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["config: expected an object"])
     _check_keys(doc, _SCHEMA, "", errors)
-    # the checks below read only the sections that are objects; _check_keys named the rest
-    sections = {key: val for key, val in doc.items() if isinstance(val, dict)}
 
     cfg_mode = doc.get("mode", mode)
     if cfg_mode is None:
@@ -116,75 +135,27 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
     elif mode is not None and cfg_mode != mode:
         errors.append(f"config mode {cfg_mode!r} conflicts with requested mode {mode!r}")
 
-    if cfg_mode in _MODE_REQUIRES:
+    if cfg_mode in MODES:
         for sec in _MODE_REQUIRES[cfg_mode]:
             if sec not in doc:
                 errors.append(f"mode {cfg_mode!r} requires section {sec!r}")
 
-    if "mesh" in sections:
-        for k in ("R", "n_cells"):
-            if k not in sections["mesh"]:
-                errors.append(f"mesh.{k} missing")
-    if "omega" in sections and "intervals" not in sections["omega"]:
-        errors.append("omega.intervals missing")
-    if cfg_mode not in ("validate", "verify", None):
-        if "order" in sections and "s" not in sections["order"]:
-            errors.append("order.s missing")
-    counts = [("mesh", "n_cells"), ("fixedpoint", "max_iter"), ("tolerances", "max_iter"),
-              ("decompose", "shells")] + [("checks", k) for k in _SCHEMA["checks"]]
-    for sec, k in counts:
-        v = sections.get(sec, {}).get(k, 1)
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            errors.append(f"{sec}.{k} must be a positive integer")
-    for k, v in sections.get("tolerances", {}).items():
-        if k != "max_iter" and not (_finite(v) and v > 0):
-            errors.append(f"tolerances.{k} must be a finite positive number")
-    for sec, k in (("mesh", "R"), ("order", "s"), ("fixedpoint", "theta")):
-        if k in sections.get(sec, {}) and not _finite(sections[sec][k]):
-            errors.append(f"{sec}.{k} must be a finite number")
-    if not _intervals(sections.get("omega", {}).get("intervals", [])):
-        errors.append("omega.intervals must be a list of [a, b] pairs of finite numbers")
-    if not isinstance(sections.get("output", {}).get("dir", ""), str):
-        errors.append("output.dir must be a string")
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        errors.append("seed must be an integer")
-
     if errors:
         raise ConfigError(errors)
     out_dir = Path(doc.get("output", {}).get("dir", "."))
-    return RunConfig(mode=cfg_mode, seed=seed, raw=doc, out_dir=out_dir)
+    return RunConfig(mode=cfg_mode, seed=doc.get("seed", 0), raw=doc, out_dir=out_dir)
 
 
 def _build_mesh(cfg: RunConfig) -> Mesh:
-    mesh_sec = cfg.section("mesh")
-    omega = cfg.section("omega")["intervals"]
-    return build_mesh(float(mesh_sec["R"]), int(mesh_sec["n_cells"]), omega)
-
-
-def _build_exponent(cfg: RunConfig, mesh: Mesh) -> ExponentField:
-    sec = cfg.section("exponent")
-    s = float(cfg.section("order")["s"])
-    return catalog.pair_exponent(sec["kind"], sec.get("params", {}), s=s, R=mesh.R)
-
-
-def _build_r(cfg: RunConfig, mesh: Mesh) -> ScalarExponent:
-    sec = cfg.section("growth")["r"]
-    return catalog.scalar_exponent(sec["kind"], sec.get("params", {}), R=mesh.R)
+    mesh_sec = cfg.raw["mesh"]
+    return build_mesh(float(mesh_sec["R"]), mesh_sec["n_cells"], cfg.raw["omega"]["intervals"])
 
 
 def _build_data(cfg: RunConfig, mesh: Mesh, name: str) -> GridFunction:
-    sec = cfg.section("data", {}).get(name)
+    sec = cfg.raw.get("data", {}).get(name)
     if sec is None:
         return GridFunction(mesh, np.zeros(mesh.n_cells))
-    return catalog.data_function(sec["kind"], sec.get("params", {}), mesh)
-
-
-def _given(cfg: RunConfig, name: str, casts) -> dict:
-    """The keys of a config section that the config sets, cast; a key left
-    out takes the default of the solver it goes to."""
-    sec = cfg.section(name, {})
-    return {key: cast(sec[key]) for key, cast in casts if key in sec}
+    return catalog.data_function(**sec, mesh=mesh)
 
 
 def format_float(v: float) -> str:
@@ -218,20 +189,18 @@ class Report:
     """Ordered key: value lines, one per reported quantity."""
 
     def __init__(self):
-        self.entries: list[tuple[str, str]] = []
+        self.lines: list[str] = []
 
     def add(self, key: str, value) -> None:
         if isinstance(value, float):
             value = format_float(value)
-        self.entries.append((key, str(value)))
+        self.lines.append(f"{key}: {value}")
 
     def extend(self, lines) -> None:
-        for line in lines:
-            key, _, value = line.partition(": ")
-            self.entries.append((key, value))
+        self.lines.extend(lines)
 
     def write(self, path: Path) -> None:
-        path.write_text("\n".join(f"{k}: {v}" for k, v in self.entries) + "\n")
+        path.write_text("\n".join(self.lines) + "\n")
 
 
 def _echo_config(report: Report, cfg: RunConfig) -> None:
@@ -273,33 +242,32 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
     report.add("mesh.omega_measure", mesh.omega_measure)
 
     if cfg.mode == "verify":
-        counts = cfg.section("checks")
-        results = run_suites(mesh, rng, counts)
+        results = run_suites(mesh, rng, cfg.raw["checks"])
         for res in results:
             report.extend(res.lines())
         return 0 if all(res.passed for res in results) else 1
 
-    p = _build_exponent(cfg, mesh)
+    p = catalog.pair_exponent(**cfg.raw["exponent"], s=float(cfg.raw["order"]["s"]), R=mesh.R)
     validation = validate_exponent_field(p, mesh)
     report.extend(validation.lines())
     if not validation.passed:
         return 1
 
     weights = assemble_weights(mesh, p)
-    if cfg.section("mesh").get("dump_weights"):
+    if cfg.raw["mesh"].get("dump_weights"):
         write_weights_csv(out / "weights.csv", weights.w)
 
     if cfg.mode == "validate":
         return 0
 
-    r = _build_r(cfg, mesh)
+    r = catalog.scalar_exponent(**cfg.raw["growth"]["r"], R=mesh.R)
     g = _build_data(cfg, mesh, "g")
     h = _build_data(cfg, mesh, "h")
     growth_ok = validate_growth_pair(r, p, mesh)
     report.add("growth_pair_ok", growth_ok)
     if not growth_ok:
         return 1
-    tol = Tolerances(**_given(cfg, "tolerances", (("el_residual", float), ("max_iter", int))))
+    tol = Tolerances(**cfg.raw.get("tolerances", {}))
     prob = PoissonProblem(mesh=mesh, weights=weights, p=p, r=r, h=h, g=g, tolerances=tol)
 
     if cfg.mode == "poisson":
@@ -313,14 +281,13 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
         report.add("solver.backtracks_total", sol.backtracks)
         return 0 if sol.converged else 2
 
-    nl_sec = cfg.section("nonlinearity")
-    f = catalog.nonlinearity(nl_sec["kind"], nl_sec.get("params", {}), mesh, p)
+    f = catalog.nonlinearity(**cfg.raw["nonlinearity"], mesh=mesh, p=p)
     screen = growth_screen(f, mesh, p)
     report.add("check.growth_screen.passed", screen.passed)
     report.add("check.growth_screen.defect", screen.value)
     if not screen.passed:
         return 1
-    fp_opts = _given(cfg, "fixedpoint", (("theta", float), ("max_iter", int)))
+    fp_opts = cfg.raw.get("fixedpoint", {})
     if cfg.mode == "semilinear":
         sol, trace = fixed_point_solve(f, prob, **fp_opts)
         write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
@@ -333,8 +300,7 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
         _report_poisson_work(report, [trace])
         return 0 if trace.converged else 2
 
-    shells = int(cfg.section("decompose")["shells"])
-    sol, rep = solve_by_decomposition(f, g, shells, prob, **fp_opts)
+    sol, rep = solve_by_decomposition(f, g, cfg.raw["decompose"]["shells"], prob, **fp_opts)
     write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
     write_trace_csv(out / "trace.csv", rep.shell_traces)
     report.add("solver.converged", rep.converged)

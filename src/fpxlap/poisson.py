@@ -26,6 +26,7 @@ Euler-Lagrange equations directly.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,15 +44,22 @@ _ENERGY_TOL = 1e-8     # energy drop forgiven by minimizer_equivalence_check
 _HOLDOUT_SLACK = 0.10  # holdout ratio above 1 forgiven by lr_estimate_check
 
 
+def _is_count(n) -> bool:
+    """A positive integer; a bool is an int to Python but not a count."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+
 @dataclass(frozen=True)
 class Tolerances:
     el_residual: float = 1e-8
     max_iter: int = 50_000
 
     def __post_init__(self):
-        # a non-finite tolerance would certify an unsolved field (inf) or none (nan)
-        if not (0 < self.el_residual < np.inf) or self.max_iter <= 0:
+        # an inf (or True, read as 1.0) tolerance would certify an unsolved field, a nan none
+        if isinstance(self.el_residual, bool) or not (0 < self.el_residual < np.inf):
             raise ValueError("tolerances must be positive and finite")
+        if not _is_count(self.max_iter):
+            raise ValueError("Tolerances.max_iter must be a positive integer")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from .exponents import (ExponentError, ExponentField, ScalarExponent, conjugate_
                         trace_exponent)
 from .lebesgue import GridFunction, luxemburg_norm
 from .mesh_kernel import KernelWeights, Mesh, restrict_interior
-from .poisson import (PoissonProblem, PoissonSolution, _InteriorBlock, energy as poisson_energy,
-                      energy_gradient, initial_guess, solve_poisson)
+from .poisson import (PoissonProblem, PoissonSolution, _InteriorBlock, _is_count,
+                      energy as poisson_energy, energy_gradient, initial_guess, solve_poisson)
 from .sobolev import DirichletPair
 
 
@@ -276,8 +276,8 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError("damping theta must lie in (0, 1]")
-    if max_iter < 1:
-        raise ValueError("fixed-point max_iter must be at least 1")
+    if not _is_count(max_iter):
+        raise ValueError("fixed-point max_iter must be a positive integer")
     if _block is None:
         require_growth(f, prob.mesh, prob.p)
         _block = _InteriorBlock(prob.mesh, prob.weights)

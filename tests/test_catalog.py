@@ -1,0 +1,72 @@
+import math
+
+import numpy as np
+import pytest
+
+from fpxlap.catalog import (CatalogError, data_function, nonlinearity, pair_exponent,
+                            scalar_exponent)
+
+from util import const_pair
+
+A = {"kind": "constant", "params": {"value": 0.3}}
+
+
+class TestParams:
+    @pytest.mark.parametrize("params", (5, [2.0], "value", None))
+    def test_params_must_be_an_object(self, mesh16, params):
+        with pytest.raises(CatalogError, match=r"^data.constant: params must be an object$"):
+            data_function("constant", params, mesh16)
+
+    # a bool is an int to Python and "3" would pass through float()
+    @pytest.mark.parametrize("value", ("3", True, [2.0], None, math.inf, math.nan, 10**400))
+    def test_values_must_be_finite_numbers(self, value):
+        message = r"^exponent.constant: params \['value'\] must be finite numbers$"
+        with pytest.raises(CatalogError, match=message):
+            pair_exponent("constant", {"value": value}, s=0.3, R=2.0)
+
+    def test_every_bad_value_is_named(self):
+        with pytest.raises(CatalogError, match=r"params \['base', 'width'\] must be"):
+            scalar_exponent("bump", {"base": "2", "amplitude": 0.5, "width": False}, R=2.0)
+
+    def test_names_are_checked_before_values(self, mesh16):
+        with pytest.raises(CatalogError, match=r"missing params \['width'\]"):
+            data_function("gaussian", {"amplitude": "1", "center": 0.0}, mesh16)
+        with pytest.raises(CatalogError, match=r"unknown params \['freq'\]"):
+            data_function("sine", {"amplitude": 1, "frequency": 2, "phase": 0, "freq": 2},
+                          mesh16)
+
+    @pytest.mark.parametrize("one", (1, np.int64(1), np.float32(1.0)))
+    def test_integers_and_numpy_scalars_are_numbers(self, mesh16, one):
+        vals = data_function("affine", {"intercept": one, "slope": 0}, mesh16).values
+        assert vals.dtype == np.float64 and np.all(vals == 1.0)
+
+
+class TestNonlinearityData:
+    @pytest.mark.parametrize("kind,name,extra", (("linear", "a", {"coef": 1.0}),
+                                                 ("arctan", "a", {"eps": 0.05}),
+                                                 ("source", "h", {})))
+    @pytest.mark.parametrize("entry", (5, None, {}, {"params": {"value": 0.3}},
+                                       {"kind": "constant"},
+                                       {"kind": "constant", "params": {"value": 0.3}, "x": 1}))
+    def test_data_param_must_be_a_catalog_entry(self, mesh16, kind, name, extra, entry):
+        params = dict(extra) if entry is None else {**extra, name: entry}
+        with pytest.raises(CatalogError, match=rf"^nonlinearity.{kind}: param '{name}' must be "
+                                               r"a \{kind, params\} object$"):
+            nonlinearity(kind, params, mesh16, const_pair(2.0, 0.3))
+
+    def test_data_param_values_are_checked(self, mesh16):
+        bad_a = {"kind": "constant", "params": {"value": "0.3"}}
+        with pytest.raises(CatalogError, match=r"^data.constant: params \['value'\]"):
+            nonlinearity("arctan", {"eps": 0.05, "a": bad_a}, mesh16, const_pair(2.0, 0.3))
+
+    @pytest.mark.parametrize("kind", ("linear", "arctan", "source", "power"))
+    def test_params_must_be_an_object(self, mesh16, kind):
+        message = rf"^nonlinearity.{kind}: params must be an object$"
+        with pytest.raises(CatalogError, match=message):
+            nonlinearity(kind, [A], mesh16, const_pair(2.0, 0.3))
+
+    def test_other_params_are_numbers(self, mesh16):
+        with pytest.raises(CatalogError, match=r"^nonlinearity.linear: params \['coef'\]"):
+            nonlinearity("linear", {"coef": True, "a": A}, mesh16, const_pair(2.0, 0.3))
+        with pytest.raises(CatalogError, match=r"^nonlinearity.source: unknown params \['eps'\]"):
+            nonlinearity("source", {"h": A, "eps": 0.1}, mesh16, const_pair(2.0, 0.3))

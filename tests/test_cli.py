@@ -1,11 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fpxlap import semilinear as semilinear_module
 from fpxlap.cli import ConfigError, main, parse_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def minimal_poisson_config(**overrides):
@@ -31,6 +34,12 @@ def run_cli(tmp_path, mode, cfg, name="config.json", extra=()):
 
 
 class TestParseConfig:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_parse(self, path):
+        doc = json.loads(path.read_text())
+        cfg = parse_config(path.read_text())
+        assert (cfg.mode, cfg.raw) == (doc["mode"], doc)
+
     def test_minimal_valid(self):
         cfg = parse_config(json.dumps(minimal_poisson_config()), mode="poisson")
         assert cfg.mode == "poisson"
@@ -228,25 +237,54 @@ class TestRun:
         assert not (out / "report").exists()
 
     # json reads Infinity and NaN and a bool is an int, so each is named
-    # as an error; an infinite tolerance would certify an unsolved field
-    @pytest.mark.parametrize("section,key,value,message", (
-        ("tolerances", "el_residual", math.inf, "tolerances.el_residual must be a finite positive number"),
-        ("tolerances", "el_residual", math.nan, "tolerances.el_residual must be a finite positive number"),
-        ("tolerances", "el_residual", True, "tolerances.el_residual must be a finite positive number"),
-        ("mesh", "R", math.inf, "mesh.R must be a finite number"),
-        ("mesh", "R", True, "mesh.R must be a finite number"),
-        ("mesh", "R", [2], "mesh.R must be a finite number"),
-        ("order", "s", math.nan, "order.s must be a finite number"),
-        ("order", "s", True, "order.s must be a finite number"),
-        ("fixedpoint", "theta", math.inf, "fixedpoint.theta must be a finite number"),
-        ("fixedpoint", "theta", True, "fixedpoint.theta must be a finite number"),
-        ("omega", "intervals", 5, "omega.intervals must be a list of [a, b] pairs of finite numbers"),
-        ("omega", "intervals", [[-1.0, [1.0]]],
-         "omega.intervals must be a list of [a, b] pairs of finite numbers"),
-        ("output", "dir", 5, "output.dir must be a string"),
-        (None, "seed", True, "seed must be an integer"),
+    # as an error; an infinite tolerance would certify an unsolved field.
+    # A section of None replaces the whole top-level key; a message that
+    # starts with "  - " is a line of the config error list.
+    @pytest.mark.parametrize("mode,section,key,value,message", (
+        ("semilinear", "tolerances", "el_residual", math.inf,
+         "  - tolerances.el_residual must be a finite positive number"),
+        ("semilinear", "tolerances", "el_residual", math.nan,
+         "  - tolerances.el_residual must be a finite positive number"),
+        ("semilinear", "tolerances", "el_residual", True,
+         "  - tolerances.el_residual must be a finite positive number"),
+        ("semilinear", "mesh", "R", math.inf, "  - mesh.R must be a finite number"),
+        ("semilinear", "mesh", "R", True, "  - mesh.R must be a finite number"),
+        ("semilinear", "mesh", "R", [2], "  - mesh.R must be a finite number"),
+        # json reads integers of any size, and float() overflows past 1.8e308
+        ("semilinear", "mesh", "R", 10**400, "  - mesh.R must be a finite number"),
+        ("semilinear", "order", "s", math.nan, "  - order.s must be a finite number"),
+        ("semilinear", "order", "s", True, "  - order.s must be a finite number"),
+        ("semilinear", "fixedpoint", "theta", math.inf,
+         "  - fixedpoint.theta must be a finite number"),
+        ("semilinear", "fixedpoint", "theta", True,
+         "  - fixedpoint.theta must be a finite number"),
+        ("semilinear", "omega", "intervals", 5,
+         "  - omega.intervals must be a list of [a, b] pairs of finite numbers"),
+        ("semilinear", "omega", "intervals", [[-1.0, [1.0]]],
+         "  - omega.intervals must be a list of [a, b] pairs of finite numbers"),
+        ("semilinear", "output", "dir", 5, "  - output.dir must be a string"),
+        ("semilinear", None, "seed", True, "  - seed must be an integer"),
+        # every catalog entry sets kind and params, and required keys are required in every mode
+        ("semilinear", None, "exponent", {"params": {"value": 2.0}}, "  - exponent.kind missing"),
+        ("semilinear", None, "nonlinearity", {},
+         "  - nonlinearity.kind missing\n  - nonlinearity.params missing"),
+        ("semilinear", "data", "h", {}, "  - data.h.kind missing\n  - data.h.params missing"),
+        ("semilinear", None, "growth", {}, "  - growth.r missing"),
+        ("decompose", None, "decompose", {}, "  - decompose.shells missing"),
+        ("validate", None, "order", {}, "  - order.s missing"),
+        ("semilinear", None, "mode", {},
+         "  - mode {} not one of ('validate', 'poisson', 'semilinear', 'decompose', 'verify')"),
+        ("semilinear", "exponent", "params", 5, "  - exponent.params must be an object"),
+        ("poisson", "mesh", "dump_weights", "no", "  - mesh.dump_weights must be a boolean"),
+        # the catalog checks the names and values of its params when the run builds them
+        ("semilinear", "exponent", "params", {"value": [2.0]},
+         "exponent.constant: params ['value'] must be finite numbers"),
+        ("poisson", "data", "h", {"kind": "constant", "params": {"value": "3"}},
+         "data.constant: params ['value'] must be finite numbers"),
+        ("semilinear", "nonlinearity", "params", {"eps": 0.05, "a": 5},
+         "nonlinearity.arctan: param 'a' must be a {kind, params} object"),
     ))
-    def test_bad_value_is_rejected(self, tmp_path, capsys, section, key, value, message):
+    def test_bad_value_is_rejected(self, tmp_path, capsys, mode, section, key, value, message):
         cfg = minimal_poisson_config()
         cfg["nonlinearity"] = {
             "kind": "arctan",
@@ -256,10 +294,12 @@ class TestRun:
             cfg[key] = value
         else:
             cfg.setdefault(section, {})[key] = value
-        code, out = run_cli(tmp_path, "semilinear", cfg)
+        code, out = run_cli(tmp_path, mode, cfg)
         assert code == 1
-        assert capsys.readouterr().err == f"error: invalid config:\n  - {message}\n"
+        invalid = "invalid config:\n" if message.startswith("  - ") else ""
+        assert capsys.readouterr().err == f"error: {invalid}{message}\n"
         assert not (out / "report").exists()
+        assert not (out / "weights.csv").exists()
 
     def test_stiff_semilinear_exits_two(self, tmp_path):
         cfg = minimal_poisson_config()

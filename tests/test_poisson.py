@@ -201,6 +201,16 @@ class TestSolve:
         with pytest.raises(ValueError, match="positive and finite"):
             Tolerances(el_residual=el_residual)
 
+    def test_boolean_tolerance_rejected(self):
+        # True would be read as 1.0 and certify an unsolved field after 0 iterations
+        with pytest.raises(ValueError, match="positive and finite"):
+            Tolerances(el_residual=True)
+
+    @pytest.mark.parametrize("max_iter", (2.5, True))
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            Tolerances(max_iter=max_iter)
+
     def test_nonconvergence_is_reported(self, mesh64):
         # p = 2 converges in one iteration, so use a nonlinear exponent
         prob = make_problem(mesh64, const_pair(3.0, 0.28), 4.0,

@@ -213,6 +213,11 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="max_iter"):
             fixed_point_solve(arctan_nonlinearity(mesh96), make_template(mesh96), max_iter=0)
 
+    def test_fractional_max_iter_rejected(self, mesh96):
+        # range() would raise a TypeError only after the first Poisson solve
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            fixed_point_solve(arctan_nonlinearity(mesh96), make_template(mesh96), max_iter=2.5)
+
     def test_fixed_point_certificate(self, mesh96):
         f = arctan_nonlinearity(mesh96)
         template = make_template(mesh96)
@@ -497,3 +502,8 @@ class TestDecomposition:
     def test_too_many_shells_rejected(self, mesh16):
         with pytest.raises(ValueError):
             shell_partition(mesh16, 100)
+
+    def test_fractional_max_iter_rejected(self, mesh96):
+        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+            solve_by_decomposition(arctan_nonlinearity(mesh96), GridFunction.zeros(mesh96), 3,
+                                   make_template(mesh96), max_iter=2.5)
