@@ -139,6 +139,8 @@ def parse_config(text: str, mode: str | None = None) -> RunConfig:
         for sec in _MODE_REQUIRES[cfg_mode]:
             if sec not in doc:
                 errors.append(f"mode {cfg_mode!r} requires section {sec!r}")
+    if doc.get("checks") == {}:
+        errors.append("checks must name at least one suite")
 
     if errors:
         raise ConfigError(errors)

@@ -60,10 +60,6 @@ def _region_mask(mesh: Mesh, region) -> np.ndarray:
     return mask
 
 
-def region_measure(mesh: Mesh, region=None) -> float:
-    return float(_region_mask(mesh, region).sum()) * mesh.cell_width
-
-
 def modular(u: GridFunction, q: ScalarExponent, region=None) -> float:
     """rho_q(u) = sum_{i in region} |u_i|^{q(x_i)} * cell_width."""
     mask = _region_mask(u.mesh, region)
@@ -73,44 +69,36 @@ def modular(u: GridFunction, q: ScalarExponent, region=None) -> float:
     return float(np.sum(np.abs(u.values[mask]) ** qv) * u.mesh.cell_width)
 
 
-def _luxemburg_root(groups) -> float:
-    """lam = e^t at the root of phi(t) = log sum exp(a - q t) over the groups.
+def _luxemburg_root(a: np.ndarray, q: np.ndarray) -> float:
+    """lam = e^t at the root of phi(t) = log sum exp(a - q t) = log rho(u / e^t).
 
-    Each group is a pair (a, q) of equal-shape arrays: a holds the logs of
-    the modular terms at lam = 1 (-inf for a zero term) and q their
-    exponents, so phi(t) = log rho(u / e^t).  A constant exponent gives the
-    closed form t = log rho / q.  Otherwise phi, a log-sum-exp of affine
-    functions, is convex and decreasing, so Newton's method
-    t += phi * sum(e) / sum(q e), with e = exp(a - q t) computed after a
-    max-shift, lands left of the root from any start and then rises to it
-    monotonically.  The first step, from t = 0, gives log rho / q_mean with
-    q_mean the rho-weighted mean exponent, which lies inside the bracket
-    [log rho / q-, log rho / q+].  Stops once a step is at most
-    ``_NEWTON_RTOL`` (relative in lam) and raises BisectionError after
-    ``_NEWTON_MAX_STEPS`` steps; both are read at call time, so the seminorm
-    and the norm share them.  Returns 0 when every term vanishes.
+    a holds the logs of the modular terms at lam = 1 (-inf for a zero term)
+    and q their exponents, flat arrays of one size.  A constant exponent
+    gives the closed form t = log rho / q.  Otherwise phi is convex and
+    decreasing, so Newton's method t += phi * sum(e) / sum(q e), with
+    e = exp(a - q t) after a max-shift, lands left of the root from any
+    start (the first step, from t = 0, gives log rho over the rho-weighted
+    mean exponent) and then rises to it monotonically.  Stops once a step
+    is at most ``_NEWTON_RTOL`` (relative in lam) and raises BisectionError
+    after ``_NEWTON_MAX_STEPS`` steps, both read at call time.  Returns 0
+    when every term vanishes.
     """
-    shift = max(float(a.max()) for a, _ in groups)
+    shift = float(a.max(initial=-math.inf))
     if shift == -math.inf:
         return 0.0
-    q_lo = min(float(q.min()) for _, q in groups)
-    if q_lo == max(float(q.max()) for _, q in groups):
-        total = sum(float(np.exp(a - shift).sum()) for a, _ in groups)
-        return math.exp((shift + math.log(total)) / q_lo)
-    work = [np.empty(a.shape) for a, _ in groups]
+    q_lo = float(q.min())
+    if q_lo == float(q.max()):
+        return math.exp((shift + math.log(float(np.exp(a - shift).sum()))) / q_lo)
+    z = np.empty_like(a)
     t, step = 0.0, math.inf
     for _ in range(_NEWTON_MAX_STEPS):
-        for (a, q), z in zip(groups, work):
-            np.multiply(q, -t, out=z)
-            z += a
-        shift = max(float(z.max()) for z in work)
-        total = weighted = 0.0
-        for (_, q), z in zip(groups, work):
-            z -= shift
-            np.exp(z, out=z)
-            total += float(z.sum())
-            weighted += float(np.vdot(q, z))
-        step = (shift + math.log(total)) * total / weighted
+        np.multiply(q, -t, out=z)
+        z += a
+        shift = float(z.max())
+        z -= shift
+        np.exp(z, out=z)
+        total = float(z.sum())
+        step = (shift + math.log(total)) * total / float(np.vdot(q, z))
         t += step
         if abs(step) <= _NEWTON_RTOL:
             return math.exp(t)
@@ -119,14 +107,10 @@ def _luxemburg_root(groups) -> float:
 
 
 def luxemburg_norm(u: GridFunction, q: ScalarExponent, region=None) -> float:
-    """inf{lam > 0 : rho_q(u/lam) <= 1} by Newton's method on log lam.
-
-    With u scaled by its sup, the modular terms |u_i|^q_i dx are formed
-    once as logs, and each Newton step costs one exp pass over them (see
-    ``_luxemburg_root``, which stops at ``_NEWTON_RTOL`` within
-    ``_NEWTON_MAX_STEPS`` steps).  A constant exponent gives the closed form
-    rho^(1/q) with no iteration.  Returns 0 for the zero function.
-    """
+    """inf{lam > 0 : rho_q(u/lam) <= 1}: the logs of the terms |u_i|^q_i dx,
+    with u scaled by its sup, go to ``_luxemburg_root`` once (Newton's
+    method on log lam, or a closed form for a constant exponent).  Returns
+    0 for the zero function."""
     mask = _region_mask(u.mesh, region)
     vals = np.abs(u.values[mask])
     if vals.size == 0 or not vals.any():
@@ -138,7 +122,7 @@ def luxemburg_norm(u: GridFunction, q: ScalarExponent, region=None) -> float:
         logs = np.log(vals / vmax)
     logs *= qv
     logs += np.log(u.mesh.cell_width)
-    return vmax * _luxemburg_root([(logs, qv)])
+    return vmax * _luxemburg_root(logs, qv)
 
 
 def pairing(u: GridFunction, v: GridFunction, region=None) -> float:

@@ -9,7 +9,7 @@ A=[a1,a2], B=[b1,b2] and alpha = 1+s*p the double integral is
 
 which remains finite for adjacent cells exactly when alpha < 2, i.e.
 s*p < 1.  The weights are filled over the upper triangle in the row blocks
-of ``_row_blocks``, which the Poisson solve uses too (about 2^15 pairs a
+of ``_row_blocks``, which the pair passes use too (about 2^15 pairs a
 block, so no n x n temporaries), and the lower triangle is its mirror; a
 constant exponent is kept as one read-only zero-stride array.  The per-cell
 tail is the one-sided exterior integral int_{|y|>R} |x_i-y|^(-(1+s*pbar(x_i)))
@@ -127,6 +127,30 @@ def _row_blocks(m: int, n: int):
         i0 = i1
 
 
+def _layout(interior: np.ndarray):
+    """The columns [interior | exterior] of the interior-row blocks: the cell
+    of each column, and the runs (j0, j1, shift) of consecutive cells in
+    them, cols[j] = j + shift for j in [j0, j1)."""
+    cols = np.concatenate([np.flatnonzero(interior), np.flatnonzero(~interior)])
+    cut = (np.flatnonzero(np.diff(cols) != 1) + 1).tolist()
+    return cols, [(j0, j1, int(cols[j0]) - j0) for j0, j1 in zip([0] + cut, cut + [cols.size])]
+
+
+def _gather(a: np.ndarray, runs: list, i0: int, i1: int, out: np.ndarray) -> np.ndarray:
+    """a[cols[i0:i1]][:, cols[i0:]] into out, one slice copy per pair of
+    ``_layout`` runs; returns out."""
+    for r0, r1, r_shift in runs:
+        r0, r1 = max(r0, i0), min(r1, i1)
+        if r0 >= r1:
+            continue
+        for c0, c1, c_shift in runs:
+            c0 = max(c0, i0)
+            if c0 < c1:
+                out[r0 - i0:r1 - i0, c0 - i0:c1 - i0] = a[r0 + r_shift:r1 + r_shift,
+                                                            c0 + c_shift:c1 + c_shift]
+    return out
+
+
 def _phi(out: np.ndarray, t_rows: np.ndarray, t_cols: np.ndarray,
          two_minus_alpha: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """phi(t_rows[i] - t_cols[j]) into out, with denom = (1-alpha)(2-alpha)."""
@@ -147,6 +171,12 @@ class KernelWeights:
     @property
     def p_bar(self) -> np.ndarray:
         return np.diagonal(self.p_pair)
+
+    @property
+    def p_const(self) -> float | None:
+        """The uniform exponent of a zero-stride p_pair, the form that
+        ``assemble_weights`` gives a constant one; None otherwise."""
+        return None if any(self.p_pair.strides) else float(self.p_pair.flat[0])
 
     @property
     def p_minus(self) -> float:

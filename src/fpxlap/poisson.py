@@ -12,12 +12,7 @@ depend on g alone: they would add a constant, which cannot move the
 minimizer and is infinite for data without finite energy on the whole
 complement, so they are left out.  E is strictly convex in the interior
 unknowns and is minimized by damped lagged-weight linearization with Armijo
-backtracking.  The solver works in row blocks over the interior rows, where
-each pair is formed once: one pass per trial point gives the energy, the
-gradient and the unfloored lagged weights w |d|^{p-2} = w |d|^p / d^2, so
-no pair gets a second power.  The lagged weights are floored where
-differences degenerate, in a short pass over the kept blocks; the floor
-shrinks with the gradient residual (the IRLS rule).
+backtracking (see ``solve_poisson``).
 The gradient component at an interior cell equals the weak-form residual
 against that cell's indicator, so the stopping rule certifies the discrete
 Euler-Lagrange equations directly.
@@ -34,9 +29,8 @@ import numpy as np
 from .checks import CheckResult, EstimateReport
 from .exponents import ExponentField, ScalarExponent, conjugate_exponent, trace_exponent, validate_growth_pair
 from .lebesgue import GridFunction, luxemburg_norm
-from .mesh_kernel import KernelWeights, Mesh, _row_blocks
-from .sobolev import (DirichletPair, _exterior_block, _pair_powers, _uniform, apply_operator,
-                      full_norm, weak_form)
+from .mesh_kernel import KernelWeights, Mesh, _gather, _layout, _row_blocks
+from .sobolev import DirichletPair, _pair_sum, apply_operator, full_norm, weak_form
 
 
 _MIN_STEP = 1e-20      # smallest Armijo step tried before an iteration gives up
@@ -107,25 +101,14 @@ def _field(u) -> GridFunction:
 
 
 def energy(u, prob: PoissonProblem) -> float:
-    """Energy of a field on the full n x n pair matrix.
-
-    Plain reference implementation on the pair pass that the modular and
-    the operator share: sum w |d|^p / p over the pairs with a cell in Omega
-    plus the tails of the interior cells over pbar, minus the source.  The
-    exterior-exterior block is the one the 'omega' modular drops, since it
-    depends on g alone.  ``solve_poisson`` evaluates the same energy on its
-    interior-row block, and tests and checks recompute with this one.
-    """
-    vals = _field(u).values
-    W = prob.weights
-    _, power, tail_power = _pair_powers(vals, W, _uniform(W.p_pair))
-    pair = W.w * power / W.p_pair
-    pair[_exterior_block(W, "omega")] = 0.0
-    dx = prob.mesh.cell_width
-    mask = prob.mesh.interior_mask
-    tail = 2.0 * dx * float(np.sum(W.tail[mask] * tail_power[mask] / W.p_bar[mask]))
-    source = dx * float(np.sum(prob.h.values[mask] * vals[mask]))
-    return float(pair.sum()) + tail - source
+    """Energy of a field: the reference that tests and checks recompute with,
+    apart from the solver's own pass (``_InteriorBlock._pass``).  Its pairs
+    are those of the 'omega' modular, over p, each formed once."""
+    vals, W, mask = _field(u).values, prob.weights, prob.mesh.interior_mask
+    pbar = W.p_bar[mask]
+    tail = 2.0 * float(np.sum(W.tail[mask] * np.abs(vals[mask]) ** pbar / pbar))
+    source = float(np.sum(prob.h.values[mask] * vals[mask]))
+    return _pair_sum(vals, W, "omega", W.p_const, over_p=True) + prob.mesh.cell_width * (tail - source)
 
 
 def energy_gradient(u, prob: PoissonProblem) -> GridFunction:
@@ -134,9 +117,8 @@ def energy_gradient(u, prob: PoissonProblem) -> GridFunction:
     2 dx (operator u) - dx h, that is component i (interior):
     2 sum_j w_ij |u_i-u_j|^{p_ij-2}(u_i-u_j) + 2 dx tail_i |u_i|^{pbar_i-2} u_i
     - dx h_i.  Exterior components are constrained and reported as zero.
-    Plain reference implementation on ``apply_operator`` over the full n x n
-    pair matrix, independent of the interior-row block inside
-    ``solve_poisson``.
+    Reference implementation on ``apply_operator``, independent of the
+    interior-row block inside ``solve_poisson``.
     """
     dx = prob.mesh.cell_width
     grad = 2.0 * dx * apply_operator(_field(u), prob.weights)
@@ -164,20 +146,6 @@ def _floor_weights(k: np.ndarray, a: np.ndarray, w: np.ndarray, p, floor: float)
     """
     small = a < floor
     k[small] = w[small] * floor ** ((p if np.isscalar(p) else p[small]) - 2.0)
-
-
-def _gather(a: np.ndarray, runs: list, i0: int, i1: int, out: np.ndarray) -> None:
-    """a[cols[i0:i1]][:, cols[i0:]] into out, one slice copy per pair of runs
-    (j0, j1, shift): cols[j] = j + shift for j in [j0, j1)."""
-    for r0, r1, r_shift in runs:
-        r0, r1 = max(r0, i0), min(r1, i1)
-        if r0 >= r1:
-            continue
-        for c0, c1, c_shift in runs:
-            c0 = max(c0, i0)
-            if c0 < c1:
-                out[r0 - i0:r1 - i0, c0 - i0:c1 - i0] = a[r0 + r_shift:r1 + r_shift,
-                                                            c0 + c_shift:c1 + c_shift]
 
 
 def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
@@ -216,8 +184,9 @@ def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
 class _InteriorBlock:
     """The row-block set-up of ``solve_poisson`` for one (mesh, weights).
 
-    Columns are ordered [interior | exterior | tail]: the tail of row i is
-    one more column, of weight dx tail_i, exponent pbar_i and value 0.  In
+    Columns are ordered [interior | exterior | tail] (``mesh_kernel._layout``
+    and one more): the tail of row i is a column of weight dx tail_i,
+    exponent pbar_i and value 0.  In
     this order row i holds the columns from column i on, and ``_row_blocks``
     cuts the interior rows into blocks: the block of rows [i0, i1) holds the
     columns from i0 on, with weight 0 below the diagonal of its own square,
@@ -239,14 +208,10 @@ class _InteriorBlock:
 
     def __init__(self, mesh: Mesh, weights: KernelWeights):
         self.mesh, self.weights = mesh, weights
-        interior = mesh.interior_mask
-        self.rows = rows = np.flatnonzero(interior)
-        self.cols = cols = np.concatenate([rows, np.flatnonzero(~interior)])
-        # the runs of consecutive cells in cols, for ``_gather``
-        cut = (np.flatnonzero(np.diff(cols) != 1) + 1).tolist()
-        self._runs = [(j0, j1, int(cols[j0]) - j0) for j0, j1 in zip([0] + cut, cut + [cols.size])]
-        self.m = m = rows.size
-        self.p_const = _uniform(weights.p_pair)
+        self.cols, self._runs = _layout(mesh.interior_mask)
+        self.m = m = int(np.count_nonzero(mesh.interior_mask))
+        self.rows = self.cols[:m]
+        self.p_const = weights.p_const
         self.quadratic = self.p_const == 2.0
         self._values = np.zeros(mesh.n_cells + 1)  # the field in column order; the tail's 0 stays
         self.blocks = list(self._gather_blocks())
@@ -268,16 +233,14 @@ class _InteriorBlock:
         ones = np.ones(n + 1)
         vc = self._values
         for (i0, i1), shape, size in zip(spans, shapes, sizes):
-            w = np.empty(shape)
-            _gather(weights.w, self._runs, i0, i1, w)
+            w = _gather(weights.w, self._runs, i0, i1, np.empty(shape))
             w[:, -1] = self.mesh.cell_width * weights.tail[cols[i0:i1]]
             w *= 2.0
             # the square's pairs below its diagonal are the ones above it
             w[:, :i1 - i0][np.tri(i1 - i0, k=-1, dtype=bool)] = 0.0
             p = self.p_const
             if p is None:
-                p = np.empty(shape)
-                _gather(weights.p_pair, self._runs, i0, i1, p)
+                p = _gather(weights.p_pair, self._runs, i0, i1, np.empty(shape))
                 p[:, -1] = weights.p_bar[cols[i0:i1]]
             d, t = (buf[:size].reshape(shape) for buf in scratch)
             a = k = None
@@ -481,16 +444,11 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
                   _block: _InteriorBlock | None = None) -> PoissonSolution:
     """Minimize the energy over the interior unknowns.
 
-    The energy counts only the pairs with a cell in Omega and the interior
-    tails (see the module docstring), so every pass works on the m interior
-    rows (m interior cells), in the row blocks of ``mesh_kernel._row_blocks``
-    that hold each interior-interior pair once, above the diagonal, each
-    interior-exterior pair once and each row's tail as one more column.
-    Each trial point costs one pass over these blocks: it forms d and |d|^p
-    once per pair and adds up
-    the energy, the gradient (row sums minus the antisymmetric column sums
-    of the fluxes w |d|^p / d) and the lagged weights w |d|^p / d^2, which
-    the block keeps with |d| for the model.
+    Each trial point costs one pass over the interior-row blocks of
+    ``_InteriorBlock``: it forms d and |d|^p once per pair and adds up the
+    energy, the gradient (row sums minus the antisymmetric column sums of
+    the fluxes w |d|^p / d) and the lagged weights w |d|^p / d^2, which the
+    block keeps with |d| for the model.
 
     Each iteration builds the weighted-graph-Laplacian model of the energy
     with lagged pair weights max(p-1,1) w max(|u_i-u_j|, floor)^{p-2}: a

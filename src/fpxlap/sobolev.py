@@ -14,6 +14,10 @@ where the tail integral carries the cell measure dx once because ``tail_i``
 stores the one-dimensional exterior integral frozen at the cell center.  The
 cell-averaged operator value then satisfies the exact identity
 <L(u),phi> = 2 sum_i phi_i (operator u)_i dx for phi supported in the box.
+
+Each pass forms each unordered pair once, in the row blocks of
+``mesh_kernel._row_blocks`` (no n x n temporary); 'omega' and ``poisson.energy``
+take only the interior rows, so they never form a pair of two exterior cells.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .exponents import ScalarExponent
 from .lebesgue import GridFunction, _luxemburg_root, luxemburg_norm
-from .mesh_kernel import KernelWeights, Mesh
+from .mesh_kernel import KernelWeights, _gather, _layout, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -39,90 +43,105 @@ class DirichletPair:
         if not np.array_equal(self.u.values[ext], self.g.values[ext]):
             raise ValueError("u must equal g on every exterior cell")
 
-    @classmethod
-    def from_interior(cls, mesh: Mesh, interior_values: np.ndarray,
-                      g: GridFunction) -> "DirichletPair":
-        vals = g.values.copy()
-        vals[mesh.interior_mask] = interior_values
-        return cls(u=GridFunction(mesh, vals), g=g)
 
-
-def _uniform(a: np.ndarray) -> float | None:
-    """The common value of a constant array, None when it varies; a
-    zero-stride array (a broadcast constant exponent) answers without a scan."""
-    if not any(a.strides) or a.min() == a.max():
-        return float(a.flat[0])
-    return None
-
-
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, 0 where den = 0: |d|^{p-2} d from |d|^p and d."""
-    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-
-
-def _pair_powers(vals: np.ndarray, W: KernelWeights, p_const: float | None):
-    """The one pair pass of the n x n references: d = u_i - u_j,
-    |d|^{p_ij} and the tail powers |u_i|^{pbar_i}; squares when the uniform
-    exponent p_const (``_uniform(W.p_pair)``, scanned once by the caller)
-    is 2."""
-    diff = vals[:, None] - vals[None, :]
-    if p_const == 2.0:
-        return diff, diff * diff, vals * vals
-    return diff, np.abs(diff) ** W.p_pair, np.abs(vals) ** W.p_bar
-
-
-def _exterior_block(W: KernelWeights, variant: str):
-    """Index of the exterior-exterior pairs, which the 'omega' variant drops;
-    ``poisson.energy`` drops them too, since they depend on g alone."""
+def _pair_blocks(W: KernelWeights, variant: str, p_const: float | None, fields, scratch: int):
+    """The variant's pairs by blocks of rows [i0, i1) over the columns from
+    i0 on: all cells for 'rn', with w, p views of the weights; the interior
+    rows and [interior | exterior] columns (``mesh_kernel._layout``) for
+    'omega', with w, p gathered.  Yields (i0, i1, w, p or p_const, the
+    d = f_i - f_j of each field, ``scratch`` free buffers).  The block's own
+    square [:, :i1 - i0] holds its pairs both ways, the other columns once."""
+    n = W.mesh.n_cells
     if variant == "rn":
-        return None
-    if variant == "omega":
-        ext = W.mesh.exterior_mask
-        return np.ix_(ext, ext)
-    raise ValueError(f"unknown modular variant {variant!r}")
+        m, runs = n, None
+    elif variant == "omega":
+        m = int(np.count_nonzero(W.mesh.interior_mask))
+        cols, runs = _layout(W.mesh.interior_mask)
+        fields = [f[cols] for f in fields]
+    else:
+        raise ValueError(f"unknown modular variant {variant!r}")
+    spans = list(_row_blocks(m, n))
+    gathered = 0 if runs is None else 1 + (p_const is None)
+    buffers = np.empty((len(fields) + scratch + gathered, max((i1 - i0) * (n - i0) for i0, i1 in spans)))
+    for i0, i1 in spans:
+        views = [buf[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0) for buf in buffers]
+        w = W.w[i0:i1, i0:] if runs is None else _gather(W.w, runs, i0, i1, views.pop())
+        p = p_const if p_const is not None else (
+            W.p_pair[i0:i1, i0:] if runs is None else _gather(W.p_pair, runs, i0, i1, views.pop()))
+        diffs = [np.subtract(f[i0:i1, None], f[None, i0:], out=views.pop()) for f in fields]
+        yield i0, i1, w, p, diffs, views
+
+
+def _twice_upper(terms: np.ndarray, rows: int) -> float:
+    """Twice a block's symmetric pair terms summed over its pairs, each once."""
+    return 2.0 * float(terms[:, rows:].sum()) + float(terms[:, :rows].sum())
+
+
+def _pair_sum(vals: np.ndarray, W: KernelWeights, variant: str, p_const: float | None,
+              over_p: bool = False) -> float:
+    """sum of 2 w_ij |u_i-u_j|^{p_ij} (over p_ij with over_p) over the
+    variant's unordered pairs."""
+    total = 0.0
+    for i0, i1, w, p, (d,), _ in _pair_blocks(W, variant, p_const, [vals], 0):
+        if p_const == 2.0:
+            d *= d
+        else:
+            np.power(np.abs(d, out=d), p, out=d)
+            if over_p and p_const is None:
+                d /= p
+        d *= w
+        total += _twice_upper(d, i1 - i0)
+    return total / p_const if over_p and p_const is not None else total
 
 
 def gagliardo_modular(u: GridFunction, W: KernelWeights, variant: str = "rn") -> float:
     """Double-integral modular of u; 'rn' includes tails, 'omega' drops tails
     and the exterior-exterior pairs."""
-    _, power, tail_power = _pair_powers(u.values, W, _uniform(W.p_pair))
-    terms = W.w * power
-    block = _exterior_block(W, variant)
-    if block is not None:
-        terms[block] = 0.0
-        return float(terms.sum())
-    return float(terms.sum()) + 2.0 * W.mesh.cell_width * float(np.sum(W.tail * tail_power))
+    rho = _pair_sum(u.values, W, variant, W.p_const)
+    if variant == "rn":
+        rho += 2.0 * W.mesh.cell_width * float(np.sum(W.tail * np.abs(u.values) ** W.p_bar))
+    return rho
 
 
 def gagliardo_seminorm(u: GridFunction, W: KernelWeights, variant: str = "rn") -> float:
-    """inf{lam > 0 : rho(u/lam) <= 1} by Newton's method on log lam.
+    """inf{lam > 0 : rho(u/lam) <= 1}, with u scaled by its sup.
 
-    With u scaled by its sup, the pair terms log w_ij + p_ij log|u_i-u_j|
-    are formed once, in place in the difference buffer ('omega' sets the
-    exterior-exterior pairs to -inf), and 'rn' adds the n tail terms as a
-    second group; each Newton step is one exp pass over them (see
-    ``lebesgue._luxemburg_root``, with the tolerance ``_NEWTON_RTOL`` and
-    the budget ``_NEWTON_MAX_STEPS`` of ``lebesgue``).  A constant exponent
-    gives the closed form rho^(1/p) with no iteration.
+    A constant exponent p gives the closed form rho^(1/p).  A varying one
+    goes by Newton's method on log lam (``lebesgue._luxemburg_root``): the
+    logs log 2 w_ij + p_ij log|u_i-u_j| of the pairs, each once and without
+    the ties d = 0, and for 'rn' those of the tails are formed once into one
+    flat buffer, and each Newton step is one exp pass over it.
     """
-    block = _exterior_block(W, variant)
     vmax = float(np.abs(u.values).max())
     if vmax == 0.0:
         return 0.0
     vals = u.values / vmax
-    logs = vals[:, None] - vals[None, :]
-    with np.errstate(divide="ignore"):
-        np.abs(logs, out=logs)
-        np.log(logs, out=logs)
-        logs *= W.p_pair
-        logs += np.log(W.w)
-        groups = [(logs, W.p_pair)]
-        if block is None:
-            tail_logs = np.log(2.0 * W.mesh.cell_width * W.tail) + W.p_bar * np.log(np.abs(vals))
-            groups.append((tail_logs, W.p_bar))
-        else:
-            logs[block] = -np.inf
-    return vmax * _luxemburg_root(groups)
+    p_const = W.p_const
+    if p_const is not None:
+        return vmax * gagliardo_modular(GridFunction(W.mesh, vals), W, variant) ** (1.0 / p_const)
+
+    def terms():
+        """|d|, p and w of each kept term, block by block, then the tails."""
+        for i0, i1, w, p, (d,), _ in _pair_blocks(W, variant, None, [vals], 0):
+            keep = d != 0.0
+            keep[:, :i1 - i0][np.tri(i1 - i0, dtype=bool)] = False
+            yield np.abs(d[keep]), p[keep], w[keep]
+        if variant == "rn":
+            keep = vals != 0.0
+            yield np.abs(vals[keep]), W.p_bar[keep], W.mesh.cell_width * W.tail[keep]
+
+    n = W.mesh.n_cells
+    m = int(np.count_nonzero(W.mesh.interior_mask)) if variant == "omega" else n
+    logs, q = np.empty((2, m * n - m * (m + 1) // 2 + n))  # each pair once, n tails
+    size = 0
+    with np.errstate(divide="ignore"):  # a zero weight or tail gives a harmless -inf
+        for d, p, w in terms():
+            seg, q[size:size + d.size] = logs[size:size + d.size], p
+            np.log(d, out=seg)
+            seg *= p
+            seg += np.log(2.0 * w)
+            size += d.size
+    return vmax * _luxemburg_root(logs[:size], q[:size])
 
 
 def full_norm(u: GridFunction, W: KernelWeights, q: ScalarExponent) -> float:
@@ -136,35 +155,42 @@ def apply_operator(u: GridFunction, W: KernelWeights) -> np.ndarray:
     (operator u)_i = (1/dx) sum_{j != i} w_ij |u_i-u_j|^{p_ij-2}(u_i-u_j)
                      + tail_i |u_i|^{pbar_i-2} u_i,
 
-    with each flux taken from the shared pair pass as |d|^p / d (0 at
-    d = 0); at uniform p = 2 the fluxes are d and u themselves.  The
-    self-cell term vanishes identically for piecewise constants, which is
-    the discrete counterpart of the principal-value cancellation.
+    with each flux |d|^p / d (0 at d = 0; d and u at uniform p = 2) formed
+    once per pair in the 'rn' blocks: row sums minus the antisymmetric
+    column sums.  The self-cell term vanishes identically for piecewise
+    constants, the discrete principal-value cancellation.
     """
-    vals = u.values
-    p_const = _uniform(W.p_pair)
-    if p_const == 2.0:
-        pair, tail_flux = W.w * (vals[:, None] - vals[None, :]), vals
-    else:
-        diff, power, tail_power = _pair_powers(vals, W, p_const)
-        pair, tail_flux = W.w * _ratio(power, diff), _ratio(tail_power, vals)
-    return pair.sum(axis=1) / W.mesh.cell_width + W.tail * tail_flux
+    vals, p_const = u.values, W.p_const
+    out, ones = np.zeros(vals.size), np.ones(vals.size)
+    for i0, i1, w, p, (d,), (t,) in _pair_blocks(W, "rn", p_const, [vals], 1):
+        if p_const != 2.0:
+            np.divide(np.power(np.abs(d, out=t), p, out=t), d, out=d, where=d != 0.0)
+        d *= w
+        out[i0:i1] += d @ ones[i0:]
+        out[i1:] -= ones[i0:i1] @ d[:, i1 - i0:]
+    tail_flux = vals if p_const == 2.0 else np.divide(np.abs(vals) ** W.p_bar, vals, out=np.zeros(
+        vals.size), where=vals != 0.0)
+    return out / W.mesh.cell_width + W.tail * tail_flux
 
 
 def weak_form(u: GridFunction, phi: GridFunction, W: KernelWeights) -> float:
     """<L(u), phi> including the exterior tail pairing.
 
-    Its own pass, sign(d) |d|^{p-1} (d itself at uniform p = 2), apart from
-    the shared one: it is the independent side of the identity
-    <L(u), phi> = 2 dx sum phi (operator u).
+    Its own formula sign(d) |d|^{p-1} (d itself at uniform p = 2) in its own
+    pass, apart from the operator's |d|^p / d: the independent side of the
+    identity <L(u), phi> = 2 dx sum phi (operator u).
     """
-    du = u.values[:, None] - u.values[None, :]
-    dphi = phi.values[:, None] - phi.values[None, :]
-    if _uniform(W.p_pair) == 2.0:
-        flux, tail_flux = du, u.values
-    else:
-        flux = np.sign(du) * np.abs(du) ** (W.p_pair - 1.0)
-        tail_flux = np.sign(u.values) * np.abs(u.values) ** (W.p_bar - 1.0)
-    pair = float((W.w * flux * dphi).sum())
-    tail = 2.0 * W.mesh.cell_width * float(np.sum(W.tail * tail_flux * phi.values))
-    return pair + tail
+    p_const = W.p_const
+    total = 0.0
+    for i0, i1, w, p, (du, dphi), (t, e) in _pair_blocks(W, "rn", p_const,
+                                                         [u.values, phi.values], 2):
+        if p_const != 2.0:
+            pm1 = np.subtract(p, 1.0, out=e) if p_const is None else p_const - 1.0
+            np.power(np.abs(du, out=t), pm1, out=t)
+            np.multiply(np.sign(du, out=du), t, out=du)
+        du *= dphi
+        du *= w
+        total += _twice_upper(du, i1 - i0)
+    vals = u.values
+    tail_flux = vals if p_const == 2.0 else np.sign(vals) * np.abs(vals) ** (W.p_bar - 1.0)
+    return total + 2.0 * W.mesh.cell_width * float(np.sum(W.tail * tail_flux * phi.values))

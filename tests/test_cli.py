@@ -221,6 +221,16 @@ class TestRun:
             f"error: invalid config:\n  - {section}.{key} must be a positive integer\n"
         assert not (out / "report").exists()
 
+    def test_empty_check_list_rejected(self, tmp_path, capsys):
+        # verify mode with no suite to run would report "all checks passed"
+        cfg = {"mesh": {"R": 2.0, "n_cells": 64}, "omega": {"intervals": [[-1.0, 1.0]]},
+               "checks": {}}
+        code, out = run_cli(tmp_path, "verify", cfg)
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: invalid config:\n  - checks must name at least one suite\n"
+        assert not (out / "report").exists()
+
     @pytest.mark.parametrize("section", ("fixedpoint", "tolerances"))
     @pytest.mark.parametrize("value", (5, [200]))
     def test_section_must_be_object(self, tmp_path, capsys, section, value):

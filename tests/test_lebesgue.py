@@ -9,7 +9,7 @@ from fpxlap import (BisectionError, GridFunction, ScalarExponent, build_mesh,
                     holder_pairing_check, luxemburg_norm, modular,
                     norm_modular_relation_check, norm_of_one_bounds, power_norm_bounds_check)
 from fpxlap import lebesgue as lebesgue_module
-from fpxlap.lebesgue import pairing, region_measure
+from fpxlap.lebesgue import pairing
 
 from util import affine_scalar, const_scalar, grid, unit_grid
 
@@ -100,6 +100,31 @@ class TestLuxemburgNorm:
             luxemburg_norm(u, affine_scalar(2.0, 0.3, R=2.0))
         # a constant exponent takes the closed form without a Newton step
         assert luxemburg_norm(u, const_scalar(2.0)) > 0.0
+
+    def test_root_of_vanishing_terms_is_zero(self):
+        assert lebesgue_module._luxemburg_root(np.full(5, -np.inf), np.full(5, 2.0)) == 0.0
+        assert lebesgue_module._luxemburg_root(np.full(3, -np.inf), np.array([1.5, 2.0, 3.0])) == 0.0
+        assert lebesgue_module._luxemburg_root(np.empty(0), np.empty(0)) == 0.0
+
+    def test_root_constant_exponent_takes_closed_form(self, rng, monkeypatch):
+        # with no Newton step allowed, a constant q still gives exp(log rho / q)
+        monkeypatch.setattr(lebesgue_module, "_NEWTON_MAX_STEPS", 0)
+        a = np.append(rng.normal(0.0, 3.0, 50), -np.inf)
+        rho = float(np.sum(np.exp(a)))
+        assert lebesgue_module._luxemburg_root(a, np.full(a.size, 2.5)) == \
+            pytest.approx(rho ** (1.0 / 2.5), rel=1e-14)
+
+    def test_root_solves_the_modular_equation(self, rng):
+        # sum exp(a - q log lam) = 1 at the root, zero terms included
+        a = np.append(rng.normal(0.0, 3.0, 200), [-np.inf, -np.inf])
+        q = rng.uniform(1.2, 4.0, a.size)
+        lam = lebesgue_module._luxemburg_root(a, q)
+        assert float(np.sum(np.exp(a - q * np.log(lam)))) == pytest.approx(1.0, abs=1e-12)
+
+    def test_root_step_budget_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(lebesgue_module, "_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(BisectionError):
+            lebesgue_module._luxemburg_root(rng.normal(0.0, 3.0, 50), rng.uniform(1.2, 4.0, 50))
 
     @pytest.mark.parametrize("field", ("normal", "wide", "spike_high", "spike_low"))
     def test_unit_ball_certificate(self, field, mesh256, rng):
@@ -237,7 +262,7 @@ class TestInclusion:
             mesh = build_mesh(2.0, n, [(0.0, 1.0)])
             q1 = affine_scalar(1.8, 0.1, R=2.0)
             q2 = affine_scalar(2.4, 0.2, R=2.0)
-            measure = region_measure(mesh)
+            measure = mesh.omega_measure
             worst = 0.0
             local_rng = np.random.default_rng(11)
             for _ in range(100):

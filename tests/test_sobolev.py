@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from fpxlap import (BisectionError, DirichletPair, GridFunction, PoissonProblem,
                     weak_form)
 from fpxlap import lebesgue as lebesgue_module
 
-from util import bump_pair, const_pair, const_scalar, grid, random_w0, zero_tails
+from util import (bump_pair, const_pair, const_scalar, dense_energy, dense_modular,
+                  dense_operator, dense_seminorm, dense_weak_form, grid, random_w0, zero_tails)
 
 
 @pytest.fixture
@@ -258,7 +261,7 @@ class TestDirichletPair:
         u_bad = grid(mesh16, rng.standard_normal(mesh16.n_cells))
         with pytest.raises(ValueError):
             DirichletPair(u=u_bad, g=g)
-        pair = DirichletPair.from_interior(mesh16, np.ones(int(mesh16.interior_mask.sum())), g)
+        pair = DirichletPair(u=grid(mesh16, np.where(mesh16.interior_mask, 1.0, g.values)), g=g)
         ext = mesh16.exterior_mask
         assert np.array_equal(pair.u.values[ext], g.values[ext])
 
@@ -288,3 +291,87 @@ class TestPoincare:
         s1 = gagliardo_seminorm(u.replace_values(scale * u.values), W)
         s0 = gagliardo_seminorm(u, W)
         assert s1 == pytest.approx(scale * s0, rel=1e-9)
+
+
+# exponent, growth exponent r and field of the parity cases: the uniform p = 2
+# is a zero-stride p_pair; p = 1.5 gets a plateau field, with exact ties d = 0
+# and zeros u_i = 0, where the flux and the modular term must be 0
+PARITY_CASES = {
+    "p2": (const_pair(2.0, 0.3), 3.0, "normal"),
+    "p1_5_plateau": (const_pair(1.5, 0.3), 2.2, "plateau"),
+    "gauss_bump": (bump_pair(2.0, 0.5, s=0.3), 3.0, "normal"),
+}
+PARITY_OMEGAS = {"one_interval": [(-1.0, 1.0)],
+                 "three_intervals": [(-1.7, -1.1), (-0.6, 0.4), (0.9, 1.6)]}
+
+
+@pytest.mark.parametrize("n", (8, 96, 333, 1024))
+@pytest.mark.parametrize("omega", PARITY_OMEGAS)
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_blocked_passes_match_dense_oracles(case, omega, n):
+    """The blocked passes against the n x n formulas of ``util`` to a relative
+    1e-13 (of the absolute terms where they cancel): one block at n = 8 and
+    96, a merged last block at 333, many blocks at 1024, and 1 or 3 runs of
+    interior cells."""
+    p, r_value, field = PARITY_CASES[case]
+    mesh = build_mesh(2.0, n, PARITY_OMEGAS[omega])
+    W = assemble_weights(mesh, p)
+    gen = np.random.default_rng(n)
+    vals = gen.standard_normal(n)
+    if field == "plateau":
+        vals = np.round(2.0 * vals) / 2.0
+        assert np.any(vals == 0.0) and np.unique(vals).size < n
+    u, phi, h = grid(mesh, vals), grid(mesh, gen.standard_normal(n)), grid(mesh, gen.standard_normal(n))
+    for variant in ("rn", "omega"):
+        assert gagliardo_modular(u, W, variant) == pytest.approx(dense_modular(u, W, variant), rel=1e-13)
+        assert gagliardo_seminorm(u, W, variant) == pytest.approx(dense_seminorm(u, W, variant), rel=1e-13)
+    op = apply_operator(u, W)
+    assert np.all(np.isfinite(op))
+    assert np.all(np.abs(op - dense_operator(u, W)) <= 1e-13 * dense_operator(u, W, absolute=True))
+    assert abs(weak_form(u, phi, W) - dense_weak_form(u, phi, W)) \
+        <= 1e-13 * dense_weak_form(u, phi, W, absolute=True)
+    prob = PoissonProblem(mesh=mesh, weights=W, p=p, r=const_scalar(r_value), h=h, g=u)
+    assert abs(energy(u, prob) - dense_energy(u, prob)) <= 1e-13 * dense_energy(u, prob, absolute=True)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPassMemory:
+    """No n x n temporary at n = 1024: the passes peak below n^2 8 / 4 bytes
+    (2 MB), the size of a quarter of one n x n float array."""
+
+    N = 1024
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        mesh = build_mesh(2.0, self.N, [(-1.0, 1.0)])
+        u = grid(mesh, np.random.default_rng(3).standard_normal(self.N))
+        return u, {"p2": assemble_weights(mesh, const_pair(2.0, 0.3)),
+                   "bump": assemble_weights(mesh, bump_pair(2.0, 0.5, s=0.3))}
+
+    @pytest.mark.parametrize("name", ("p2", "bump"))
+    @pytest.mark.parametrize("variant", ("rn", "omega"))
+    def test_modular_and_operator(self, fields, name, variant):
+        u, weights = fields
+        W = weights[name]
+        assert _peak_bytes(lambda: gagliardo_modular(u, W, variant)) < self.N ** 2 * 8 / 4
+        assert _peak_bytes(lambda: apply_operator(u, W)) < self.N ** 2 * 8 / 4
+
+    @pytest.mark.parametrize("variant", ("rn", "omega"))
+    def test_seminorm(self, fields, variant):
+        u, weights = fields
+        # a constant exponent takes the closed form from one modular pass
+        assert _peak_bytes(lambda: gagliardo_seminorm(u, weights["p2"], variant)) < self.N ** 2 * 8 / 4
+        # a varying one keeps, for Newton's method, the log and the exponent
+        # of each pair once and of each tail, and one work array of that size:
+        # three arrays of n (n + 1) / 2 floats, below the n^2 logs and the
+        # n^2 work array of the full pair matrix
+        flat = self.N * (self.N + 1) // 2 * 8
+        assert _peak_bytes(lambda: gagliardo_seminorm(u, weights["bump"], variant)) < 3 * flat + 2**20
