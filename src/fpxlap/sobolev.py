@@ -44,12 +44,12 @@ class DirichletPair:
             raise ValueError("u must equal g on every exterior cell")
 
 
-def _pair_blocks(W: KernelWeights, variant: str, p_const: float | None, fields, scratch: int):
+def _pair_blocks(W: KernelWeights, variant: str, p_const: float | None, fields, spare: int):
     """The variant's pairs by blocks of rows [i0, i1) over the columns from
     i0 on: all cells for 'rn', with w, p views of the weights; the interior
     rows and [interior | exterior] columns (``mesh_kernel._layout``) for
     'omega', with w, p gathered.  Yields (i0, i1, w, p or p_const, the
-    d = f_i - f_j of each field, ``scratch`` free buffers).  The block's own
+    d = f_i - f_j of each field, ``spare`` free buffers).  The block's own
     square [:, :i1 - i0] holds its pairs both ways, the other columns once."""
     n = W.mesh.n_cells
     if variant == "rn":
@@ -62,7 +62,7 @@ def _pair_blocks(W: KernelWeights, variant: str, p_const: float | None, fields, 
         raise ValueError(f"unknown modular variant {variant!r}")
     spans = list(_row_blocks(m, n))
     gathered = 0 if runs is None else 1 + (p_const is None)
-    buffers = np.empty((len(fields) + scratch + gathered, max((i1 - i0) * (n - i0) for i0, i1 in spans)))
+    buffers = np.empty((len(fields) + spare + gathered, max((i1 - i0) * (n - i0) for i0, i1 in spans)))
     for i0, i1 in spans:
         views = [buf[:(i1 - i0) * (n - i0)].reshape(i1 - i0, n - i0) for buf in buffers]
         w = W.w[i0:i1, i0:] if runs is None else _gather(W.w, runs, i0, i1, views.pop())
