@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Layer benchmark of the pair passes: writes BENCH_<short sha>.json.
 
-Times each layer on its own at n in {256, 512, 1024, 2048} and p in {1.5, 2,
+Times each layer on its own at n in ``SIZES`` (256 to 2048) and p in {1.5, 2,
 gauss_bump 2 to 2.5, 3} (box [-2, 2], Omega = (-1, 1), s = 0.3, one seeded
 field per n): ``gagliardo_modular`` ('rn' and 'omega'), ``gagliardo_seminorm``
 ('rn' and 'omega'), ``apply_operator``, ``weak_form``, ``luxemburg_norm``
@@ -21,7 +21,6 @@ checkout's root).  The layers are called through the public API only, so
 the script measures any commit that has it.
 
 Usage: python scripts/bench_layers.py [--repo DIR] [--out DIR]
-       [--sizes 256 512 1024 2048]
 """
 
 import argparse
@@ -40,6 +39,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 R, OMEGA, S = 2.0, [(-1.0, 1.0)], 0.3
 REPEATS = 5  # timed rounds per entry
+SIZES = (256, 512, 1024, 2048)
 # class -> (pair exponent kind, params, growth exponent r)
 CLASSES = {
     "p1_5": ("constant", {"value": 1.5}, 2.0),
@@ -95,7 +95,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=here)
     ap.add_argument("--out", type=Path, default=None)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[256, 512, 1024, 2048])
     args = ap.parse_args(argv)
     repo = args.repo.resolve()
     sys.path.insert(0, str(repo / "src"))
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
         "setup": {"R": R, "omega": OMEGA, "s": S, "repeats": REPEATS},
         "entries": [],
     }
-    for n in args.sizes:
+    for n in SIZES:
         mesh = fp.build_mesh(R, n, OMEGA)
         rng = np.random.default_rng(n)
         u = fp.GridFunction(mesh, rng.standard_normal(n))

@@ -108,7 +108,7 @@ def energy(u, prob: PoissonProblem) -> float:
     pbar = W.p_bar[mask]
     tail = 2.0 * float(np.sum(W.tail[mask] * np.abs(vals[mask]) ** pbar / pbar))
     source = float(np.sum(prob.h.values[mask] * vals[mask]))
-    return _pair_sum(vals, W, "omega", W.p_const, over_p=True) + prob.mesh.cell_width * (tail - source)
+    return _pair_sum(vals, W, "omega", over_p=True) + prob.mesh.cell_width * (tail - source)
 
 
 def energy_gradient(u, prob: PoissonProblem) -> GridFunction:

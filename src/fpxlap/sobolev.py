@@ -44,14 +44,14 @@ class DirichletPair:
             raise ValueError("u must equal g on every exterior cell")
 
 
-def _pair_blocks(W: KernelWeights, variant: str, p_const: float | None, fields, spare: int):
+def _pair_blocks(W: KernelWeights, variant: str, fields, spare: int):
     """The variant's pairs by blocks of rows [i0, i1) over the columns from
     i0 on: all cells for 'rn', with w, p views of the weights; the interior
     rows and [interior | exterior] columns (``mesh_kernel._layout``) for
-    'omega', with w, p gathered.  Yields (i0, i1, w, p or p_const, the
+    'omega', with w, p gathered.  Yields (i0, i1, w, p or W.p_const, the
     d = f_i - f_j of each field, ``spare`` free buffers).  The block's own
     square [:, :i1 - i0] holds its pairs both ways, the other columns once."""
-    n = W.mesh.n_cells
+    n, p_const = W.mesh.n_cells, W.p_const
     if variant == "rn":
         m, runs = n, None
     elif variant == "omega":
@@ -77,12 +77,11 @@ def _twice_upper(terms: np.ndarray, rows: int) -> float:
     return 2.0 * float(terms[:, rows:].sum()) + float(terms[:, :rows].sum())
 
 
-def _pair_sum(vals: np.ndarray, W: KernelWeights, variant: str, p_const: float | None,
-              over_p: bool = False) -> float:
+def _pair_sum(vals: np.ndarray, W: KernelWeights, variant: str, over_p: bool = False) -> float:
     """sum of 2 w_ij |u_i-u_j|^{p_ij} (over p_ij with over_p) over the
     variant's unordered pairs."""
-    total = 0.0
-    for i0, i1, w, p, (d,), _ in _pair_blocks(W, variant, p_const, [vals], 0):
+    total, p_const = 0.0, W.p_const
+    for i0, i1, w, p, (d,), _ in _pair_blocks(W, variant, [vals], 0):
         if p_const == 2.0:
             d *= d
         else:
@@ -97,7 +96,7 @@ def _pair_sum(vals: np.ndarray, W: KernelWeights, variant: str, p_const: float |
 def gagliardo_modular(u: GridFunction, W: KernelWeights, variant: str = "rn") -> float:
     """Double-integral modular of u; 'rn' includes tails, 'omega' drops tails
     and the exterior-exterior pairs."""
-    rho = _pair_sum(u.values, W, variant, W.p_const)
+    rho = _pair_sum(u.values, W, variant)
     if variant == "rn":
         rho += 2.0 * W.mesh.cell_width * float(np.sum(W.tail * np.abs(u.values) ** W.p_bar))
     return rho
@@ -122,7 +121,7 @@ def gagliardo_seminorm(u: GridFunction, W: KernelWeights, variant: str = "rn") -
 
     def terms():
         """|d|, p and w of each kept term, block by block, then the tails."""
-        for i0, i1, w, p, (d,), _ in _pair_blocks(W, variant, None, [vals], 0):
+        for i0, i1, w, p, (d,), _ in _pair_blocks(W, variant, [vals], 0):
             keep = d != 0.0
             keep[:, :i1 - i0][np.tri(i1 - i0, dtype=bool)] = False
             yield np.abs(d[keep]), p[keep], w[keep]
@@ -162,7 +161,7 @@ def apply_operator(u: GridFunction, W: KernelWeights) -> np.ndarray:
     """
     vals, p_const = u.values, W.p_const
     out, ones = np.zeros(vals.size), np.ones(vals.size)
-    for i0, i1, w, p, (d,), (t,) in _pair_blocks(W, "rn", p_const, [vals], 1):
+    for i0, i1, w, p, (d,), (t,) in _pair_blocks(W, "rn", [vals], 1):
         if p_const != 2.0:
             np.divide(np.power(np.abs(d, out=t), p, out=t), d, out=d, where=d != 0.0)
         d *= w
@@ -182,8 +181,7 @@ def weak_form(u: GridFunction, phi: GridFunction, W: KernelWeights) -> float:
     """
     p_const = W.p_const
     total = 0.0
-    for i0, i1, w, p, (du, dphi), (t, e) in _pair_blocks(W, "rn", p_const,
-                                                         [u.values, phi.values], 2):
+    for i0, i1, w, p, (du, dphi), (t, e) in _pair_blocks(W, "rn", [u.values, phi.values], 2):
         if p_const != 2.0:
             pm1 = np.subtract(p, 1.0, out=e) if p_const is None else p_const - 1.0
             np.power(np.abs(du, out=t), pm1, out=t)
