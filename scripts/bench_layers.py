@@ -1,52 +1,79 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the pair passes: writes BENCH_<short sha>.json.
+"""Layer and solver benchmark: writes BENCH_<short sha>.json.
 
-Times each layer on its own at n in ``SIZES`` (256 to 2048) and p in {1.5, 2,
-gauss_bump 2 to 2.5, 3} (box [-2, 2], Omega = (-1, 1), s = 0.3, one seeded
-field per n): ``gagliardo_modular`` ('rn' and 'omega'), ``gagliardo_seminorm``
-('rn' and 'omega'), ``apply_operator``, ``weak_form``, ``luxemburg_norm``
-(over Omega, exponent 2.5 + 0.2 x, so Newton's method runs) and
-``poisson.energy``.  Each entry records the best and the median per-call
+Every entry is one (layer, n, class) with the best and the median per-call
 time of ``REPEATS`` rounds (a round repeats a fast call to about 5 ms), the
-tracemalloc peak of one more, traced call, and a fingerprint of the value
-(the float, or the sum and sup of the operator), so a speed-up that changes
-the answer shows at once.  BLAS threads are pinned to one before numpy
-loads.
+tracemalloc peak of one more, traced call, and a fingerprint of the answer,
+so a speed-up that changes the answer shows at once.  The solver entries
+also record their iteration ``counts``.  BLAS threads are pinned to one
+before numpy loads.
+
+For each n in ``SIZES`` (box [-2, 2], Omega = (-1, 1), s = 0.3) and each
+exponent class in ``CLASSES``:
+
+- ``assemble_weights`` (fingerprint: the sums of w and of the tails);
+- the pair passes on one seeded field per n: ``gagliardo_modular`` and
+  ``gagliardo_seminorm`` ('rn' and 'omega'), ``apply_operator``,
+  ``weak_form``, ``luxemburg_norm`` (over Omega, exponent 2.5 + 0.2 x, so
+  Newton's method runs) and ``poisson.energy`` (fingerprint: the value, or
+  the sum and sup of the operator);
+- ``solve_poisson`` on the scaling problem, h = 1 + sin 3x on Omega and
+  exterior datum g = 0.2 cos x, from the default cold start (counts: outer
+  iterations, CG steps, backtracks, converged; fingerprint: sup u over
+  Omega and the residual recomputed with ``energy_gradient``).
+
+For each n, the semilinear shell problem (p = 2, s = 0.4, r = 3, g = 0,
+f(x, t) = a(x) + 0.05 arctan t with a = 0.5 exp(-2 x^2) + 0.1), class
+``arctan``: ``fixed_point_solve`` (counts: Picard iterations, converged;
+fingerprint: sup u over Omega and the semilinear residual) and
+``solve_by_decomposition`` with each shell count in ``SHELLS`` (counts:
+sweeps, mixed sweeps, converged; fingerprint: the sup gap to the fixed
+point's field and the global residual).
+
+Then each CLI config of ``CONFIGS`` in ``scripts/configs``, run through
+``fpxlap.cli.main`` into a temporary directory; its n is the config's mesh
+size and its fingerprint the exit status and a digest of the report without
+its wall-clock line.
 
 The checkout to measure is ``--repo`` (default: the one holding this
-script): its ``src/`` is imported and the file is named after its
-``git rev-parse --short HEAD``, with ``"dirty": true`` when its working tree
-differs from that commit.  The file goes to ``--out`` (default: that
-checkout's root).  The layers are called through the public API only, so
-the script measures any commit that has it.
+script): its ``src/`` is imported, its configs are run, and the file is
+named after its ``git rev-parse --short HEAD``, with ``"dirty": true`` when
+its working tree differs from that commit.  The file goes to ``--out``
+(default: that checkout's root).  Everything is called through the public
+API only, so the script measures any commit that has it.
 
 Usage: python scripts/bench_layers.py [--repo DIR] [--out DIR]
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 R, OMEGA, S = 2.0, [(-1.0, 1.0)], 0.3
 REPEATS = 5  # timed rounds per entry
 SIZES = (256, 512, 1024, 2048)
-# class -> (pair exponent kind, params, growth exponent r)
+# class -> (pair exponent kind, params, growth exponent r); r only has to pass
+# the growth check pbar+ < r < p*_s, no layer here reads it
 CLASSES = {
+    "p1_2": ("constant", {"value": 1.2}, 1.5),
     "p1_5": ("constant", {"value": 1.5}, 2.0),
     "p2": ("constant", {"value": 2.0}, 3.0),
     "bump": ("gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 1.0}, 3.0),
     "p3": ("constant", {"value": 3.0}, 3.5),
+    "affine": ("affine", {"base": 2.0, "slope": 0.2}, 2.8),
 }
+SHELLS = (1, 2, 3, 5)
+CONFIGS = ("decompose_three_shells", "poisson_linear", "semilinear_arctan",
+           "variable_exponent_poisson", "verify_inequalities")
 
 
 def git(repo: Path, *args: str) -> str:
@@ -54,9 +81,12 @@ def git(repo: Path, *args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def layers(fp, W, prob, u, phi, q):
-    """name -> (call, fingerprint of its value)."""
-    value = (lambda x: [float(x)])
+def value(x):
+    return {"fingerprint": [float(x)]}
+
+
+def pair_layers(fp, W, prob, u, phi, q):
+    """name -> (call, summary of its value)."""
     mask = W.mesh.interior_mask
     return {
         "gagliardo_modular.rn": (lambda: fp.gagliardo_modular(u, W, "rn"), value),
@@ -64,11 +94,22 @@ def layers(fp, W, prob, u, phi, q):
         "gagliardo_seminorm.rn": (lambda: fp.gagliardo_seminorm(u, W, "rn"), value),
         "gagliardo_seminorm.omega": (lambda: fp.gagliardo_seminorm(u, W, "omega"), value),
         "apply_operator": (lambda: fp.apply_operator(u, W),
-                           lambda out: [float(out.sum()), float(abs(out).max())]),
+                           lambda out: {"fingerprint": [float(out.sum()), float(abs(out).max())]}),
         "weak_form": (lambda: fp.weak_form(u, phi, W), value),
         "luxemburg_norm": (lambda: fp.luxemburg_norm(u, q, mask), value),
         "poisson.energy": (lambda: fp.energy(u, prob), value),
     }
+
+
+def sup_interior(u):
+    return float(abs(u.values[u.mesh.interior_mask]).max())
+
+
+def report_digest(path: Path) -> str:
+    """sha256 prefix of a CLI report without its wall-clock line."""
+    kept = [line for line in path.read_text().splitlines()
+            if not line.startswith("wallclock_seconds:")]
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()[:16]
 
 
 def measure(call):
@@ -90,6 +131,82 @@ def measure(call):
     return {"best_s": min(times), "median_s": statistics.median(times), "peak_bytes": peak}, out
 
 
+def build_entries(repo: Path) -> list:
+    """Every entry of the file, measured with the ``fpxlap`` on ``sys.path``
+    and the configs of ``repo``."""
+    import numpy as np
+
+    import fpxlap as fp
+    from fpxlap.catalog import pair_exponent, scalar_exponent
+    from fpxlap.cli import main as cli_main
+
+    entries = []
+
+    def add(layer, n, name, call, summary):
+        entry, out = measure(call)
+        entries.append({"layer": layer, "n": n, "class": name, **entry, **summary(out)})
+        print(f"n={n:5d} {name:26s} {layer:32s} best {entry['best_s'] * 1e3:10.3f} ms"
+              f"  peak {entry['peak_bytes'] / 2**20:8.2f} MB", flush=True)
+        return out
+
+    q = scalar_exponent("affine", {"base": 2.5, "slope": 0.2}, R)
+    for n in SIZES:
+        mesh = fp.build_mesh(R, n, OMEGA)
+        x, mask = mesh.cell_centers, mesh.interior_mask
+        rng = np.random.default_rng(n)
+        u = fp.GridFunction(mesh, rng.standard_normal(n))
+        phi = fp.GridFunction(mesh, np.where(mask, rng.standard_normal(n), 0.0))
+        h = fp.GridFunction(mesh, rng.standard_normal(n))
+        study_h = fp.GridFunction(mesh, np.where(mask, 1.0 + np.sin(3.0 * x), 0.0))
+        study_g = fp.GridFunction(mesh, 0.2 * np.cos(x))
+        for name, (kind, params, r) in CLASSES.items():
+            p = pair_exponent(kind, params, s=S, R=R)
+            W = add("assemble_weights", n, name, lambda: fp.assemble_weights(mesh, p),
+                    lambda W: {"fingerprint": [float(W.w.sum()), float(W.tail.sum())]})
+            r_exp = scalar_exponent("constant", {"value": r}, R)
+            prob = fp.PoissonProblem(mesh=mesh, weights=W, p=p, r=r_exp, h=h, g=u)
+            for layer, (call, summary) in pair_layers(fp, W, prob, u, phi, q).items():
+                add(layer, n, name, call, summary)
+            study = fp.PoissonProblem(mesh=mesh, weights=W, p=p, r=r_exp, h=study_h, g=study_g)
+            add("solve_poisson", n, name, lambda: fp.solve_poisson(study), lambda sol: {
+                "counts": {"outer": sol.iterations, "cg": sol.cg_iterations,
+                           "backtracks": sol.backtracks, "converged": sol.converged},
+                "fingerprint": [sup_interior(sol.u.u),
+                                float(abs(fp.energy_gradient(sol.u, study).values).max())]})
+
+        p = pair_exponent("constant", {"value": 2.0}, s=0.4, R=R)
+        zero = fp.GridFunction.zeros(mesh)
+        template = fp.PoissonProblem(mesh=mesh, weights=fp.assemble_weights(mesh, p), p=p,
+                                     r=scalar_exponent("constant", {"value": 3.0}, R),
+                                     h=zero, g=zero)
+        def a(y):
+            return 0.5 * np.exp(-2.0 * np.asarray(y) ** 2) + 0.1
+
+        f = fp.Nonlinearity(evaluator=lambda y, t: a(y) + 0.05 * np.arctan(np.asarray(t)),
+                            a=fp.GridFunction(mesh, a(x)), c_growth=0.05)
+        ref, _ = add("fixed_point_solve", n, "arctan", lambda: fp.fixed_point_solve(f, template),
+                     lambda out: {
+                         "counts": {"picard": len(out[1].iterates), "converged": out[1].converged},
+                         "fingerprint": [sup_interior(out[0].u.u), out[1].residual]})
+        for m in SHELLS:
+            add(f"solve_by_decomposition.{m}_shells", n, "arctan",
+                lambda: fp.solve_by_decomposition(f, zero, m, template), lambda out: {
+                    "counts": {"sweeps": out[1].sweeps, "mixed_sweeps": out[1].mixed_sweeps,
+                               "converged": out[1].converged},
+                    "fingerprint": [float(abs(out[0].u.u.values - ref.u.u.values).max()),
+                                    out[1].residual]})
+
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report"
+        for stem in CONFIGS:
+            path = repo / "scripts" / "configs" / f"{stem}.json"
+            cfg = json.loads(path.read_text())
+            argv = [cfg["mode"], "--config", str(path), "--out", tmp]
+            add(f"cli.{cfg['mode']}", cfg["mesh"]["n_cells"], stem, lambda: cli_main(argv),
+                lambda status: {"fingerprint": [status, report_digest(report)]})
+    return entries
+
+
 def main(argv=None) -> int:
     here = Path(__file__).resolve().parent.parent
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -98,42 +215,25 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     repo = args.repo.resolve()
     sys.path.insert(0, str(repo / "src"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     import numpy as np
 
-    import fpxlap as fp
-    from fpxlap.catalog import pair_exponent, scalar_exponent
-
     sha = git(repo, "rev-parse", "--short", "HEAD")
-    q = scalar_exponent("affine", {"base": 2.5, "slope": 0.2}, R)
     record = {
         "commit": sha,
         "dirty": bool(git(repo, "status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "cpus": os.cpu_count(),
-        "setup": {"R": R, "omega": OMEGA, "s": S, "repeats": REPEATS},
-        "entries": [],
+        "setup": {"R": R, "omega": OMEGA, "s": S, "repeats": REPEATS, "shells": SHELLS},
     }
-    for n in SIZES:
-        mesh = fp.build_mesh(R, n, OMEGA)
-        rng = np.random.default_rng(n)
-        u = fp.GridFunction(mesh, rng.standard_normal(n))
-        phi = fp.GridFunction(mesh, np.where(mesh.interior_mask, rng.standard_normal(n), 0.0))
-        h = fp.GridFunction(mesh, rng.standard_normal(n))
-        for name, (kind, params, r) in CLASSES.items():
-            p = pair_exponent(kind, params, s=S, R=R)
-            W = fp.assemble_weights(mesh, p)
-            prob = fp.PoissonProblem(mesh=mesh, weights=W, p=p,
-                                     r=scalar_exponent("constant", {"value": r}, R), h=h, g=u)
-            for layer, (call, fingerprint) in layers(fp, W, prob, u, phi, q).items():
-                entry, out = measure(call)
-                record["entries"].append({"layer": layer, "n": n, "class": name, **entry,
-                                          "fingerprint": fingerprint(out)})
-                print(f"n={n:5d} {name:5s} {layer:26s} best {entry['best_s'] * 1e3:9.3f} ms"
-                      f"  peak {entry['peak_bytes'] / 2**20:8.2f} MB", flush=True)
+    start = time.perf_counter()
+    record["entries"] = build_entries(repo)
+    record["wall_s"] = time.perf_counter() - start
     out_dir = repo if args.out is None else args.out
     path = out_dir / f"BENCH_{sha}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {path}")
+    print(f"wrote {path} ({record['wall_s']:.0f} s)")
     return 0
 
 

