@@ -49,7 +49,7 @@ def random_affine_exponent(rng: np.random.Generator, mesh: Mesh,
     )
 
 
-# the norm/modular suite's slack; the other suites use their checks' own
+# the norm/modular suite's slack; each other suite uses its check's fixed one
 _NORM_MODULAR_TOL = 1e-8
 
 
