@@ -40,7 +40,8 @@ script): its ``src/`` is imported, its configs are run, and the file is
 named after its ``git rev-parse --short HEAD``, with ``"dirty": true`` when
 its working tree differs from that commit.  The file goes to ``--out``
 (default: that checkout's root).  Everything is called through the public
-API only, so the script measures any commit that has it.
+API only, so the script measures any commit that has it; its Poisson
+problems carry no growth exponent r, which must be optional there.
 
 Usage: python scripts/bench_layers.py [--repo DIR] [--out DIR]
 """
@@ -61,15 +62,14 @@ from pathlib import Path
 R, OMEGA, S = 2.0, [(-1.0, 1.0)], 0.3
 REPEATS = 5  # timed rounds per entry
 SIZES = (256, 512, 1024, 2048)
-# class -> (pair exponent kind, params, growth exponent r); r only has to pass
-# the growth check pbar+ < r < p*_s, no layer here reads it
+# class -> (pair exponent kind, params)
 CLASSES = {
-    "p1_2": ("constant", {"value": 1.2}, 1.5),
-    "p1_5": ("constant", {"value": 1.5}, 2.0),
-    "p2": ("constant", {"value": 2.0}, 3.0),
-    "bump": ("gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 1.0}, 3.0),
-    "p3": ("constant", {"value": 3.0}, 3.5),
-    "affine": ("affine", {"base": 2.0, "slope": 0.2}, 2.8),
+    "p1_2": ("constant", {"value": 1.2}),
+    "p1_5": ("constant", {"value": 1.5}),
+    "p2": ("constant", {"value": 2.0}),
+    "bump": ("gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 1.0}),
+    "p3": ("constant", {"value": 3.0}),
+    "affine": ("affine", {"base": 2.0, "slope": 0.2}),
 }
 SHELLS = (1, 2, 3, 5)
 CONFIGS = ("decompose_three_shells", "poisson_linear", "semilinear_arctan",
@@ -159,15 +159,14 @@ def build_entries(repo: Path) -> list:
         h = fp.GridFunction(mesh, rng.standard_normal(n))
         study_h = fp.GridFunction(mesh, np.where(mask, 1.0 + np.sin(3.0 * x), 0.0))
         study_g = fp.GridFunction(mesh, 0.2 * np.cos(x))
-        for name, (kind, params, r) in CLASSES.items():
+        for name, (kind, params) in CLASSES.items():
             p = pair_exponent(kind, params, s=S, R=R)
             W = add("assemble_weights", n, name, lambda: fp.assemble_weights(mesh, p),
                     lambda W: {"fingerprint": [float(W.w.sum()), float(W.tail.sum())]})
-            r_exp = scalar_exponent("constant", {"value": r}, R)
-            prob = fp.PoissonProblem(mesh=mesh, weights=W, p=p, r=r_exp, h=h, g=u)
+            prob = fp.PoissonProblem(mesh=mesh, weights=W, p=p, h=h, g=u)
             for layer, (call, summary) in pair_layers(fp, W, prob, u, phi, q).items():
                 add(layer, n, name, call, summary)
-            study = fp.PoissonProblem(mesh=mesh, weights=W, p=p, r=r_exp, h=study_h, g=study_g)
+            study = fp.PoissonProblem(mesh=mesh, weights=W, p=p, h=study_h, g=study_g)
             add("solve_poisson", n, name, lambda: fp.solve_poisson(study), lambda sol: {
                 "counts": {"outer": sol.iterations, "cg": sol.cg_iterations,
                            "backtracks": sol.backtracks, "converged": sol.converged},

@@ -18,7 +18,7 @@ from math import gamma, pi, sqrt
 
 import numpy as np
 
-from fpxlap import GridFunction, PoissonProblem, ScalarExponent, assemble_weights, build_mesh, solve_poisson
+from fpxlap import GridFunction, PoissonProblem, assemble_weights, build_mesh, solve_poisson
 from fpxlap.exponents import ExponentField
 
 
@@ -37,7 +37,6 @@ def run(s, sizes):
         )
         prob = PoissonProblem(
             mesh=mesh, weights=assemble_weights(mesh, p), p=p,
-            r=ScalarExponent(evaluator=lambda x: 3.0 + 0.0 * np.asarray(x), lower=3.0, upper=3.0),
             h=GridFunction(mesh, np.ones(n)), g=GridFunction.zeros(mesh),
         )
         sol = solve_poisson(prob)

@@ -62,11 +62,9 @@ def _region_mask(mesh: Mesh, region) -> np.ndarray:
     return mask
 
 
-def modular(u: GridFunction, q: ScalarExponent, region=None) -> float:
-    """rho_q(u) = sum_{i in region} |u_i|^{q(x_i)} * cell_width."""
-    mask = _region_mask(u.mesh, region)
-    if not mask.any():
-        return 0.0
+def modular(u: GridFunction, q: ScalarExponent) -> float:
+    """rho_q(u) = sum_{i in Omega} |u_i|^{q(x_i)} * cell_width."""
+    mask = u.mesh.interior_mask
     qv = q.values(u.mesh.cell_centers[mask])
     return float(np.sum(np.abs(u.values[mask]) ** qv) * u.mesh.cell_width)
 
@@ -127,18 +125,17 @@ def luxemburg_norm(u: GridFunction, q: ScalarExponent, region=None) -> float:
     return vmax * _luxemburg_root(logs, qv)
 
 
-def pairing(u: GridFunction, v: GridFunction, region=None) -> float:
-    """Discrete duality pairing: sum u_i v_i * cell_width over region."""
-    mask = _region_mask(u.mesh, region)
+def pairing(u: GridFunction, v: GridFunction) -> float:
+    """Discrete duality pairing: sum u_i v_i * cell_width over Omega."""
+    mask = u.mesh.interior_mask
     return float(np.sum(u.values[mask] * v.values[mask]) * u.mesh.cell_width)
 
 
-def holder_pairing_check(u: GridFunction, v: GridFunction, q: ScalarExponent,
-                         region=None) -> CheckResult:
-    """|sum u v dx| <= 2 ||u||_q ||v||_{q'}."""
+def holder_pairing_check(u: GridFunction, v: GridFunction, q: ScalarExponent) -> CheckResult:
+    """|sum u v dx| <= 2 ||u||_q ||v||_{q'} over Omega."""
     qc = conjugate_exponent(q)
-    lhs = abs(pairing(u, v, region))
-    bound = 2.0 * luxemburg_norm(u, q, region) * luxemburg_norm(v, qc, region)
+    lhs = abs(pairing(u, v))
+    bound = 2.0 * luxemburg_norm(u, q) * luxemburg_norm(v, qc)
     return CheckResult(
         name="holder_pairing",
         passed=lhs <= bound + _HOLDER_TOL,
@@ -148,15 +145,15 @@ def holder_pairing_check(u: GridFunction, v: GridFunction, q: ScalarExponent,
     )
 
 
-def norm_of_one_bounds(gamma: ScalarExponent, mesh: Mesh, region=None) -> CheckResult:
-    """min(|O|^(1/g+), |O|^(1/g-)) <= ||1||_gamma <= max(...) on the region."""
-    mask = _region_mask(mesh, region)
+def norm_of_one_bounds(gamma: ScalarExponent, mesh: Mesh) -> CheckResult:
+    """min(|O|^(1/g+), |O|^(1/g-)) <= ||1||_gamma <= max(...) on Omega."""
+    mask = mesh.interior_mask
     measure = float(mask.sum()) * mesh.cell_width
     g_lo, g_hi = gamma.range_on(mesh.cell_centers[mask])
     ends = (measure ** (1.0 / g_hi), measure ** (1.0 / g_lo))
     lo_bound, hi_bound = min(ends), max(ends)
     one = GridFunction(mesh, np.ones(mesh.n_cells))
-    norm1 = luxemburg_norm(one, gamma, mask)
+    norm1 = luxemburg_norm(one, gamma)
     ok = (lo_bound - _BOUNDS_TOL) <= norm1 <= (hi_bound + _BOUNDS_TOL)
     return CheckResult(
         name="norm_of_one",
@@ -169,13 +166,14 @@ def norm_of_one_bounds(gamma: ScalarExponent, mesh: Mesh, region=None) -> CheckR
 
 
 def power_norm_bounds_check(u: GridFunction, alpha: ScalarExponent,
-                            beta: ScalarExponent, region=None) -> CheckResult:
-    """Sandwich for || |u|^beta ||_alpha between powers of ||u||_{alpha*beta}.
+                            beta: ScalarExponent) -> CheckResult:
+    """Sandwich for || |u|^beta ||_alpha between powers of ||u||_{alpha*beta}
+    over Omega.
 
     With m = ||u||_{alpha*beta}: if m <= 1 then m^(beta+) <= |||u|^beta||_alpha
     <= m^(beta-), and with the exponents swapped when m >= 1.  beta may touch 1.
     """
-    mask = _region_mask(u.mesh, region)
+    mask = u.mesh.interior_mask
     centers = u.mesh.cell_centers[mask]
 
     def ab(x):
@@ -183,13 +181,13 @@ def power_norm_bounds_check(u: GridFunction, alpha: ScalarExponent,
 
     prod = ScalarExponent(evaluator=ab, lower=alpha.lower * beta.lower,
                           upper=alpha.upper * beta.upper)
-    m = luxemburg_norm(u, prod, mask)
+    m = luxemburg_norm(u, prod)
     bvals = beta.values(centers)
     b_lo, b_hi = float(bvals.min()), float(bvals.max())
     pw = np.zeros(u.mesh.n_cells)
     pw[mask] = np.abs(u.values[mask]) ** bvals
     powered = u.replace_values(pw)
-    mid = luxemburg_norm(powered, alpha, mask)
+    mid = luxemburg_norm(powered, alpha)
     if m == 0.0:
         ok = mid <= _BOUNDS_TOL
         return CheckResult("power_norm_bounds", ok, mid, 0.0, -mid)
@@ -208,18 +206,17 @@ def power_norm_bounds_check(u: GridFunction, alpha: ScalarExponent,
     )
 
 
-def norm_modular_relation_check(u: GridFunction, q: ScalarExponent, region=None,
+def norm_modular_relation_check(u: GridFunction, q: ScalarExponent,
                                 tol: float = 1e-9) -> CheckResult:
-    """Items (1)-(3) of the norm/modular comparison.
+    """Items (1)-(3) of the norm/modular comparison over Omega.
 
     (1) ||u|| < 1 iff rho(u) < 1 (and similarly at 1 and above 1);
     (2) ||u|| > 1 implies ||u||^q- <= rho(u) <= ||u||^q+;
     (3) ||u|| < 1 implies ||u||^q+ <= rho(u) <= ||u||^q-.
     """
-    mask = _region_mask(u.mesh, region)
-    rho = modular(u, q, mask)
-    nrm = luxemburg_norm(u, q, mask)
-    q_lo, q_hi = q.range_on(u.mesh.cell_centers[mask]) if mask.any() else (1.0, 1.0)
+    rho = modular(u, q)
+    nrm = luxemburg_norm(u, q)
+    q_lo, q_hi = q.range_on(u.mesh.cell_centers[u.mesh.interior_mask])
     worst = np.inf
 
     # item (1): the two sides must straddle 1 the same way

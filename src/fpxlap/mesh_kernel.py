@@ -40,7 +40,6 @@ class Mesh:
     cell_centers: np.ndarray
     cell_width: float
     interior_mask: np.ndarray
-    omega: tuple[tuple[float, float], ...]
 
     @property
     def exterior_mask(self) -> np.ndarray:
@@ -96,7 +95,6 @@ def build_mesh(R: float, n_cells: int, omega) -> Mesh:
         cell_centers=centers,
         cell_width=width,
         interior_mask=mask,
-        omega=tuple(intervals),
     )
 
 
@@ -107,7 +105,7 @@ def restrict_interior(mesh: Mesh, interior_mask: np.ndarray) -> Mesh:
         raise MeshError("interior mask shape mismatch")
     if not mask.any() or mask.all():
         raise MeshError("restricted interior must be a proper nonempty subset")
-    return replace(mesh, interior_mask=mask, omega=mesh.omega)
+    return replace(mesh, interior_mask=mask)
 
 
 # pairs per block of rows over an upper triangle: a block's scratch stays in cache
@@ -197,24 +195,28 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     as the transpose, so ``w`` is exactly symmetric; with the grouping
     (phi(r-l) + phi(l-r)) - (phi(r-r) + phi(l-l)) every weight of an
     exactly symmetric exponent equals the full-matrix formula bit for bit.
-    A constant sampled exponent is stored as a read-only ``np.broadcast_to``
-    of its value.
+    A constant exponent, declared (p_minus == p_plus) or sampled, is stored
+    as a read-only ``np.broadcast_to`` of its value; a declared one is never
+    sampled.
 
     Rejects configurations with s*p >= 1 on adjacent cell pairs, where the
     adjacent improper integral diverges for piecewise constants.
     """
     centers = mesh.cell_centers
     n = mesh.n_cells
-    p_pair = p.pair_matrix(centers)
-    adj = 1.0 + p.s * np.diagonal(p_pair, offset=1)
-    if np.any(adj >= 2.0):
-        worst = float(np.max(np.diagonal(p_pair, offset=1)))
+    if p.p_minus == p.p_plus:
+        p_pair = np.broadcast_to(float(p.p_minus), (n, n))
+    else:
+        p_pair = p.pair_matrix(centers)
+        if p_pair.min() == p_pair.max():
+            p_pair = np.broadcast_to(p_pair.flat[0], (n, n))
+    adjacent = np.diagonal(p_pair, offset=1)
+    if np.any(1.0 + p.s * adjacent >= 2.0):
+        worst = float(np.max(adjacent))
         raise KernelError(
             f"non-integrable adjacency: s*p = {p.s * worst:.6g} >= 1 on adjacent cells; "
             "the piecewise-constant discretization requires s*p+ < 1"
         )
-    if p_pair.min() == p_pair.max():
-        p_pair = np.broadcast_to(p_pair.flat[0], (n, n))
 
     half = mesh.cell_width / 2.0
     left = centers - half

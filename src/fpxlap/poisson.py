@@ -20,9 +20,8 @@ Euler-Lagrange equations directly.
 
 from __future__ import annotations
 
-import copy
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,30 +57,28 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class PoissonProblem:
+    """Source h and exterior datum g.  Only the semilinear solvers and
+    ``lr_estimate_check`` read the growth exponent r; they check (r, p)."""
+
     mesh: Mesh
     weights: KernelWeights
     p: ExponentField
-    r: ScalarExponent
     h: GridFunction
     g: GridFunction
+    r: ScalarExponent | None = None
     tolerances: Tolerances = Tolerances()
 
-    def __post_init__(self):
-        if not validate_growth_pair(self.r, self.p, self.mesh):
-            raise ValueError("growth pair (r, p) fails pbar+ < r- or r < critical exponent")
-
-    def _with_data(self, name: str, value: GridFunction) -> "PoissonProblem":
-        # the growth check depends only on (r, p, mesh), so a new h or g
-        # skips it instead of rerunning __post_init__
-        new = copy.copy(self)
-        object.__setattr__(new, name, value)
-        return new
-
     def with_h(self, h: GridFunction) -> "PoissonProblem":
-        return self._with_data("h", h)
+        return replace(self, h=h)
 
     def with_g(self, g: GridFunction) -> "PoissonProblem":
-        return self._with_data("g", g)
+        return replace(self, g=g)
+
+
+def _require_growth_pair(prob: PoissonProblem) -> None:
+    """Raise unless the problem has an r with pbar+ < r- and r < the critical exponent."""
+    if prob.r is None or not validate_growth_pair(prob.r, prob.p, prob.mesh):
+        raise ValueError("growth pair (r, p) fails pbar+ < r- or r < critical exponent")
 
 
 @dataclass
@@ -527,42 +524,20 @@ def minimizer_equivalence_check(sol: PoissonSolution, prob: PoissonProblem,
     )
 
 
-def _affine_envelope_fit(a: np.ndarray, b: np.ndarray) -> tuple[float, float, bool]:
+def _affine_envelope_fit(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Tightest affine majorant a_k <= K1 + K2 b_k with K1, K2 >= 0.
 
-    Minimizes the total slack among feasible vertex candidates; the
-    (K2=0, K1=max a) candidate keeps the problem always feasible.
+    For a fixed K2 the least K1 is max(0, max_k(a_k - K2 b_k)), and the total
+    slack m K1 + K2 sum b - sum a is then convex and piecewise linear in K2.
+    Its minimum over K2 >= 0 lies at 0 or at a kink, where two of the lines
+    a_k - K2 b_k cross or one of them crosses 0, so it is the least of those.
     """
-    scale = max(float(np.max(a)), 1.0)
-    feas_tol = 1e-12 * scale
-    candidates = [(float(np.max(a, initial=0.0)), 0.0)]
-    pos = b > 0
-    if pos.any():
-        candidates.append((0.0, float(np.max(a[pos] / b[pos]))))
-    m = len(a)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if b[i] == b[j]:
-                continue
-            k2 = (a[i] - a[j]) / (b[i] - b[j])
-            if not np.isfinite(k2) or k2 < 0:
-                continue
-            k1 = a[i] - k2 * b[i]
-            if k1 < 0:
-                continue
-            candidates.append((float(k1), float(k2)))
-    best = None
-    best_obj = np.inf
-    for k1, k2 in candidates:
-        bound = k1 + k2 * b
-        if np.all(a <= bound + feas_tol):
-            obj = float(np.sum(bound - a))
-            if obj < best_obj:
-                best_obj = obj
-                best = (k1, k2)
-    if best is None:
-        return 0.0, 0.0, False
-    return best[0], best[1], True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kinks = np.concatenate([[0.0], a / b, ((a[:, None] - a) / (b[:, None] - b)).ravel()])
+    k2 = kinks[np.isfinite(kinks) & (kinks >= 0.0)]
+    k1 = np.maximum(np.max(a - k2[:, None] * b, axis=1), 0.0)
+    best = int(np.argmin(a.size * k1 + k2 * b.sum()))
+    return float(k1[best]), float(k2[best])
 
 
 def lr_estimate_check(family, prob_template: PoissonProblem) -> EstimateReport:
@@ -575,9 +550,11 @@ def lr_estimate_check(family, prob_template: PoissonProblem) -> EstimateReport:
     the ratio 1 + ``_HOLDOUT_SLACK``.  The halves interleave the family so
     both cover the same scale range (the a(b) relation is concave when p
     varies, so a majorant fitted on a gappy range would be unfair to the middle).
+    The template's (r, p) must be a growth pair (``validate_growth_pair``).
     """
     if len(family) < 8:
         raise ValueError("estimate protocol needs at least 8 right-hand sides")
+    _require_growth_pair(prob_template)
     W, r = prob_template.weights, prob_template.r
     p_plus, p_minus = W.p_plus, W.p_minus
     rc = conjugate_exponent(r)
@@ -597,15 +574,12 @@ def lr_estimate_check(family, prob_template: PoissonProblem) -> EstimateReport:
     b = np.asarray(b_vals)
     order = np.argsort(b)
     train_idx, hold_idx = order[0::2], order[1::2]
-    k1, k2, feasible = _affine_envelope_fit(a[train_idx], b[train_idx])
+    k1, k2 = _affine_envelope_fit(a[train_idx], b[train_idx])
     report = EstimateReport(
-        k1=k1, k2=k2, feasible=feasible,
+        k1=k1, k2=k2, feasible=True,
         train_pairs=list(zip(a[train_idx].tolist(), b[train_idx].tolist())),
         holdout_pairs=list(zip(a[hold_idx].tolist(), b[hold_idx].tolist())),
     )
-    if not feasible:
-        report.detail = "training fit infeasible"
-        return report
     ratios = []
     for ak, bk in zip(a[hold_idx], b[hold_idx]):
         bound = k1 + k2 * bk

@@ -12,7 +12,7 @@ residual safeguard until the global semilinear residual meets its target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from .checks import CheckResult
 from .exponents import (ExponentError, ExponentField, ScalarExponent, conjugate_exponent,
                         trace_exponent)
 from .lebesgue import GridFunction, luxemburg_norm
-from .mesh_kernel import KernelWeights, Mesh, restrict_interior
+from .mesh_kernel import Mesh, restrict_interior
 from .poisson import (PoissonProblem, PoissonSolution, _InteriorBlock, _is_count,
-                      energy as poisson_energy, energy_gradient, initial_guess, solve_poisson)
+                      _require_growth_pair, energy as poisson_energy, energy_gradient,
+                      initial_guess, solve_poisson)
 from .sobolev import DirichletPair
 
 
@@ -270,15 +271,17 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
     call shares one interior block, since only h changes between them.
 
     ``_block`` is private to the package: ``solve_by_decomposition`` passes
-    the block of a shell, which it reuses across sweeps, after screening the
-    growth of f once on the whole interior, which contains the shell's.
-    Without it the call screens f and builds its own block.
+    the block of a shell, which it reuses across sweeps, after checking the
+    growth pair (r, p) and screening the growth of f once on the whole
+    interior, which contains the shell's.  Without it the call checks the
+    pair, screens f and builds its own block.
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError("damping theta must lie in (0, 1]")
     if not _is_count(max_iter):
         raise ValueError("fixed-point max_iter must be a positive integer")
     if _block is None:
+        _require_growth_pair(prob)
         require_growth(f, prob.mesh, prob.p)
         _block = _InteriorBlock(prob.mesh, prob.weights)
     mask = prob.mesh.interior_mask
@@ -406,6 +409,7 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     Per-shell non-convergence aborts with the shell index.
     """
     prob = prob_template.with_g(g)
+    _require_growth_pair(prob)
     require_growth(f, prob.mesh, prob.p)
     masks = shell_partition(prob.mesh, shells)
     dx = prob.mesh.cell_width
@@ -421,18 +425,12 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     def global_residual(values):
         return _semilinear_residual(f, prob, GridFunction(prob.mesh, values))
 
-    # one problem and one interior block per shell, validated once; each
-    # sweep only swaps the datum
+    # one problem and one interior block per shell; each sweep only swaps the datum
     shell_probs = []
     for m in masks:
         sm = restrict_interior(prob.mesh, m)
-        sw = KernelWeights(mesh=sm, w=prob.weights.w, p_pair=prob.weights.p_pair,
-                           tail=prob.weights.tail)
-        shell_probs.append(PoissonProblem(
-            mesh=sm, weights=sw, p=prob.p, r=prob.r,
-            h=GridFunction(sm, np.zeros(sm.n_cells)), g=GridFunction(sm, current),
-            tolerances=prob.tolerances,
-        ))
+        shell_probs.append(replace(prob, mesh=sm, weights=replace(prob.weights, mesh=sm),
+                                   h=GridFunction.zeros(sm), g=GridFunction(sm, current)))
     blocks = [_InteriorBlock(sp.mesh, sp.weights) for sp in shell_probs]
     x = current[mask_all]
     last = None  # (x, S(x) - x) of the previous sweep

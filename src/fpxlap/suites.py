@@ -19,7 +19,6 @@ class SuiteResult:
     cases: int
     failures: int
     worst_slack: float
-    detail: str = ""
     extras: dict = field(default_factory=dict)
 
     @property
@@ -58,43 +57,43 @@ def random_grid_function(rng: np.random.Generator, mesh: Mesh) -> GridFunction:
     return GridFunction(mesh, scale * rng.standard_normal(mesh.n_cells))
 
 
-def _norm_modular_case(mesh: Mesh, rng: np.random.Generator, region):
+def _norm_modular_case(mesh: Mesh, rng: np.random.Generator):
     q = random_affine_exponent(rng, mesh)
     u = random_grid_function(rng, mesh)
-    check = norm_modular_relation_check(u, q, region, tol=_NORM_MODULAR_TOL)
+    check = norm_modular_relation_check(u, q, tol=_NORM_MODULAR_TOL)
     # the unit-ball certificate; check.bound is the Luxemburg norm the check computed
-    defect = abs(modular(u.replace_values(u.values / check.bound), q, region) - 1.0)
+    defect = abs(modular(u.replace_values(u.values / check.bound), q) - 1.0)
     return check.slack, check.passed and not defect > _NORM_MODULAR_TOL, defect
 
 
-def _holder_case(mesh: Mesh, rng: np.random.Generator, region):
+def _holder_case(mesh: Mesh, rng: np.random.Generator):
     q = random_affine_exponent(rng, mesh)
     u = random_grid_function(rng, mesh)
     v = random_grid_function(rng, mesh)
-    check = holder_pairing_check(u, v, q, region)
+    check = holder_pairing_check(u, v, q)
     return check.slack, check.passed, 0.0
 
 
-def _cara_case(mesh: Mesh, rng: np.random.Generator, region):
-    check = norm_of_one_bounds(random_affine_exponent(rng, mesh), mesh, region)
+def _cara_case(mesh: Mesh, rng: np.random.Generator):
+    check = norm_of_one_bounds(random_affine_exponent(rng, mesh), mesh)
     return check.slack, check.passed, 0.0
 
 
-def _edm_case(mesh: Mesh, rng: np.random.Generator, region):
+def _edm_case(mesh: Mesh, rng: np.random.Generator):
     alpha = random_affine_exponent(rng, mesh, 1.5, 3.0)
     beta = random_affine_exponent(rng, mesh, 1.05, 2.0)
-    check = power_norm_bounds_check(random_grid_function(rng, mesh), alpha, beta, region)
+    check = power_norm_bounds_check(random_grid_function(rng, mesh), alpha, beta)
     return check.slack, check.passed, 0.0
 
 
 def _run_cases(name: str, case, mesh: Mesh, rng: np.random.Generator, n_cases: int,
                defect_name: str | None = None) -> SuiteResult:
-    """``n_cases`` draws of ``case(mesh, rng, Omega)`` -> (slack, passed,
-    defect): the failures, the worst slack and, under ``defect_name``, the
-    worst defect."""
+    """``n_cases`` draws of ``case(mesh, rng)`` -> (slack, passed, defect):
+    the failures, the worst slack and, under ``defect_name``, the worst
+    defect."""
     failures, worst, worst_defect = 0, np.inf, 0.0
     for _ in range(n_cases):
-        slack, passed, defect = case(mesh, rng, mesh.interior_mask)
+        slack, passed, defect = case(mesh, rng)
         worst, worst_defect = min(worst, slack), max(worst_defect, defect)
         failures += 0 if passed else 1
     extras = {defect_name: f"{worst_defect:.6e}"} if defect_name else {}

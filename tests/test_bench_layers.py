@@ -7,7 +7,7 @@ import numpy as np
 
 from fpxlap import (GridFunction, PoissonProblem, assemble_weights, build_mesh, energy_gradient,
                     solve_poisson)
-from fpxlap.catalog import pair_exponent, scalar_exponent
+from fpxlap.catalog import pair_exponent
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_layers", ROOT / "scripts" / "bench_layers.py")
@@ -42,10 +42,9 @@ def test_builder_writes_every_entry_and_the_direct_solve(monkeypatch):
     h = GridFunction(mesh, np.where(mesh.interior_mask, 1.0 + np.sin(3.0 * x), 0.0))
     g = GridFunction(mesh, 0.2 * np.cos(x))
     solves = {e["class"]: e for e in entries if e["layer"] == "solve_poisson"}
-    for name, (kind, params, r) in bench.CLASSES.items():
+    for name, (kind, params) in bench.CLASSES.items():
         p = pair_exponent(kind, params, s=0.3, R=2.0)
-        prob = PoissonProblem(mesh=mesh, weights=assemble_weights(mesh, p), p=p,
-                              r=scalar_exponent("constant", {"value": r}, 2.0), h=h, g=g)
+        prob = PoissonProblem(mesh=mesh, weights=assemble_weights(mesh, p), p=p, h=h, g=g)
         sol = solve_poisson(prob)
         assert solves[name]["counts"] == {"outer": sol.iterations, "cg": sol.cg_iterations,
                                           "backtracks": sol.backtracks,

@@ -5,8 +5,9 @@ import pytest
 
 from fpxlap.catalog import (CatalogError, data_function, nonlinearity, pair_exponent,
                             scalar_exponent)
+from fpxlap.semilinear import Nonlinearity, growth_screen, nemytsky
 
-from util import const_pair
+from util import bump_pair, const_pair, grid
 
 A = {"kind": "constant", "params": {"value": 0.3}}
 
@@ -70,3 +71,27 @@ class TestNonlinearityData:
             nonlinearity("linear", {"coef": True, "a": A}, mesh16, const_pair(2.0, 0.3))
         with pytest.raises(CatalogError, match=r"^nonlinearity.source: unknown params \['eps'\]"):
             nonlinearity("source", {"h": A, "eps": 0.1}, mesh16, const_pair(2.0, 0.3))
+
+
+SINE = {"kind": "sine", "params": {"amplitude": 0.8, "frequency": 3.0, "phase": 0.2}}
+# the kinds no other test builds, each from a mesh and a pair exponent
+KINDS = {
+    "scalar_exponent.bump": lambda mesh, p: scalar_exponent(
+        "bump", {"base": 2.5, "amplitude": 0.5, "width": 1.0}, mesh.R).values(mesh.cell_centers),
+    "data.sine": lambda mesh, p: data_function(**SINE, mesh=mesh).values,
+    "data.indicator": lambda mesh, p: data_function(
+        "indicator", {"amplitude": 2.0, "left": -0.5, "right": 0.5}, mesh).values,
+    "nonlinearity.source": lambda mesh, p: nonlinearity("source", {"h": SINE}, mesh, p),
+    "nonlinearity.power": lambda mesh, p: nonlinearity("power", {"coef": 0.5}, mesh, p),
+}
+
+
+@pytest.mark.parametrize("p", (const_pair(2.0, 0.3), bump_pair(2.0, 0.5, s=0.3)),
+                         ids=("constant_p", "bump_p"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_builds_finite_values(mesh16, kind, p):
+    built = KINDS[kind](mesh16, p)
+    if isinstance(built, Nonlinearity):
+        assert growth_screen(built, mesh16, p).passed
+        built = nemytsky(built, grid(mesh16, np.linspace(-3.0, 3.0, 16))).values
+    assert built.shape == (16,) and np.all(np.isfinite(built))

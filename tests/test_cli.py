@@ -9,6 +9,7 @@ from fpxlap import semilinear as semilinear_module
 from fpxlap.cli import ConfigError, main, parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+A_ENTRY = {"kind": "constant", "params": {"value": 0.3}}
 
 
 def minimal_poisson_config(**overrides):
@@ -78,6 +79,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(json.dumps(bad), mode="poisson")
         assert len(err.value.errors) >= 2
+
+
+class TestRejections:
+    """Inputs the CLI refuses with exit 1 and an ``error:`` line, before any report."""
+
+    @pytest.mark.parametrize("text,message", (
+        ("{", "not valid JSON"),
+        ("[1, 2]", "config: expected an object"),
+        (json.dumps({**minimal_poisson_config(), "mode": None}), "mode missing"),
+        (json.dumps({**minimal_poisson_config(), "mode": "verify"}),
+         "config mode 'verify' conflicts with requested mode 'poisson'"),
+    ), ids=("invalid_json", "not_an_object", "no_mode", "conflicting_mode"))
+    def test_bad_document(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code = main(["poisson", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        code = main(["poisson", "--config", str(tmp_path / "absent.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config ")
 
 
 class TestRun:
@@ -310,6 +335,26 @@ class TestRun:
         assert capsys.readouterr().err == f"error: {invalid}{message}\n"
         assert not (out / "report").exists()
         assert not (out / "weights.csv").exists()
+
+    def test_failing_growth_pair_exits_one(self, tmp_path):
+        cfg = minimal_poisson_config()
+        cfg["growth"]["r"]["params"]["value"] = 2.0  # r- = pbar+
+        code, out = run_cli(tmp_path, "poisson", cfg)
+        assert code == 1
+        report = (out / "report").read_text().splitlines()
+        assert "growth_pair_ok: False" in report
+        assert not any(line.startswith("solver.") for line in report)
+
+    def test_failing_growth_screen_exits_one(self, tmp_path):
+        # f = a + t grows like |t|, faster than the declared |t|^(pbar - 1) at p = 1.5
+        cfg = minimal_poisson_config()
+        cfg["exponent"]["params"]["value"] = 1.5
+        cfg["nonlinearity"] = {"kind": "linear", "params": {"coef": 1.0, "a": A_ENTRY}}
+        code, out = run_cli(tmp_path, "semilinear", cfg)
+        assert code == 1
+        report = (out / "report").read_text().splitlines()
+        assert "check.growth_screen.passed: False" in report
+        assert not any(line.startswith("solver.") for line in report)
 
     def test_stiff_semilinear_exits_two(self, tmp_path):
         cfg = minimal_poisson_config()

@@ -170,6 +170,17 @@ class TestBlockAssembly:
         with pytest.raises(ValueError):
             W.p_pair[0, 1] = 2.0
 
+    def test_declared_constant_exponent_is_never_sampled_on_pairs(self, mesh64):
+        def cells_only(x, y):
+            if np.ndim(x) > 1 or np.ndim(y) > 1:
+                raise ValueError("sampled on cell pairs")
+            return 2.5 + 0.0 * (np.asarray(x) + np.asarray(y))
+
+        W = assemble_weights(mesh64, ExponentField(cells_only, p_minus=2.5, p_plus=2.5, s=0.3))
+        ref = assemble_weights(mesh64, const_pair(2.5, 0.3))
+        assert W.p_pair.strides == (0, 0)
+        assert np.array_equal(W.w, ref.w) and np.array_equal(W.tail, ref.tail)
+
     def test_variable_exponent_is_dense(self, mesh64):
         W = assemble_weights(mesh64, bump_pair(2.0, 0.5, s=0.3))
         assert W.p_pair.flags.c_contiguous and W.p_pair.flags.writeable

@@ -11,7 +11,7 @@ from fpxlap import (GridFunction, KernelWeights, PoissonProblem, Tolerances,
                     solve_poisson, weak_form)
 from fpxlap import mesh_kernel
 from fpxlap import poisson as poisson_module
-from fpxlap.catalog import pair_exponent, scalar_exponent
+from fpxlap.catalog import pair_exponent
 from fpxlap.exponents import conjugate_exponent
 from fpxlap.poisson import initial_guess
 
@@ -480,22 +480,27 @@ class TestInteriorBlockSolver:
         assert swapped.weights is linear_problem.weights
         PoissonProblem(mesh=mesh64, weights=linear_problem.weights, p=linear_problem.p,
                        r=linear_problem.r, h=zero, g=zero)
-        assert len(calls) == 1
+        assert calls == []
+
+    def test_growth_exponent_is_not_read(self, rng):
+        prob = _class_problem("gauss_bump", rng)
+        without = PoissonProblem(mesh=prob.mesh, weights=prob.weights, p=prob.p, h=prob.h,
+                                 g=prob.g)
+        assert without.r is None and prob.r is not None
+        assert np.array_equal(solve_poisson(without).u.u.values, solve_poisson(prob).u.u.values)
 
 
 def _study_problem(kind, n):
     """The scaling problem of scripts/bench_layers.py's solve_poisson entries:
     box [-2, 2], Omega = (-1, 1), s = 0.3, h = 1 + sin 3x, g = 0.2 cos x."""
-    exponents = {"p2": (("constant", {"value": 2.0}), 3.0),
-                 "p3": (("constant", {"value": 3.0}), 3.5),
-                 "gauss_bump": (("gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 1.0}), 3.0),
-                 "affine": (("affine", {"base": 2.0, "slope": 0.2}), 2.8)}
-    (exponent, params), r_value = exponents[kind]
+    exponent, params = {"p2": ("constant", {"value": 2.0}),
+                        "p3": ("constant", {"value": 3.0}),
+                        "gauss_bump": ("gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 1.0}),
+                        "affine": ("affine", {"base": 2.0, "slope": 0.2})}[kind]
     mesh = build_mesh(2.0, n, [(-1.0, 1.0)])
     x = mesh.cell_centers
     p = pair_exponent(exponent, params, s=0.3, R=2.0)
     return PoissonProblem(mesh=mesh, weights=assemble_weights(mesh, p), p=p,
-                          r=scalar_exponent("constant", {"value": r_value}, 2.0),
                           h=grid(mesh, 1.0 + np.sin(3.0 * x)), g=grid(mesh, 0.2 * np.cos(x)))
 
 

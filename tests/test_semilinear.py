@@ -436,7 +436,7 @@ class TestDecomposition:
         monkeypatch.setattr(semilinear_module, "growth_screen", counting_screen)
         _, rep = solve_by_decomposition(f, GridFunction.zeros(mesh96), 3, template, theta=0.5)
         assert rep.converged and rep.sweeps > 1
-        assert len(calls) == 3
+        assert len(calls) == 1
         # the whole interior is screened once; the shells lie inside it
         assert len(screens) == 1 and screens[0][1] is mesh96
 
@@ -507,3 +507,25 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="max_iter must be a positive integer"):
             solve_by_decomposition(arctan_nonlinearity(mesh96), GridFunction.zeros(mesh96), 3,
                                    make_template(mesh96), max_iter=2.5)
+
+
+class TestGrowthPairWhereRIsRead:
+    """The problem carries r unchecked; the three functions that read r check (r, p)."""
+
+    # p = 2, s = 0.4: pbar+ = 2 and the critical exponent is 2 / (1 - 0.8) = 10
+    @pytest.mark.parametrize("r_value", (None, 2.0, 12.0),
+                             ids=("no_r", "r_at_pbar", "r_supercritical"))
+    def test_inadmissible_r_raises(self, mesh96, r_value):
+        template = make_template(mesh96)
+        prob = PoissonProblem(mesh=mesh96, weights=template.weights, p=template.p,
+                              h=template.h, g=template.g,
+                              r=None if r_value is None else const_scalar(r_value))
+        f = arctan_nonlinearity(mesh96)
+        family = [grid(mesh96, k * np.cos(mesh96.cell_centers)) for k in range(1, 9)]
+        message = r"^growth pair \(r, p\) fails"
+        with pytest.raises(ValueError, match=message):
+            fixed_point_solve(f, prob)
+        with pytest.raises(ValueError, match=message):
+            solve_by_decomposition(f, GridFunction.zeros(mesh96), 3, prob)
+        with pytest.raises(ValueError, match=message):
+            poisson_module.lr_estimate_check(family, prob)

@@ -100,7 +100,7 @@ class TestPairPassOracles:
         W = assemble_weights(mesh16, ORACLE_EXPONENTS[name])
         u = grid(mesh16, rng.standard_normal(mesh16.n_cells))
         prob = PoissonProblem(mesh=mesh16, weights=W, p=ORACLE_EXPONENTS[name],
-                              r=const_scalar(3.0), h=grid(mesh16, rng.standard_normal(16)), g=u)
+                              h=grid(mesh16, rng.standard_normal(16)), g=u)
         assert np.all(W.tail > 0.0) and np.any(u.values[mesh16.exterior_mask] != 0.0)
         assert energy(u, prob) == pytest.approx(brute_energy(u, prob), rel=1e-12)
 
@@ -296,13 +296,13 @@ class TestPoincare:
         assert s1 == pytest.approx(scale * s0, rel=1e-9)
 
 
-# exponent, growth exponent r and field of the parity cases: the uniform p = 2
-# is a zero-stride p_pair; p = 1.5 gets a plateau field, with exact ties d = 0
-# and zeros u_i = 0, where the flux and the modular term must be 0
+# exponent and field of the parity cases: the uniform p = 2 is a zero-stride
+# p_pair; p = 1.5 gets a plateau field, with exact ties d = 0 and zeros
+# u_i = 0, where the flux and the modular term must be 0
 PARITY_CASES = {
-    "p2": (const_pair(2.0, 0.3), 3.0, "normal"),
-    "p1_5_plateau": (const_pair(1.5, 0.3), 2.2, "plateau"),
-    "gauss_bump": (bump_pair(2.0, 0.5, s=0.3), 3.0, "normal"),
+    "p2": (const_pair(2.0, 0.3), "normal"),
+    "p1_5_plateau": (const_pair(1.5, 0.3), "plateau"),
+    "gauss_bump": (bump_pair(2.0, 0.5, s=0.3), "normal"),
 }
 PARITY_OMEGAS = {"one_interval": [(-1.0, 1.0)],
                  "three_intervals": [(-1.7, -1.1), (-0.6, 0.4), (0.9, 1.6)]}
@@ -316,7 +316,7 @@ def test_blocked_passes_match_dense_oracles(case, omega, n):
     1e-13 (of the absolute terms where they cancel): one block at n = 8 and
     96, a merged last block at 333, many blocks at 1024, and 1 or 3 runs of
     interior cells."""
-    p, r_value, field = PARITY_CASES[case]
+    p, field = PARITY_CASES[case]
     mesh = build_mesh(2.0, n, PARITY_OMEGAS[omega])
     W = assemble_weights(mesh, p)
     gen = np.random.default_rng(n)
@@ -333,7 +333,7 @@ def test_blocked_passes_match_dense_oracles(case, omega, n):
     assert np.all(np.abs(op - dense_operator(u, W)) <= 1e-13 * dense_operator(u, W, absolute=True))
     assert abs(weak_form(u, phi, W) - dense_weak_form(u, phi, W)) \
         <= 1e-13 * dense_weak_form(u, phi, W, absolute=True)
-    prob = PoissonProblem(mesh=mesh, weights=W, p=p, r=const_scalar(r_value), h=h, g=u)
+    prob = PoissonProblem(mesh=mesh, weights=W, p=p, h=h, g=u)
     assert abs(energy(u, prob) - dense_energy(u, prob)) <= 1e-13 * dense_energy(u, prob, absolute=True)
 
 
