@@ -40,8 +40,9 @@ script): its ``src/`` is imported, its configs are run, and the file is
 named after its ``git rev-parse --short HEAD``, with ``"dirty": true`` when
 its working tree differs from that commit.  The file goes to ``--out``
 (default: that checkout's root).  Everything is called through the public
-API only, so the script measures any commit that has it; its Poisson
-problems carry no growth exponent r, which must be optional there.
+API only; its Poisson problems carry no growth exponent r, so it measures
+the commits whose ``PoissonProblem`` takes r as optional.  An older commit
+is measured by that commit's own copy of this script.
 
 Usage: python scripts/bench_layers.py [--repo DIR] [--out DIR]
 """

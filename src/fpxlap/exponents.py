@@ -24,7 +24,8 @@ class ExponentField:
 
     ``p_minus``/``p_plus`` are the declared inf/sup over the working box;
     catalog constructors fill them analytically and validation cross-checks
-    them against sampled values.
+    them against sampled values.  ``assemble_weights`` trusts equal bounds
+    as a constant exponent and checks only the trace p(x,x) against them.
     """
 
     evaluator: Callable

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exponents import ExponentField
+from .exponents import ExponentError, ExponentField
 
 
 class MeshError(ValueError):
@@ -195,21 +195,22 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     as the transpose, so ``w`` is exactly symmetric; with the grouping
     (phi(r-l) + phi(l-r)) - (phi(r-r) + phi(l-l)) every weight of an
     exactly symmetric exponent equals the full-matrix formula bit for bit.
-    A constant exponent, declared (p_minus == p_plus) or sampled, is stored
-    as a read-only ``np.broadcast_to`` of its value; a declared one is never
-    sampled.
+    A constant exponent, declared by p_minus == p_plus, is stored as a
+    read-only ``np.broadcast_to`` of its value without sampling p on cell
+    pairs; its trace p(x,x), which the tails read, must equal that value.
 
     Rejects configurations with s*p >= 1 on adjacent cell pairs, where the
     adjacent improper integral diverges for piecewise constants.
     """
     centers = mesh.cell_centers
     n = mesh.n_cells
+    pbar = p.trace_values(centers)
     if p.p_minus == p.p_plus:
+        if np.any(pbar != p.p_minus):
+            raise ExponentError(f"exponent declared constant {p.p_minus} varies on its trace")
         p_pair = np.broadcast_to(float(p.p_minus), (n, n))
     else:
         p_pair = p.pair_matrix(centers)
-        if p_pair.min() == p_pair.max():
-            p_pair = np.broadcast_to(p_pair.flat[0], (n, n))
     adjacent = np.diagonal(p_pair, offset=1)
     if np.any(1.0 + p.s * adjacent >= 2.0):
         worst = float(np.max(adjacent))
@@ -259,6 +260,6 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
             raise KernelError("negative kernel weight encountered")
         np.maximum(w, 0.0, out=w)
 
-    spbar = p.s * p.trace_values(centers)
+    spbar = p.s * pbar
     tail = ((centers + mesh.R) ** (-spbar) + (mesh.R - centers) ** (-spbar)) / spbar
     return KernelWeights(mesh=mesh, w=w, p_pair=p_pair, tail=tail)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from fpxlap import ExponentField, KernelError, MeshError, assemble_weights, build_mesh, mesh_kernel
+from fpxlap import (
+    ExponentError, ExponentField, KernelError, MeshError, assemble_weights, build_mesh, mesh_kernel,
+)
 from fpxlap.catalog import pair_exponent
 
 from util import bump_pair, const_pair, reference_weights
@@ -180,6 +182,14 @@ class TestBlockAssembly:
         ref = assemble_weights(mesh64, const_pair(2.5, 0.3))
         assert W.p_pair.strides == (0, 0)
         assert np.array_equal(W.w, ref.w) and np.array_equal(W.tail, ref.tail)
+
+    def test_declared_constant_exponent_with_varying_trace_is_rejected(self, mesh64):
+        p = ExponentField(
+            evaluator=lambda x, y: 2.5 + 0.1 * np.asarray(x) + 0.0 * np.asarray(y),
+            p_minus=2.5, p_plus=2.5, s=0.3,
+        )
+        with pytest.raises(ExponentError, match="declared constant"):
+            assemble_weights(mesh64, p)
 
     def test_variable_exponent_is_dense(self, mesh64):
         W = assemble_weights(mesh64, bump_pair(2.0, 0.5, s=0.3))

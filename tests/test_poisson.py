@@ -464,7 +464,7 @@ class TestInteriorBlockSolver:
         assert sol.converged == (recomputed <= prob.tolerances.el_residual)
         assert sol.energy == pytest.approx(energy(sol.u, prob), rel=1e-12)
 
-    def test_with_data_skips_growth_validation(self, linear_problem, mesh64, monkeypatch):
+    def test_construction_and_with_data_do_not_validate_growth(self, linear_problem, mesh64, monkeypatch):
         calls = []
         original = poisson_module.validate_growth_pair
 

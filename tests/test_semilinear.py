@@ -417,7 +417,7 @@ class TestDecomposition:
         assert rep.residual <= 1e-5
         assert np.max(np.abs(sol_dc.u.u.values - sol_fp.u.u.values)) < 1e-4
 
-    def test_growth_pair_validated_once_per_shell(self, mesh96, monkeypatch):
+    def test_growth_pair_validated_once_per_decomposition(self, mesh96, monkeypatch):
         f = arctan_nonlinearity(mesh96)
         template = make_template(mesh96)
         calls, screens = [], []
