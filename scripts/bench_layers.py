@@ -30,6 +30,11 @@ fingerprint: sup u over Omega and the semilinear residual) and
 sweeps, mixed sweeps, converged; fingerprint: the sup gap to the fixed
 point's field and the global residual).
 
+Each inequality suite of ``verify_inequalities.json`` (``suite.<name>``,
+n = its mesh size, class ``verify_inequalities``): the suite's runner with
+the config's mesh, seed and case count (fingerprint: cases, failures, worst
+slack and extras).
+
 Then each CLI config of ``CONFIGS`` in ``scripts/configs``, run through
 ``fpxlap.cli.main`` into a temporary directory; its n is the config's mesh
 size and its fingerprint the exit status and a digest of the report without
@@ -140,6 +145,7 @@ def build_entries(repo: Path) -> list:
     import fpxlap as fp
     from fpxlap.catalog import pair_exponent, scalar_exponent
     from fpxlap.cli import main as cli_main
+    from fpxlap.suites import SUITE_RUNNERS
 
     entries = []
 
@@ -195,6 +201,14 @@ def build_entries(repo: Path) -> list:
                                "converged": out[1].converged},
                     "fingerprint": [float(abs(out[0].u.u.values - ref.u.u.values).max()),
                                     out[1].residual]})
+
+    cfg = json.loads((repo / "scripts" / "configs" / "verify_inequalities.json").read_text())
+    mesh = fp.build_mesh(cfg["mesh"]["R"], cfg["mesh"]["n_cells"], cfg["omega"]["intervals"])
+    for name, count in cfg["checks"].items():
+        run = SUITE_RUNNERS[name]
+        add(f"suite.{name}", mesh.n_cells, "verify_inequalities",
+            lambda: run(mesh, np.random.default_rng(cfg["seed"]), count),
+            lambda res: {"fingerprint": [res.cases, res.failures, res.worst_slack, res.extras]})
 
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "report"

@@ -74,8 +74,10 @@ class ScalarExponent:
         return self.evaluator(x)
 
     def values(self, centers: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.evaluator(centers), dtype=float) * np.ones_like(centers)
-        if not np.all(np.isfinite(vals)):
+        vals = np.array(self.evaluator(centers), dtype=float)  # a copy the caller owns
+        if vals.shape != np.shape(centers):  # a constant broadcasts over the centers
+            vals = vals * np.ones_like(centers)
+        if not np.isfinite(vals).all():
             raise ExponentError("scalar exponent produced non-finite values")
         return vals
 
@@ -160,17 +162,17 @@ def critical_exponent(p: ExponentField, x):
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
+def _conjugate_values(qx):
+    """q' = q/(q-1) of exponent values."""
+    return qx / (qx - 1.0)
+
+
 def conjugate_exponent(q: ScalarExponent) -> ScalarExponent:
     """Pointwise conjugate q' = q/(q-1), so 1/q + 1/q' = 1."""
     if q.lower <= 1.0:
         raise ExponentError("conjugate exponent requires q > 1")
-
-    def conj(x):
-        qx = q.evaluator(x)
-        return qx / (qx - 1.0)
-
-    return ScalarExponent(evaluator=conj, lower=q.upper / (q.upper - 1.0),
-                          upper=q.lower / (q.lower - 1.0))
+    return ScalarExponent(evaluator=lambda x: _conjugate_values(q.evaluator(x)),
+                          lower=q.upper / (q.upper - 1.0), upper=q.lower / (q.lower - 1.0))
 
 
 def validate_growth_pair(r: ScalarExponent, p: ExponentField, mesh) -> bool:

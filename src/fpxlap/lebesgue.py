@@ -2,6 +2,14 @@
 
 Integrals are midpoint sums, which are exact for piecewise constants, so the
 modular identities and inequalities below hold sharply at the discrete level.
+
+Each quantity and check has one private core, ``_*_rows``, on a stack of
+cases, one per row: (k, N) arrays of interior values and exponent values.
+The public functions call it with one row; the seeded suites of
+``suites.py`` call it a chunk of cases at a time.  A row's numbers do not
+depend on the other rows, and the per-row scalars (logs, exps and powers of
+one float) go through ``math`` and Python floats, so a stacked case and its
+one-row call agree bit for bit.
 """
 
 from __future__ import annotations
@@ -62,67 +70,117 @@ def _region_mask(mesh: Mesh, region) -> np.ndarray:
     return mask
 
 
+def _modular_rows(vals: np.ndarray, q: np.ndarray, cell_width: float) -> np.ndarray:
+    """rho_q of each row: sum_i |u_i|^{q_i} * cell_width."""
+    return (np.abs(vals) ** q).sum(axis=1) * cell_width
+
+
 def modular(u: GridFunction, q: ScalarExponent) -> float:
     """rho_q(u) = sum_{i in Omega} |u_i|^{q(x_i)} * cell_width."""
     mask = u.mesh.interior_mask
     qv = q.values(u.mesh.cell_centers[mask])
-    return float(np.sum(np.abs(u.values[mask]) ** qv) * u.mesh.cell_width)
+    return float(_modular_rows(u.values[mask][None], qv[None], u.mesh.cell_width)[0])
+
+
+def _column(per_row: list[float]):
+    """Per-row scalars shaped to broadcast over the rows of a stack; one row
+    gets a plain float, which numpy's arithmetic takes by its faster scalar
+    path."""
+    return per_row[0] if len(per_row) == 1 else np.array(per_row)[:, None]
+
+
+def _luxemburg_rows(a: np.ndarray, q: np.ndarray) -> list[float]:
+    """lam = e^t at the root of phi(t) = log sum exp(a - q t) = log rho(u / e^t),
+    for each row of the (k, N) arrays a and q.
+
+    a holds the logs of the modular terms at lam = 1 (-inf for a zero term)
+    and q their exponents.  A row whose terms all vanish gives 0, and a
+    constant exponent the closed form t = log rho / q.  Otherwise phi is
+    convex and decreasing, so Newton's method t += phi * sum(e) / sum(q e),
+    with e = exp(a - q t) after a max-shift, lands left of the root from any
+    start (the first step, from t = 0, gives log rho over the rho-weighted
+    mean exponent) and then rises to it monotonically.  The varying rows
+    step together, one exp pass over their stack a step; a row stops once
+    its own step is at most ``_NEWTON_RTOL`` (relative in lam) and drops
+    out, so each row takes exactly the iterates of its one-row solve.
+    Raises BisectionError when a row is still stepping after
+    ``_NEWTON_MAX_STEPS`` steps; both are read at call time.
+    """
+    lam = [0.0] * len(a)
+    shifts = a.max(axis=1, initial=-math.inf).tolist()
+    q_lo = q.min(axis=1, initial=math.inf).tolist()
+    q_hi = q.max(axis=1, initial=-math.inf).tolist()
+    rows = []
+    for i, (shift, lo, hi) in enumerate(zip(shifts, q_lo, q_hi)):
+        if shift == -math.inf:
+            continue
+        if lo == hi:
+            lam[i] = math.exp((shift + math.log(float(np.exp(a[i] - shift).sum()))) / lo)
+        else:
+            rows.append(i)
+    if not rows:
+        return lam
+    if len(rows) < len(a):
+        a, q = a[rows], q[rows]
+    t = [0.0] * len(rows)
+    shift = [shifts[i] for i in rows]
+    z = a - _column(shift)  # the shifted exponents at t = 0, where q t vanishes
+    for _ in range(_NEWTON_MAX_STEPS):
+        np.exp(z, out=z)
+        keep = []
+        # np.vecdot takes each row's dot from BLAS, as np.vdot does for one row
+        for j, (s, total, dot) in enumerate(zip(shift, z.sum(axis=1).tolist(),
+                                                np.vecdot(q, z).tolist())):
+            step = (s + math.log(total)) * total / dot
+            t[j] += step
+            if abs(step) <= _NEWTON_RTOL:
+                lam[rows[j]] = math.exp(t[j])
+            else:
+                keep.append(j)
+        if not keep:
+            return lam
+        if len(keep) < len(rows):
+            rows, t = [rows[j] for j in keep], [t[j] for j in keep]
+            a, q, z = a[keep], q[keep], z[keep]
+        np.multiply(q, _column(t), out=z)
+        np.subtract(a, z, out=z)
+        shift = z.max(axis=1).tolist()
+        z -= _column(shift)
+    raise BisectionError(f"Luxemburg Newton solve did not converge in {_NEWTON_MAX_STEPS}"
+                         f" steps ({len(rows)} of {len(lam)} rows still stepping)")
 
 
 def _luxemburg_root(a: np.ndarray, q: np.ndarray) -> float:
-    """lam = e^t at the root of phi(t) = log sum exp(a - q t) = log rho(u / e^t).
+    """``_luxemburg_rows`` for the one case of the flat arrays a and q."""
+    return _luxemburg_rows(a[None], q[None])[0]
 
-    a holds the logs of the modular terms at lam = 1 (-inf for a zero term)
-    and q their exponents, flat arrays of one size.  A constant exponent
-    gives the closed form t = log rho / q.  Otherwise phi is convex and
-    decreasing, so Newton's method t += phi * sum(e) / sum(q e), with
-    e = exp(a - q t) after a max-shift, lands left of the root from any
-    start (the first step, from t = 0, gives log rho over the rho-weighted
-    mean exponent) and then rises to it monotonically.  Stops once a step
-    is at most ``_NEWTON_RTOL`` (relative in lam) and raises BisectionError
-    after ``_NEWTON_MAX_STEPS`` steps, both read at call time.  Returns 0
-    when every term vanishes.
-    """
-    shift = float(a.max(initial=-math.inf))
-    if shift == -math.inf:
-        return 0.0
-    q_lo = float(q.min())
-    if q_lo == float(q.max()):
-        return math.exp((shift + math.log(float(np.exp(a - shift).sum()))) / q_lo)
-    z = np.empty_like(a)
-    t, step = 0.0, math.inf
-    for _ in range(_NEWTON_MAX_STEPS):
-        np.multiply(q, -t, out=z)
-        z += a
-        shift = float(z.max())
-        z -= shift
-        np.exp(z, out=z)
-        total = float(z.sum())
-        step = (shift + math.log(total)) * total / float(np.vdot(q, z))
-        t += step
-        if abs(step) <= _NEWTON_RTOL:
-            return math.exp(t)
-    raise BisectionError(f"Luxemburg Newton solve did not converge in {_NEWTON_MAX_STEPS}"
-                         f" steps (last step {step:.3e})")
+
+def _norm_rows(vals: np.ndarray, q: np.ndarray, cell_width: float) -> list[float]:
+    """Luxemburg norm of each row: the logs of the terms |u_i|^q_i dx, with
+    |u| scaled by its row sup, go to ``_luxemburg_rows``; a row of zeros
+    gives 0."""
+    vals = np.abs(vals)
+    sup = vals.max(axis=1, initial=0.0)
+    sups = sup.tolist()
+    if 0.0 in sups:
+        live = sup > 0.0
+        norms = iter(_norm_rows(vals[live], q[live], cell_width))
+        return [next(norms) if s > 0.0 else 0.0 for s in sups]
+    # factor out the sup so extreme scales cannot under- or overflow the modular
+    with np.errstate(divide="ignore"):
+        logs = np.log(vals / _column(sups))
+    logs *= q
+    logs += np.log(cell_width)
+    return [s * lam for s, lam in zip(sups, _luxemburg_rows(logs, q))]
 
 
 def luxemburg_norm(u: GridFunction, q: ScalarExponent, region=None) -> float:
-    """inf{lam > 0 : rho_q(u/lam) <= 1}: the logs of the terms |u_i|^q_i dx,
-    with u scaled by its sup, go to ``_luxemburg_root`` once (Newton's
-    method on log lam, or a closed form for a constant exponent).  Returns
+    """inf{lam > 0 : rho_q(u/lam) <= 1} over ``region`` (default Omega), by
+    Newton's method on log lam or a closed form for a constant exponent;
     0 for the zero function."""
     mask = _region_mask(u.mesh, region)
-    vals = np.abs(u.values[mask])
-    if vals.size == 0 or not vals.any():
-        return 0.0
-    # factor out the sup so extreme scales cannot under- or overflow the modular
-    vmax = float(vals.max())
     qv = q.values(u.mesh.cell_centers[mask])
-    with np.errstate(divide="ignore"):
-        logs = np.log(vals / vmax)
-    logs *= qv
-    logs += np.log(u.mesh.cell_width)
-    return vmax * _luxemburg_root(logs, qv)
+    return _norm_rows(u.values[mask][None], qv[None], u.mesh.cell_width)[0]
 
 
 def pairing(u: GridFunction, v: GridFunction) -> float:
@@ -131,38 +189,82 @@ def pairing(u: GridFunction, v: GridFunction) -> float:
     return float(np.sum(u.values[mask] * v.values[mask]) * u.mesh.cell_width)
 
 
+def _holder_rows(u: np.ndarray, v: np.ndarray, q: np.ndarray, q_conj: np.ndarray,
+                 cell_width: float):
+    """|sum u v dx| and its bound 2 ||u||_q ||v||_{q'} per row, with the
+    slack and the verdict."""
+    lhs = np.abs((u * v).sum(axis=1) * cell_width)
+    u_norm = np.array(_norm_rows(u, q, cell_width))
+    bound = 2.0 * u_norm * np.array(_norm_rows(v, q_conj, cell_width))
+    return lhs, bound, bound - lhs, lhs <= bound + _HOLDER_TOL
+
+
 def holder_pairing_check(u: GridFunction, v: GridFunction, q: ScalarExponent) -> CheckResult:
     """|sum u v dx| <= 2 ||u||_q ||v||_{q'} over Omega."""
-    qc = conjugate_exponent(q)
-    lhs = abs(pairing(u, v))
-    bound = 2.0 * luxemburg_norm(u, q) * luxemburg_norm(v, qc)
+    mask = u.mesh.interior_mask
+    centers = u.mesh.cell_centers[mask]
+    lhs, bound, slack, passed = _holder_rows(
+        u.values[mask][None], v.values[mask][None], q.values(centers)[None],
+        conjugate_exponent(q).values(centers)[None], u.mesh.cell_width)
     return CheckResult(
         name="holder_pairing",
-        passed=lhs <= bound + _HOLDER_TOL,
-        value=lhs,
-        bound=bound,
-        slack=bound - lhs,
+        passed=bool(passed[0]),
+        value=float(lhs[0]),
+        bound=float(bound[0]),
+        slack=float(slack[0]),
     )
+
+
+def _norm_of_one_rows(gamma: np.ndarray, cell_width: float):
+    """||1||_gamma per row with its bounds min and max of |O|^(1/g+) and
+    |O|^(1/g-), the slack and the verdict; |O| is the row's measure."""
+    measure = gamma.shape[1] * cell_width
+    norm1 = np.array(_norm_rows(np.ones_like(gamma), gamma, cell_width))
+    ends = [(measure ** (1.0 / g_hi), measure ** (1.0 / g_lo))
+            for g_lo, g_hi in zip(gamma.min(axis=1).tolist(), gamma.max(axis=1).tolist())]
+    lo_bound = np.array([min(e) for e in ends])
+    hi_bound = np.array([max(e) for e in ends])
+    ok = (lo_bound - _BOUNDS_TOL <= norm1) & (norm1 <= hi_bound + _BOUNDS_TOL)
+    return norm1, lo_bound, hi_bound, np.minimum(norm1 - lo_bound, hi_bound - norm1), ok
 
 
 def norm_of_one_bounds(gamma: ScalarExponent, mesh: Mesh) -> CheckResult:
     """min(|O|^(1/g+), |O|^(1/g-)) <= ||1||_gamma <= max(...) on Omega."""
     mask = mesh.interior_mask
     measure = float(mask.sum()) * mesh.cell_width
-    g_lo, g_hi = gamma.range_on(mesh.cell_centers[mask])
-    ends = (measure ** (1.0 / g_hi), measure ** (1.0 / g_lo))
-    lo_bound, hi_bound = min(ends), max(ends)
-    one = GridFunction(mesh, np.ones(mesh.n_cells))
-    norm1 = luxemburg_norm(one, gamma)
-    ok = (lo_bound - _BOUNDS_TOL) <= norm1 <= (hi_bound + _BOUNDS_TOL)
+    norm1, lo_bound, hi_bound, slack, ok = _norm_of_one_rows(
+        gamma.values(mesh.cell_centers[mask])[None], mesh.cell_width)
     return CheckResult(
         name="norm_of_one",
-        passed=ok,
-        value=norm1,
-        bound=hi_bound,
-        slack=min(norm1 - lo_bound, hi_bound - norm1),
-        detail=f"measure={measure:.6g} lower={lo_bound:.12g}",
+        passed=bool(ok[0]),
+        value=float(norm1[0]),
+        bound=float(hi_bound[0]),
+        slack=float(slack[0]),
+        detail=f"measure={measure:.6g} lower={float(lo_bound[0]):.12g}",
     )
+
+
+def _power_bounds(m: float, mid: float, b_lo: float, b_hi: float) -> tuple[float, float, bool]:
+    """(upper bound, slack, verdict) of the sandwich of ``mid`` between
+    powers of ``m``; for m = 0 the bound is 0 and mid must vanish."""
+    if m == 0.0:
+        return 0.0, -mid, mid <= _BOUNDS_TOL
+    if m <= 1.0:
+        lo_b, hi_b = m ** b_hi, m ** b_lo
+    else:
+        lo_b, hi_b = m ** b_lo, m ** b_hi
+    return hi_b, min(mid - lo_b, hi_b - mid), (lo_b - _BOUNDS_TOL) <= mid <= (hi_b + _BOUNDS_TOL)
+
+
+def _power_norm_rows(vals: np.ndarray, alpha: np.ndarray, beta: np.ndarray, cell_width: float):
+    """|| |u|^beta ||_alpha and m = ||u||_{alpha*beta} per row, with the
+    upper bound, the slack and the verdict of ``_power_bounds``."""
+    m = _norm_rows(vals, alpha * beta, cell_width)
+    mid = _norm_rows(np.abs(vals) ** beta, alpha, cell_width)
+    rows = [_power_bounds(*case) for case in zip(
+        m, mid, beta.min(axis=1).tolist(), beta.max(axis=1).tolist())]
+    bound, slack, ok = (np.array(col) for col in zip(*rows))
+    return np.array(mid), np.array(m), bound, slack, ok
 
 
 def power_norm_bounds_check(u: GridFunction, alpha: ScalarExponent,
@@ -175,49 +277,23 @@ def power_norm_bounds_check(u: GridFunction, alpha: ScalarExponent,
     """
     mask = u.mesh.interior_mask
     centers = u.mesh.cell_centers[mask]
-
-    def ab(x):
-        return alpha.evaluator(x) * beta.evaluator(x)
-
-    prod = ScalarExponent(evaluator=ab, lower=alpha.lower * beta.lower,
-                          upper=alpha.upper * beta.upper)
-    m = luxemburg_norm(u, prod)
-    bvals = beta.values(centers)
-    b_lo, b_hi = float(bvals.min()), float(bvals.max())
-    pw = np.zeros(u.mesh.n_cells)
-    pw[mask] = np.abs(u.values[mask]) ** bvals
-    powered = u.replace_values(pw)
-    mid = luxemburg_norm(powered, alpha)
-    if m == 0.0:
-        ok = mid <= _BOUNDS_TOL
-        return CheckResult("power_norm_bounds", ok, mid, 0.0, -mid)
-    if m <= 1.0:
-        lo_b, hi_b = m ** b_hi, m ** b_lo
-    else:
-        lo_b, hi_b = m ** b_lo, m ** b_hi
-    ok = (lo_b - _BOUNDS_TOL) <= mid <= (hi_b + _BOUNDS_TOL)
+    mid, m, bound, slack, ok = _power_norm_rows(
+        u.values[mask][None], alpha.values(centers)[None], beta.values(centers)[None],
+        u.mesh.cell_width)
+    m = float(m[0])
     return CheckResult(
         name="power_norm_bounds",
-        passed=ok,
-        value=mid,
-        bound=hi_b,
-        slack=min(mid - lo_b, hi_b - mid),
-        detail=f"base_norm={m:.12g}",
+        passed=bool(ok[0]),
+        value=float(mid[0]),
+        bound=float(bound[0]),
+        slack=float(slack[0]),
+        detail=f"base_norm={m:.12g}" if m != 0.0 else "",
     )
 
 
-def norm_modular_relation_check(u: GridFunction, q: ScalarExponent,
-                                tol: float = 1e-9) -> CheckResult:
-    """Items (1)-(3) of the norm/modular comparison over Omega.
-
-    (1) ||u|| < 1 iff rho(u) < 1 (and similarly at 1 and above 1);
-    (2) ||u|| > 1 implies ||u||^q- <= rho(u) <= ||u||^q+;
-    (3) ||u|| < 1 implies ||u||^q+ <= rho(u) <= ||u||^q-.
-    """
-    rho = modular(u, q)
-    nrm = luxemburg_norm(u, q)
-    q_lo, q_hi = q.range_on(u.mesh.cell_centers[u.mesh.interior_mask])
-    worst = np.inf
+def _norm_modular_slack(rho: float, nrm: float, q_lo: float, q_hi: float, tol: float) -> float:
+    """The worst margin of items (1)-(3) for one case; 0 when none applies."""
+    worst = math.inf
 
     # item (1): the two sides must straddle 1 the same way
     if nrm < 1.0 - tol and not rho < 1.0 + tol:
@@ -233,13 +309,36 @@ def norm_modular_relation_check(u: GridFunction, q: ScalarExponent,
         worst = min(worst, rho - nrm ** q_lo, nrm ** q_hi - rho)
     if 0.0 < nrm < 1.0 - tol:
         worst = min(worst, rho - nrm ** q_hi, nrm ** q_lo - rho)
-    if worst is np.inf:
-        worst = 0.0
+    return 0.0 if worst == math.inf else worst
+
+
+def _norm_modular_rows(vals: np.ndarray, q: np.ndarray, cell_width: float, tol: float):
+    """rho_q(u) and ||u||_q per row, with the slack of
+    ``_norm_modular_slack`` and the verdict."""
+    rho = _modular_rows(vals, q, cell_width)
+    nrm = _norm_rows(vals, q, cell_width)
+    slack = np.array([_norm_modular_slack(*case, tol) for case in zip(
+        rho.tolist(), nrm, q.min(axis=1).tolist(), q.max(axis=1).tolist())])
+    return rho, np.array(nrm), slack, slack >= -tol
+
+
+def norm_modular_relation_check(u: GridFunction, q: ScalarExponent,
+                                tol: float = 1e-9) -> CheckResult:
+    """Items (1)-(3) of the norm/modular comparison over Omega.
+
+    (1) ||u|| < 1 iff rho(u) < 1 (and similarly at 1 and above 1);
+    (2) ||u|| > 1 implies ||u||^q- <= rho(u) <= ||u||^q+;
+    (3) ||u|| < 1 implies ||u||^q+ <= rho(u) <= ||u||^q-.
+    """
+    mask = u.mesh.interior_mask
+    rho, nrm, slack, passed = _norm_modular_rows(
+        u.values[mask][None], q.values(u.mesh.cell_centers[mask])[None], u.mesh.cell_width, tol)
+    rho, nrm = float(rho[0]), float(nrm[0])
     return CheckResult(
         name="norm_modular_relation",
-        passed=worst >= -tol,
+        passed=bool(passed[0]),
         value=rho,
         bound=nrm,
-        slack=float(worst),
+        slack=float(slack[0]),
         detail=f"norm={nrm:.12g} modular={rho:.12g}",
     )

@@ -144,19 +144,24 @@ def measure_constant(mesh: Mesh, gamma: ScalarExponent) -> float:
     return 2.0 * max(measure ** (1.0 / g_hi), measure ** (1.0 / g_lo))
 
 
-def _bound_bracket(f: Nonlinearity, u: GridFunction, r: ScalarExponent,
-                   p: ExponentField, mesh: Mesh) -> tuple[float, float]:
-    """Returns (||N_f u||_{r'}, bracket) with the constant factored out."""
-    mask = mesh.interior_mask
-    rc = conjugate_exponent(r)
-    lhs = luxemburg_norm(nemytsky(f, u), rc, mask)
-    pbar = trace_exponent(p)
-    pbar_c = conjugate_exponent(pbar)
-    a_norm = luxemburg_norm(f.a, pbar_c, mask)
+def _bracket_parts(f: Nonlinearity, r: ScalarExponent, p: ExponentField,
+                   mesh: Mesh) -> tuple[float, float, float, float]:
+    """The parts of the bound bracket that do not depend on u: ||a||_{pbar'}
+    over Omega, C_Omega, and p- and p+ sampled over the box pairs."""
+    a_norm = luxemburg_norm(f.a, conjugate_exponent(trace_exponent(p)), mesh.interior_mask)
     c_om = measure_constant(mesh, gamma_exponent(r, p))
-    u_norm = luxemburg_norm(u, r, mask)
     pm = p.pair_matrix(mesh.cell_centers)
-    p_minus, p_plus = float(pm.min()), float(pm.max())
+    return a_norm, c_om, float(pm.min()), float(pm.max())
+
+
+def _bound_bracket(f: Nonlinearity, u: GridFunction, r: ScalarExponent,
+                   parts: tuple[float, float, float, float]) -> tuple[float, float]:
+    """Returns (||N_f u||_{r'}, bracket) with the constant factored out;
+    ``parts`` is ``_bracket_parts`` of the same f, r, p and mesh."""
+    mask = u.mesh.interior_mask
+    lhs = luxemburg_norm(nemytsky(f, u), conjugate_exponent(r), mask)
+    a_norm, c_om, p_minus, p_plus = parts
+    u_norm = luxemburg_norm(u, r, mask)
     bracket = a_norm + (c_om * u_norm) ** (p_plus - 1.0) + (c_om * u_norm) ** (p_minus - 1.0)
     return lhs, bracket
 
@@ -167,13 +172,15 @@ def calibrate_nemytsky_constant(f: Nonlinearity, r: ScalarExponent, p: ExponentF
 
     The ``_CALIBRATION_SAMPLES`` calibration fields span amplitudes 1e-3..1e3
     so both power regimes of the bracket are exercised before the constant is
-    frozen at ``_CALIBRATION_HEADROOM`` times the worst ratio.
+    frozen at ``_CALIBRATION_HEADROOM`` times the worst ratio.  The parts of
+    the bracket that do not depend on the field are computed once.
     """
+    parts = _bracket_parts(f, r, p, mesh)
     worst = 0.0
     for scale in np.logspace(-3, 3, _CALIBRATION_SAMPLES):
         raw = np.zeros(mesh.n_cells)
         raw[mesh.interior_mask] = scale * rng.standard_normal(int(mesh.interior_mask.sum()))
-        lhs, bracket = _bound_bracket(f, GridFunction(mesh, raw), r, p, mesh)
+        lhs, bracket = _bound_bracket(f, GridFunction(mesh, raw), r, parts)
         if bracket > 0:
             worst = max(worst, lhs / bracket)
     return worst * _CALIBRATION_HEADROOM if worst > 0 else _CALIBRATION_HEADROOM
@@ -182,7 +189,7 @@ def calibrate_nemytsky_constant(f: Nonlinearity, r: ScalarExponent, p: ExponentF
 def nemytsky_bound_check(f: Nonlinearity, u: GridFunction, r: ScalarExponent,
                          p: ExponentField, c_frozen: float) -> CheckResult:
     """||N_f u||_{r'} <= C (||a||_{pbar'} + (C_Om ||u||_r)^{p+-1} + (C_Om ||u||_r)^{p--1})."""
-    lhs, bracket = _bound_bracket(f, u, r, p, u.mesh)
+    lhs, bracket = _bound_bracket(f, u, r, _bracket_parts(f, r, p, u.mesh))
     bound = c_frozen * bracket
     return CheckResult(
         name="nemytsky_bound",

@@ -1,6 +1,7 @@
 """The entry builder of scripts/bench_layers.py at one tiny size."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,17 @@ def test_builder_writes_every_entry_and_the_direct_solve(monkeypatch):
     expected = {(layer, n, name) for name in bench.CLASSES for layer in PER_CLASS}
     expected |= {("fixed_point_solve", n, "arctan")}
     expected |= {(f"solve_by_decomposition.{m}_shells", n, "arctan") for m in bench.SHELLS}
+    expected |= {(f"suite.{name}", 256, "verify_inequalities")
+                 for name in ("norm_modular", "holder", "cara", "edm")}
     expected |= {("cli.semilinear", 96, "semilinear_arctan")}
     assert sorted(keys) == sorted(expected)
     for e in entries:
         assert 0.0 < e["best_s"] <= e["median_s"] and e["peak_bytes"] > 0 and e["fingerprint"]
     assert next(e for e in entries if e["layer"].startswith("cli."))["fingerprint"][0] == 0
+    # each suite entry ran the config's case count with no failure
+    counts = json.loads((ROOT / "scripts" / "configs" / "verify_inequalities.json").read_text())
+    assert {e["layer"]: e["fingerprint"][:2] for e in entries if e["layer"].startswith("suite.")} \
+        == {f"suite.{name}": [count, 0] for name, count in counts["checks"].items()}
 
     # the scaling problem, built here without the script's helpers
     mesh = build_mesh(2.0, n, [(-1.0, 1.0)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from fpxlap import (BisectionError, GridFunction, ScalarExponent, build_mesh,
                     holder_pairing_check, luxemburg_norm, modular,
                     norm_modular_relation_check, norm_of_one_bounds, power_norm_bounds_check)
 from fpxlap import lebesgue as lebesgue_module
+from fpxlap import suites
 from fpxlap.lebesgue import pairing
 
 from util import affine_scalar, const_scalar, grid, unit_grid
@@ -125,6 +128,31 @@ class TestLuxemburgNorm:
         monkeypatch.setattr(lebesgue_module, "_NEWTON_MAX_STEPS", 1)
         with pytest.raises(BisectionError):
             lebesgue_module._luxemburg_root(rng.normal(0.0, 3.0, 50), rng.uniform(1.2, 4.0, 50))
+
+    def test_batched_root_equals_its_one_row_calls(self, rng):
+        # one batch: a row of zero terms, constant rows (one with zero terms)
+        # and varying rows of very different scales
+        k, n = 9, 200
+        a = rng.normal(0.0, 3.0, (k, n)) + rng.uniform(-40.0, 40.0, (k, 1))
+        q = rng.uniform(1.05, 8.0, (k, n))
+        a[0] = -np.inf
+        q[[1, 4]] = [[2.5], [1.3]]
+        a[4, ::3] = -np.inf
+        a[6, rng.random(n) < 0.5] = -np.inf
+        batch = lebesgue_module._luxemburg_rows(a, q)
+        assert batch[0] == 0.0 and all(lam > 0.0 for lam in batch[1:])
+        assert batch == [lebesgue_module._luxemburg_root(a[i], q[i]) for i in range(k)]
+
+    def test_batched_root_step_budget_raises_for_one_varying_row(self, rng, monkeypatch):
+        a = rng.normal(0.0, 3.0, (4, 50))
+        q = np.full((4, 50), 2.0)
+        a[0] = -np.inf
+        q[2] = rng.uniform(1.2, 4.0, 50)
+        monkeypatch.setattr(lebesgue_module, "_NEWTON_MAX_STEPS", 1)
+        with pytest.raises(BisectionError):
+            lebesgue_module._luxemburg_rows(a, q)
+        q[2] = 3.0  # no varying row left: zero and closed-form rows take no step
+        assert lebesgue_module._luxemburg_rows(a, q)[0] == 0.0
 
     @pytest.mark.parametrize("field", ("normal", "wide", "spike_high", "spike_low"))
     def test_unit_ball_certificate(self, field, mesh256, rng):
@@ -280,3 +308,63 @@ class TestInclusion:
         u = grid(mesh64, rng.standard_normal(mesh64.n_cells))
         v = grid(mesh64, rng.standard_normal(mesh64.n_cells))
         assert pairing(u, v) == pytest.approx(pairing(v, u), rel=1e-14)
+
+
+def _one_case(name, mesh, rng):
+    """(slack, passed, defect) of one suite case through the public checks."""
+    draw, field = suites.random_affine_exponent, suites.random_grid_function
+    if name == "norm_modular":
+        q, u = draw(rng, mesh), field(rng, mesh)
+        check = norm_modular_relation_check(u, q, tol=suites._NORM_MODULAR_TOL)
+        defect = abs(modular(u.replace_values(u.values / check.bound), q) - 1.0)
+        return check.slack, check.passed and not defect > suites._NORM_MODULAR_TOL, defect
+    if name == "holder":
+        q, u, v = draw(rng, mesh), field(rng, mesh), field(rng, mesh)
+        check = holder_pairing_check(u, v, q)
+    elif name == "cara":
+        check = norm_of_one_bounds(draw(rng, mesh), mesh)
+    else:
+        alpha, beta = draw(rng, mesh, 1.5, 3.0), draw(rng, mesh, 1.05, 2.0)
+        check = power_norm_bounds_check(field(rng, mesh), alpha, beta)
+    return check.slack, check.passed, 0.0
+
+
+class TestSuiteChunks:
+    @pytest.mark.parametrize("name", tuple(suites.SUITE_RUNNERS))
+    def test_chunked_cases_equal_the_single_case_checks(self, name, monkeypatch):
+        # 3 cases a chunk, so 11 cases make 3 full chunks and a remainder of 2
+        mesh = build_mesh(2.0, 96, [(-1.5, -0.5), (0.2, 1.0)])
+        monkeypatch.setattr(suites, "_CHUNK_VALUES", 3 * int(mesh.interior_mask.sum()))
+        chunk = getattr(suites, f"_{name}_chunk")
+        sizes, slack, passed, defect = [], [], [], []
+        stream = np.random.default_rng(5)
+        for s, p, d in suites._chunks(chunk, mesh, stream, 11):
+            sizes.append(s.size)
+            slack += s.tolist()
+            passed += p.tolist()
+            defect += d.tolist()
+        assert sizes == [3, 3, 3, 2]
+        gen = np.random.default_rng(5)
+        cases = [_one_case(name, mesh, gen) for _ in range(11)]
+        # bit for bit: compare the float64 bit patterns
+        assert np.array(slack).view(np.int64).tolist() == \
+            np.array([c[0] for c in cases]).view(np.int64).tolist()
+        assert passed == [bool(c[1]) for c in cases]
+        assert np.array(defect).view(np.int64).tolist() == \
+            np.array([c[2] for c in cases], dtype=float).view(np.int64).tolist()
+        assert stream.random() == gen.random()  # both took the same draws
+        result = suites.SUITE_RUNNERS[name](mesh, np.random.default_rng(5), 11)
+        assert result.worst_slack == min(c[0] for c in cases)
+        assert result.failures == sum(not c[1] for c in cases)
+
+    def test_holder_suite_memory_does_not_grow_with_its_cases(self, mesh256):
+        per_chunk = suites._CHUNK_VALUES // int(mesh256.interior_mask.sum())
+
+        def peak(n_cases):
+            tracemalloc.start()
+            suites.run_holder_suite(mesh256, np.random.default_rng(3), n_cases)
+            out = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return out
+
+        assert peak(20 * per_chunk) <= 2 * peak(per_chunk)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpxlap import (DecompositionError, GridFunction, GrowthError, KernelWeights,
+from fpxlap import (DecompositionError, ExponentField, GridFunction, GrowthError, KernelWeights,
                     NemytskyError, Nonlinearity, PoissonProblem, assemble_weights, build_mesh,
                     calibrate_nemytsky_constant, energy, energy_gradient,
                     fixed_point_solve, gamma_exponent, growth_screen,
@@ -185,6 +185,21 @@ class TestNemytskyBound:
         for _ in range(200):
             u = grid(mesh64, rng.standard_normal(64) * rng.uniform(1e-3, 1e3))
             assert nemytsky_bound_check(f, u, r, p, c).passed
+
+    def test_calibration_samples_the_pair_exponent_once(self, mesh64, monkeypatch):
+        calls = []
+        sample = ExponentField.pair_matrix
+
+        def counted(self, centers):
+            calls.append(centers.size)
+            return sample(self, centers)
+
+        monkeypatch.setattr(ExponentField, "pair_matrix", counted)
+        p = pair_exponent("gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 1.0},
+                          s=0.25, R=2.0)
+        calibrate_nemytsky_constant(arctan_nonlinearity(mesh64), const_scalar(3.0), p, mesh64,
+                                    np.random.default_rng(5))
+        assert calls == [64]
 
 
 class TestFixedPoint:
