@@ -107,9 +107,11 @@ def _luxemburg_rows(a: np.ndarray, q: np.ndarray) -> list[float]:
     ``_NEWTON_MAX_STEPS`` steps; both are read at call time.
     """
     lam = [0.0] * len(a)
-    shifts = a.max(axis=1, initial=-math.inf).tolist()
-    q_lo = q.min(axis=1, initial=math.inf).tolist()
-    q_hi = q.max(axis=1, initial=-math.inf).tolist()
+    # the reductions call the ufuncs directly, without the ndarray methods'
+    # Python wrappers: a one-row call makes a dozen of them
+    shifts = np.maximum.reduce(a, axis=1, initial=-math.inf).tolist()
+    q_lo = np.minimum.reduce(q, axis=1, initial=math.inf).tolist()
+    q_hi = np.maximum.reduce(q, axis=1, initial=-math.inf).tolist()
     rows = []
     for i, (shift, lo, hi) in enumerate(zip(shifts, q_lo, q_hi)):
         if shift == -math.inf:
@@ -129,7 +131,7 @@ def _luxemburg_rows(a: np.ndarray, q: np.ndarray) -> list[float]:
         np.exp(z, out=z)
         keep = []
         # np.vecdot takes each row's dot from BLAS, as np.vdot does for one row
-        for j, (s, total, dot) in enumerate(zip(shift, z.sum(axis=1).tolist(),
+        for j, (s, total, dot) in enumerate(zip(shift, np.add.reduce(z, axis=1).tolist(),
                                                 np.vecdot(q, z).tolist())):
             step = (s + math.log(total)) * total / dot
             t[j] += step
@@ -144,7 +146,7 @@ def _luxemburg_rows(a: np.ndarray, q: np.ndarray) -> list[float]:
             a, q, z = a[keep], q[keep], z[keep]
         np.multiply(q, _column(t), out=z)
         np.subtract(a, z, out=z)
-        shift = z.max(axis=1).tolist()
+        shift = np.maximum.reduce(z, axis=1).tolist()
         z -= _column(shift)
     raise BisectionError(f"Luxemburg Newton solve did not converge in {_NEWTON_MAX_STEPS}"
                          f" steps ({len(rows)} of {len(lam)} rows still stepping)")
@@ -160,7 +162,7 @@ def _norm_rows(vals: np.ndarray, q: np.ndarray, cell_width: float) -> list[float
     |u| scaled by its row sup, go to ``_luxemburg_rows``; a row of zeros
     gives 0."""
     vals = np.abs(vals)
-    sup = vals.max(axis=1, initial=0.0)
+    sup = np.maximum.reduce(vals, axis=1, initial=0.0)
     sups = sup.tolist()
     if 0.0 in sups:
         live = sup > 0.0
