@@ -156,8 +156,6 @@ def nonlinearity(kind: str, params: dict, mesh: Mesh, p: ExponentField) -> Nonli
     if kind in ("linear", "arctan"):
         key = "coef" if kind == "linear" else "eps"
         a, (c,) = _with_data(params, "a", (key,), f"nonlinearity.{kind}", mesh)
-        if np.any(a.values < 0):
-            raise CatalogError("growth offset a(x) must be nonnegative")
         a_interp = lambda x: np.interp(np.asarray(x), mesh.cell_centers, a.values)
         if kind == "linear":
             ev = lambda x, t: a_interp(x) + c * np.asarray(t)

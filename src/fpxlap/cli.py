@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,7 @@ _REQUIRED = {
 
 _MODE_REQUIRES = {
     "validate": ("mesh", "omega", "order", "exponent"),
-    "poisson": ("mesh", "omega", "order", "exponent", "growth", "data"),
+    "poisson": ("mesh", "omega", "order", "exponent", "data"),
     "semilinear": ("mesh", "omega", "order", "exponent", "growth", "data", "nonlinearity"),
     "decompose": ("mesh", "omega", "order", "exponent", "growth", "data", "nonlinearity",
                   "decompose"),
@@ -262,17 +262,12 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
     if cfg.mode == "validate":
         return 0
 
-    r = catalog.scalar_exponent(**cfg.raw["growth"]["r"], R=mesh.R)
     g = _build_data(cfg, mesh, "g")
     h = _build_data(cfg, mesh, "h")
-    growth_ok = validate_growth_pair(r, p, mesh)
-    report.add("growth_pair_ok", growth_ok)
-    if not growth_ok:
-        return 1
     tol = Tolerances(**cfg.raw.get("tolerances", {}))
-    prob = PoissonProblem(mesh=mesh, weights=weights, p=p, r=r, h=h, g=g, tolerances=tol)
+    prob = PoissonProblem(mesh=mesh, weights=weights, p=p, h=h, g=g, tolerances=tol)
 
-    if cfg.mode == "poisson":
+    if cfg.mode == "poisson":  # no Poisson computation reads the growth exponent r
         sol = solve_poisson(prob)
         write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
         report.add("solver.converged", sol.converged)
@@ -283,6 +278,12 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
         report.add("solver.backtracks_total", sol.backtracks)
         return 0 if sol.converged else 2
 
+    r = catalog.scalar_exponent(**cfg.raw["growth"]["r"], R=mesh.R)
+    growth_ok = validate_growth_pair(r, p, mesh)
+    report.add("growth_pair_ok", growth_ok)
+    if not growth_ok:
+        return 1
+    prob = replace(prob, r=r)
     f = catalog.nonlinearity(**cfg.raw["nonlinearity"], mesh=mesh, p=p)
     screen = growth_screen(f, mesh, p)
     report.add("check.growth_screen.passed", screen.passed)

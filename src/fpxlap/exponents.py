@@ -41,9 +41,6 @@ class ExponentField:
                 f"exponent bounds ({self.p_minus}, {self.p_plus}) violate 1 < p- <= p+ < inf"
             )
 
-    def __call__(self, x, y):
-        return self.evaluator(x, y)
-
     def pair_matrix(self, centers: np.ndarray) -> np.ndarray:
         """Sample p at all center pairs; rejects non-finite values."""
         pm = np.asarray(self.evaluator(centers[:, None], centers[None, :]), dtype=float)
@@ -80,10 +77,6 @@ class ScalarExponent:
         if not np.isfinite(vals).all():
             raise ExponentError("scalar exponent produced non-finite values")
         return vals
-
-    def range_on(self, centers: np.ndarray) -> tuple[float, float]:
-        vals = self.values(centers)
-        return float(vals.min()), float(vals.max())
 
 
 @dataclass(frozen=True)

@@ -159,18 +159,13 @@ def _luxemburg_root(a: np.ndarray, q: np.ndarray) -> float:
 
 def _norm_rows(vals: np.ndarray, q: np.ndarray, cell_width: float) -> list[float]:
     """Luxemburg norm of each row: the logs of the terms |u_i|^q_i dx, with
-    |u| scaled by its row sup, go to ``_luxemburg_rows``; a row of zeros
-    gives 0."""
+    |u| scaled by its row sup, go to ``_luxemburg_rows``; a row of zeros is
+    scaled by 1, so its logs are all -inf and its root, hence its norm, 0."""
     vals = np.abs(vals)
-    sup = np.maximum.reduce(vals, axis=1, initial=0.0)
-    sups = sup.tolist()
-    if 0.0 in sups:
-        live = sup > 0.0
-        norms = iter(_norm_rows(vals[live], q[live], cell_width))
-        return [next(norms) if s > 0.0 else 0.0 for s in sups]
+    sups = np.maximum.reduce(vals, axis=1, initial=0.0).tolist()
     # factor out the sup so extreme scales cannot under- or overflow the modular
     with np.errstate(divide="ignore"):
-        logs = np.log(vals / _column(sups))
+        logs = np.log(vals / _column([s or 1.0 for s in sups]))
     logs *= q
     logs += np.log(cell_width)
     return [s * lam for s, lam in zip(sups, _luxemburg_rows(logs, q))]

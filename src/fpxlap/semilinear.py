@@ -316,16 +316,14 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
         warm = sol.u.u
         target = nemytsky(f, sol.u.u)
         new_vals = (1.0 - theta) * h.values + theta * target.values
-        delta = np.zeros_like(new_vals)
-        delta[mask] = new_vals[mask] - h.values[mask]
-        inc = luxemburg_norm(GridFunction(prob.mesh, delta), rc, mask)
+        # h and N_f vanish off Omega, so the increment does too
+        inc = luxemburg_norm(GridFunction(prob.mesh, new_vals - h.values), rc, mask)
         trace.iterates.append((inc, sol.el_residual))
         h = GridFunction(prob.mesh, new_vals)
         if cap is None:
             cap = max(1.0, inc) * 1e12
         if not np.isfinite(inc) or inc > cap:
             trace.h_star = h
-            trace.converged = False
             return sol, trace
         if inc <= _INCREMENT_TOL:
             trace.converged = True

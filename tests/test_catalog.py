@@ -5,7 +5,8 @@ import pytest
 
 from fpxlap.catalog import (CatalogError, data_function, nonlinearity, pair_exponent,
                             scalar_exponent)
-from fpxlap.semilinear import Nonlinearity, growth_screen, nemytsky
+from fpxlap.exponents import ExponentError
+from fpxlap.semilinear import GrowthError, Nonlinearity, growth_screen, nemytsky
 
 from util import bump_pair, const_pair, grid
 
@@ -95,3 +96,48 @@ def test_kind_builds_finite_values(mesh16, kind, p):
         assert growth_screen(built, mesh16, p).passed
         built = nemytsky(built, grid(mesh16, np.linspace(-3.0, 3.0, 16))).values
     assert built.shape == (16,) and np.all(np.isfinite(built))
+
+
+NEGATIVE_A = {"kind": "constant", "params": {"value": -0.3}}
+# each inadmissible width, unknown kind, exponent bound and growth offset a
+# catalog call rejects: (call on a mesh, exception type, fragment of its message)
+REJECTIONS = {
+    "pair.gauss_bump_width": (lambda mesh: pair_exponent(
+        "gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 0.0}, s=0.3, R=mesh.R),
+        CatalogError, "gauss_bump width must be positive"),
+    "pair.unknown_kind": (lambda mesh: pair_exponent("cubic", {}, s=0.3, R=mesh.R),
+                          CatalogError, "unknown pair exponent kind 'cubic'"),
+    "pair.below_floor": (lambda mesh: pair_exponent("constant", {"value": 1.05}, s=0.3, R=mesh.R),
+                         ExponentError, "below the conditioning floor 1.1"),
+    "scalar.bump_width": (lambda mesh: scalar_exponent(
+        "bump", {"base": 2.0, "amplitude": 0.5, "width": -1.0}, R=mesh.R),
+        CatalogError, "bump width must be positive"),
+    "scalar.unknown_kind": (lambda mesh: scalar_exponent("cubic", {}, R=mesh.R),
+                            CatalogError, "unknown scalar exponent kind 'cubic'"),
+    "scalar.not_above_one": (lambda mesh: scalar_exponent(
+        "affine", {"base": 1.5, "slope": 0.5}, R=mesh.R),
+        ExponentError, "scalar exponent lower bound 0.5 must exceed 1"),
+    "data.gaussian_width": (lambda mesh: data_function(
+        "gaussian", {"amplitude": 1.0, "center": 0.0, "width": 0.0}, mesh),
+        CatalogError, "gaussian width must be positive"),
+    "data.unknown_kind": (lambda mesh: data_function("cubic", {}, mesh),
+                          CatalogError, "unknown data kind 'cubic'"),
+    "nonlinearity.unknown_kind": (lambda mesh: nonlinearity("cubic", {}, mesh,
+                                                            const_pair(2.0, 0.3)),
+                                  CatalogError, "unknown nonlinearity kind 'cubic'"),
+    # Nonlinearity itself checks the offset a(x) that linear and arctan pass on
+    "nonlinearity.linear_negative_a": (lambda mesh: nonlinearity(
+        "linear", {"coef": 1.0, "a": NEGATIVE_A}, mesh, const_pair(2.0, 0.3)),
+        GrowthError, "growth offset a(x) must be nonnegative"),
+    "nonlinearity.arctan_negative_a": (lambda mesh: nonlinearity(
+        "arctan", {"eps": 0.05, "a": NEGATIVE_A}, mesh, const_pair(2.0, 0.3)),
+        GrowthError, "growth offset a(x) must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejections(mesh16, case):
+    call, error, fragment = REJECTIONS[case]
+    with pytest.raises(error) as excinfo:
+        call(mesh16)
+    assert excinfo.type is error and fragment in str(excinfo.value)

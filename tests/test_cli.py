@@ -67,10 +67,22 @@ class TestParseConfig:
             parse_config(json.dumps(bad), mode="poisson")
 
     def test_mode_requirements(self):
-        bad = minimal_poisson_config()
+        bad = minimal_poisson_config(nonlinearity={"kind": "arctan",
+                                                   "params": {"eps": 0.05, "a": A_ENTRY}},
+                                     decompose={"shells": 2})
         del bad["growth"]
-        with pytest.raises(ConfigError, match="growth"):
-            parse_config(json.dumps(bad), mode="poisson")
+        for mode in ("semilinear", "decompose"):
+            with pytest.raises(ConfigError, match=f"mode '{mode}' requires section 'growth'"):
+                parse_config(json.dumps(bad), mode=mode)
+
+    def test_poisson_needs_no_growth(self):
+        cfg = minimal_poisson_config()
+        del cfg["growth"]
+        assert parse_config(json.dumps(cfg), mode="poisson").raw == cfg
+        # a growth section the run ignores is still checked against the schema
+        cfg["growth"] = {}
+        with pytest.raises(ConfigError, match="growth.r missing"):
+            parse_config(json.dumps(cfg), mode="poisson")
 
     def test_error_list_accumulates(self):
         bad = minimal_poisson_config()
@@ -339,11 +351,50 @@ class TestRun:
     def test_failing_growth_pair_exits_one(self, tmp_path):
         cfg = minimal_poisson_config()
         cfg["growth"]["r"]["params"]["value"] = 2.0  # r- = pbar+
-        code, out = run_cli(tmp_path, "poisson", cfg)
+        cfg["nonlinearity"] = {"kind": "arctan", "params": {"eps": 0.05, "a": A_ENTRY}}
+        code, out = run_cli(tmp_path, "semilinear", cfg)
         assert code == 1
         report = (out / "report").read_text().splitlines()
         assert "growth_pair_ok: False" in report
         assert not any(line.startswith("solver.") for line in report)
+
+    def test_poisson_does_not_read_the_growth_exponent(self, tmp_path):
+        """No Poisson computation reads r: a run without growth, one whose
+        (r, p) is not a growth pair and one whose pair holds write the same
+        solution, and none reports growth_pair_ok."""
+        solutions = []
+        for name, r_value in (("none", None), ("r_at_pbar", 2.0), ("pair", 3.0)):
+            cfg = minimal_poisson_config()
+            if r_value is None:
+                del cfg["growth"]
+            else:
+                cfg["growth"]["r"]["params"]["value"] = r_value
+            (tmp_path / name).mkdir()
+            code, out = run_cli(tmp_path / name, "poisson", cfg)
+            assert code == 0
+            report = (out / "report").read_text().splitlines()
+            assert "solver.converged: True" in report
+            assert not any(line.startswith("growth_pair_ok") for line in report)
+            solutions.append((out / "solution.csv").read_bytes())
+        assert solutions[0] == solutions[1] == solutions[2]
+
+    def test_negative_growth_offset_exits_one(self, tmp_path, capsys):
+        cfg = minimal_poisson_config()
+        a = {"kind": "constant", "params": {"value": -0.3}}
+        cfg["nonlinearity"] = {"kind": "arctan", "params": {"eps": 0.05, "a": a}}
+        code, out = run_cli(tmp_path, "semilinear", cfg)
+        assert code == 1
+        assert capsys.readouterr().err == "error: growth offset a(x) must be nonnegative\n"
+        assert not (out / "report").exists()
+
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        config, taken = tmp_path / "config.json", tmp_path / "taken"
+        config.write_text(json.dumps(minimal_poisson_config()))
+        taken.write_text("")
+        code = main(["poisson", "--config", str(config), "--out", str(taken)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: i/o failure at {taken}: ")
+        assert taken.read_text() == ""
 
     def test_failing_growth_screen_exits_one(self, tmp_path):
         # f = a + t grows like |t|, faster than the declared |t|^(pbar - 1) at p = 1.5

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpxlap import (ExponentError, ExponentField, build_mesh, conjugate_exponent,
-                    critical_exponent, trace_exponent, validate_exponent_field,
-                    validate_growth_pair)
+from fpxlap import (ExponentError, ExponentField, ScalarExponent, build_mesh,
+                    conjugate_exponent, critical_exponent, trace_exponent,
+                    validate_exponent_field, validate_growth_pair)
 
 from util import affine_scalar, const_pair, const_scalar
 
@@ -137,3 +137,35 @@ class TestGrowthPair:
         vals = rc.values(xs)
         assert np.all(vals > 1.0)
         assert np.all(vals <= r_lo / (r_lo - 1.0) + 1e-12)
+
+
+def _nan_pair(x, y):
+    return np.where(np.asarray(x) > 0.5, np.nan, 2.0 + 0.0 * np.asarray(y))
+
+
+# each inadmissible exponent the constructors and samplers reject:
+# (call on a mesh, fragment of the ExponentError message)
+REJECTIONS = {
+    "order_not_below_one": (lambda mesh: ExponentField(
+        lambda x, y: 2.0, p_minus=2.0, p_plus=2.0, s=1.0), "fractional order s=1.0 outside (0,1)"),
+    "pair_bounds": (lambda mesh: ExponentField(lambda x, y: 2.0, p_minus=1.0, p_plus=2.0, s=0.3),
+                    "exponent bounds (1.0, 2.0) violate 1 < p- <= p+ < inf"),
+    "pair_trace_not_finite": (lambda mesh: ExponentField(
+        _nan_pair, p_minus=2.0, p_plus=2.0, s=0.3).trace_values(mesh.cell_centers),
+        "exponent evaluator produced non-finite values"),
+    "scalar_bounds": (lambda mesh: ScalarExponent(lambda x: 2.0, lower=3.0, upper=2.0),
+                      "scalar exponent bounds (3.0, 2.0) invalid"),
+    "scalar_not_finite": (lambda mesh: ScalarExponent(
+        lambda x: np.where(np.asarray(x) > 0.5, np.inf, 2.0), lower=2.0, upper=2.0
+    ).values(mesh.cell_centers), "scalar exponent produced non-finite values"),
+    "conjugate_of_one": (lambda mesh: conjugate_exponent(affine_scalar(1.5, 0.25, mesh.R)),
+                         "conjugate exponent requires q > 1"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejections(mesh16, case):
+    call, fragment = REJECTIONS[case]
+    with pytest.raises(ExponentError) as excinfo:
+        call(mesh16)
+    assert excinfo.type is ExponentError and fragment in str(excinfo.value)

@@ -368,3 +368,30 @@ class TestSuiteChunks:
             return out
 
         assert peak(20 * per_chunk) <= 2 * peak(per_chunk)
+
+
+# each malformed grid function and region a public call rejects:
+# (call on a mesh, fragment of the ValueError message)
+REJECTIONS = {
+    "values_shape": (lambda mesh: GridFunction(mesh, np.zeros(mesh.n_cells + 1)),
+                     "grid function has (17,) values for 16 cells"),
+    "values_not_finite": (lambda mesh: GridFunction(mesh, np.full(mesh.n_cells, np.nan)),
+                          "grid function values must be finite"),
+    "region_shape": (lambda mesh: luxemburg_norm(unit_grid(mesh), const_scalar(2.0),
+                                                 np.ones(mesh.n_cells - 1, dtype=bool)),
+                     "region mask shape mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejections(mesh16, case):
+    call, fragment = REJECTIONS[case]
+    with pytest.raises(ValueError) as excinfo:
+        call(mesh16)
+    assert excinfo.type is ValueError and fragment in str(excinfo.value)
+
+
+def test_unknown_suite_is_rejected(mesh16):
+    with pytest.raises(ValueError) as excinfo:
+        suites.run_suites(mesh16, np.random.default_rng(0), {"norm_modular": 1, "hoelder": 1})
+    assert excinfo.type is ValueError and "unknown check suite 'hoelder'" in str(excinfo.value)

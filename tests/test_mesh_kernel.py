@@ -8,6 +8,7 @@ from scipy.integrate import dblquad, quad
 
 from fpxlap import (
     ExponentError, ExponentField, KernelError, MeshError, assemble_weights, build_mesh, mesh_kernel,
+    restrict_interior,
 )
 from fpxlap.catalog import pair_exponent
 
@@ -267,3 +268,30 @@ class TestTail:
                 x = mesh64.cell_centers[i]
                 a = p.s * float(p.evaluator(x, x))
                 assert W.tail[i] == pytest.approx(_exterior_integral(x, a, mesh64.R), rel=1e-10)
+
+
+# each mesh and interior set the builders reject: (call, fragment of the
+# MeshError message); the centers of build_mesh(2, 4, .) are -1.5, -0.5, 0.5, 1.5
+REJECTIONS = {
+    "omega_between_centers": (lambda: build_mesh(2.0, 4, [(0.6, 1.4)]),
+                              "omega captures no cell centers; refine the mesh"),
+    "no_exterior_cell": (lambda: build_mesh(1.0, 4, [(-0.9, 0.9)]),
+                         "no exterior cells inside the box; enlarge R"),
+    "restricted_shape": (lambda: restrict_interior(build_mesh(2.0, 4, [(-1.0, 1.0)]),
+                                                   np.ones(3, dtype=bool)),
+                         "interior mask shape mismatch"),
+    "restricted_everything": (lambda: restrict_interior(build_mesh(2.0, 4, [(-1.0, 1.0)]),
+                                                        np.ones(4, dtype=bool)),
+                              "restricted interior must be a proper nonempty subset"),
+    "restricted_nothing": (lambda: restrict_interior(build_mesh(2.0, 4, [(-1.0, 1.0)]),
+                                                     np.zeros(4, dtype=bool)),
+                           "restricted interior must be a proper nonempty subset"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejections(case):
+    call, fragment = REJECTIONS[case]
+    with pytest.raises(MeshError) as excinfo:
+        call()
+    assert excinfo.type is MeshError and fragment in str(excinfo.value)

@@ -621,3 +621,12 @@ class TestModelFloor:
                                initial=first.u.u, _block=block)
         assert fingerprint(cold) == fingerprint(first) == (1, 31, "cda33bfce03d2dce")
         assert fingerprint(reused) == (1, 0, "01d7fd7217ae4c3d")
+
+
+def test_estimate_needs_eight_right_hand_sides(mesh16):
+    prob = make_problem(mesh16, const_pair(2.0, 0.4), 3.0, np.zeros(16), np.zeros(16))
+    family = [GridFunction.zeros(mesh16) for _ in range(7)]
+    with pytest.raises(ValueError) as excinfo:
+        lr_estimate_check(family, prob)
+    assert excinfo.type is ValueError
+    assert "estimate protocol needs at least 8 right-hand sides" in str(excinfo.value)

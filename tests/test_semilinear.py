@@ -11,7 +11,7 @@ from fpxlap import (DecompositionError, ExponentField, GridFunction, GrowthError
 from fpxlap import poisson as poisson_module
 from fpxlap import semilinear as semilinear_module
 from fpxlap.catalog import nonlinearity, pair_exponent
-from fpxlap.exponents import conjugate_exponent
+from fpxlap.exponents import ExponentError, conjugate_exponent
 from fpxlap.lebesgue import luxemburg_norm
 
 from util import const_pair, const_scalar, grid
@@ -544,3 +544,35 @@ class TestGrowthPairWhereRIsRead:
             solve_by_decomposition(f, GridFunction.zeros(mesh96), 3, prob)
         with pytest.raises(ValueError, match=message):
             poisson_module.lr_estimate_check(family, prob)
+
+
+def _nan_above_one(x, t):
+    return np.where(np.asarray(t) > 1.0, np.nan, 0.0 * np.asarray(x))
+
+
+# each inadmissible nonlinearity, exponent pair and solver option a public
+# call rejects: (call on a mesh, exception type, fragment of its message)
+REJECTIONS = {
+    "negative_growth_constant": (lambda mesh: Nonlinearity(
+        evaluator=lambda x, t: 0.0, a=zero_a(mesh), c_growth=-1.0),
+        GrowthError, "growth constant must be nonnegative"),
+    "screen_not_finite": (lambda mesh: growth_screen(
+        Nonlinearity(evaluator=_nan_above_one, a=zero_a(mesh), c_growth=1.0),
+        mesh, const_pair(2.0, 0.4)),
+        NemytskyError, "nonlinearity produced non-finite values on the screen lattice"),
+    "gamma_r_at_pbar": (lambda mesh: gamma_exponent(const_scalar(2.0), const_pair(2.0, 0.4)),
+                        ExponentError, "gamma exponent needs r- > pbar+ on declared bounds"),
+    "theta_zero": (lambda mesh: fixed_point_solve(arctan_nonlinearity(mesh),
+                                                  make_template(mesh), theta=0.0),
+                   ValueError, "damping theta must lie in (0, 1]"),
+    "no_shells": (lambda mesh: shell_partition(mesh, 0), ValueError,
+                  "need at least one shell"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejections(mesh16, case):
+    call, error, fragment = REJECTIONS[case]
+    with pytest.raises(error) as excinfo:
+        call(mesh16)
+    assert excinfo.type is error and fragment in str(excinfo.value)

@@ -378,3 +378,10 @@ class TestPassMemory:
         # n^2 work array of the full pair matrix
         flat = self.N * (self.N + 1) // 2 * 8
         assert _peak_bytes(lambda: gagliardo_seminorm(u, weights["bump"], variant)) < 3 * flat + 2**20
+
+
+@pytest.mark.parametrize("call", (gagliardo_modular, gagliardo_seminorm))
+def test_unknown_variant_is_rejected(weights64, mesh64, call):
+    with pytest.raises(ValueError) as excinfo:
+        call(grid(mesh64, np.cos(mesh64.cell_centers)), weights64, "box")
+    assert excinfo.type is ValueError and "unknown modular variant 'box'" in str(excinfo.value)
