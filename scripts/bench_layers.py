@@ -22,6 +22,16 @@ exponent class in ``CLASSES``:
   iterations, CG steps, backtracks, converged; fingerprint: sup u over
   Omega and the residual recomputed with ``energy_gradient``).
 
+At n = ``SEMILINEAR_N``, for each class of ``SEMILINEAR_CLASSES``, the
+semilinear scaling problem: the scaling problem's mesh, exponent and datum,
+r = p+ + 0.5, and f(x, t) = a(x) + 2 arctan t with a as below, declared with
+the offset a + pi and growth constant 0 (|2 arctan t| < pi, so every
+exponent admits it; the catalog's arctan declares the growth constant 2,
+which fails the growth screen for p = 3 and the bump):
+``fixed_point_solve`` (counts: Poisson solves, Picard iterations, outer
+and CG iterations of the solves, converged; fingerprint: sup u over Omega
+and the semilinear residual).
+
 For each n, the semilinear shell problem (p = 2, s = 0.4, r = 3, g = 0,
 f(x, t) = a(x) + 0.05 arctan t with a = 0.5 exp(-2 x^2) + 0.1), class
 ``arctan``: ``fixed_point_solve`` (counts: Picard iterations, converged;
@@ -78,6 +88,8 @@ CLASSES = {
     "affine": ("affine", {"base": 2.0, "slope": 0.2}),
 }
 SHELLS = (1, 2, 3, 5)
+SEMILINEAR_N = 1024
+SEMILINEAR_CLASSES = ("p1_5", "bump", "p3")
 CONFIGS = ("decompose_three_shells", "poisson_linear", "semilinear_arctan",
            "variable_exponent_poisson", "verify_inequalities")
 
@@ -156,6 +168,9 @@ def build_entries(repo: Path) -> list:
               f"  peak {entry['peak_bytes'] / 2**20:8.2f} MB", flush=True)
         return out
 
+    def a(y):
+        return 0.5 * np.exp(-2.0 * np.asarray(y) ** 2) + 0.1
+
     q = scalar_exponent("affine", {"base": 2.5, "slope": 0.2}, R)
     for n in SIZES:
         mesh = fp.build_mesh(R, n, OMEGA)
@@ -166,6 +181,9 @@ def build_entries(repo: Path) -> list:
         h = fp.GridFunction(mesh, rng.standard_normal(n))
         study_h = fp.GridFunction(mesh, np.where(mask, 1.0 + np.sin(3.0 * x), 0.0))
         study_g = fp.GridFunction(mesh, 0.2 * np.cos(x))
+        zero = fp.GridFunction.zeros(mesh)
+        bounded_f = fp.Nonlinearity(evaluator=lambda y, t: a(y) + 2.0 * np.arctan(np.asarray(t)),
+                                    a=fp.GridFunction(mesh, a(x) + np.pi), c_growth=0.0)
         for name, (kind, params) in CLASSES.items():
             p = pair_exponent(kind, params, s=S, R=R)
             W = add("assemble_weights", n, name, lambda: fp.assemble_weights(mesh, p),
@@ -179,15 +197,21 @@ def build_entries(repo: Path) -> list:
                            "backtracks": sol.backtracks, "converged": sol.converged},
                 "fingerprint": [sup_interior(sol.u.u),
                                 float(abs(fp.energy_gradient(sol.u, study).values).max())]})
+            if n == SEMILINEAR_N and name in SEMILINEAR_CLASSES:
+                r = scalar_exponent("constant", {"value": W.p_plus + 0.5}, R)
+                semi = fp.PoissonProblem(mesh=mesh, weights=W, p=p, r=r, h=zero, g=study_g)
+                add("fixed_point_solve", n, name, lambda: fp.fixed_point_solve(bounded_f, semi),
+                    lambda out: {
+                        "counts": {"poisson_solves": out[1].poisson_solves,
+                                   "picard": len(out[1].iterates),
+                                   "outer": out[1].outer_iterations, "cg": out[1].cg_iterations,
+                                   "converged": out[1].converged},
+                        "fingerprint": [sup_interior(out[0].u.u), out[1].residual]})
 
         p = pair_exponent("constant", {"value": 2.0}, s=0.4, R=R)
-        zero = fp.GridFunction.zeros(mesh)
         template = fp.PoissonProblem(mesh=mesh, weights=fp.assemble_weights(mesh, p), p=p,
                                      r=scalar_exponent("constant", {"value": 3.0}, R),
                                      h=zero, g=zero)
-        def a(y):
-            return 0.5 * np.exp(-2.0 * np.asarray(y) ** 2) + 0.1
-
         f = fp.Nonlinearity(evaluator=lambda y, t: a(y) + 0.05 * np.arctan(np.asarray(t)),
                             a=fp.GridFunction(mesh, a(x)), c_growth=0.05)
         ref, _ = add("fixed_point_solve", n, "arctan", lambda: fp.fixed_point_solve(f, template),

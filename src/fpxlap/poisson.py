@@ -29,7 +29,7 @@ from .checks import CheckResult, EstimateReport
 from .exponents import ExponentField, ScalarExponent, conjugate_exponent, trace_exponent, validate_growth_pair
 from .lebesgue import GridFunction, luxemburg_norm
 from .mesh_kernel import KernelWeights, Mesh, _gather, _layout, _row_blocks
-from .sobolev import DirichletPair, _pair_sum, apply_operator, full_norm, weak_form
+from .sobolev import DirichletPair, _pair_blocks, _pair_sum, full_norm, weak_form
 
 
 _MIN_STEP = 1e-20      # smallest Armijo step tried before an iteration gives up
@@ -111,17 +111,34 @@ def energy(u, prob: PoissonProblem) -> float:
 def energy_gradient(u, prob: PoissonProblem) -> GridFunction:
     """First variation with respect to the interior unknowns.
 
-    2 dx (operator u) - dx h, that is component i (interior):
+    2 dx (operator u) - dx h on the interior, that is component i:
     2 sum_j w_ij |u_i-u_j|^{p_ij-2}(u_i-u_j) + 2 dx tail_i |u_i|^{pbar_i-2} u_i
     - dx h_i.  Exterior components are constrained and reported as zero.
-    Reference implementation on ``apply_operator``, independent of the
-    interior-row block inside ``solve_poisson``.
+    Only the interior rows are formed, in the 'omega' row blocks of
+    ``sobolev._pair_blocks`` (each pair with a cell in Omega once, no pair
+    of two exterior cells, no m x n temporary): the fluxes |d|^p / d (d at
+    uniform p = 2, 0 at d = 0) give the row sums minus the antisymmetric
+    column sums of the interior columns.  A reference apart from the
+    solver's own pass in ``_InteriorBlock``.
     """
-    dx = prob.mesh.cell_width
-    grad = 2.0 * dx * apply_operator(_field(u), prob.weights)
-    grad -= dx * prob.h.values
-    grad[~prob.mesh.interior_mask] = 0.0
-    return GridFunction(prob.mesh, grad)
+    vals, W, mesh = _field(u).values, prob.weights, prob.mesh
+    rows = np.flatnonzero(mesh.interior_mask)
+    m, p_const = rows.size, W.p_const
+    flux, ones = np.zeros(m), np.ones(mesh.n_cells)
+    for i0, i1, w, p, (d,), (t,) in _pair_blocks(W, "omega", [vals], 1):
+        if p_const != 2.0:
+            np.divide(np.power(np.abs(d, out=t), p, out=t), d, out=d, where=d != 0.0)
+        d *= w
+        flux[i0:i1] += d @ ones[i0:]
+        flux[i1:] -= ones[i0:i1] @ d[:, i1 - i0:m - i0]
+    own = vals[rows]
+    pbar = W.p_bar[rows]
+    tail_flux = own if p_const == 2.0 else np.divide(np.abs(own) ** pbar, own, out=np.zeros(m),
+                                                     where=own != 0.0)
+    dx = mesh.cell_width
+    grad = np.zeros(mesh.n_cells)
+    grad[rows] = 2.0 * flux + dx * (2.0 * W.tail[rows] * tail_flux - prob.h.values[rows])
+    return GridFunction(mesh, grad)
 
 
 def initial_guess(prob: PoissonProblem) -> GridFunction:
@@ -133,6 +150,11 @@ def initial_guess(prob: PoissonProblem) -> GridFunction:
 
 # d^2 is raised to at least this, so an exact tie d = 0 gives weight and flux 0, not 0/0
 _TINY = np.finfo(float).tiny
+# consecutive interior unknowns per diagonal block of the CG preconditioner
+_PCG_BLOCK = 32
+# first model floor, relative to the field's spread; a warm start scales it
+# by its first residual over the load, min(1, r_0 / |dx h|_inf)
+_FLOOR_START = 0.3
 
 
 def _floor_weights(k: np.ndarray, a: np.ndarray, w: np.ndarray, p, floor: float) -> None:
@@ -145,23 +167,47 @@ def _floor_weights(k: np.ndarray, a: np.ndarray, w: np.ndarray, p, floor: float)
     k[small] = w[small] * floor ** ((p if np.isscalar(p) else p[small]) - 2.0)
 
 
-def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
-    """Jacobi-preconditioned CG for A d = rhs from d = 0.
+def _block_inverses(A: np.ndarray) -> np.ndarray:
+    """Inverses of the diagonal blocks of ``_PCG_BLOCK`` consecutive unknowns
+    of A (one block when A is no larger), stacked; the last block is padded
+    with the identity."""
+    m = A.shape[0]
+    size = min(_PCG_BLOCK, m)
+    blocks = np.zeros((-(-m // size), size, size))
+    blocks[-1] = np.eye(size)
+    for b, i0 in enumerate(range(0, m, size)):
+        i1 = min(i0 + size, m)
+        blocks[b, :i1 - i0, :i1 - i0] = A[i0:i1, i0:i1]
+    return np.linalg.inv(blocks)
 
-    Stops at |r|_2 <= rtol |rhs|_2, at a loss of positive curvature, or after
-    8m steps; returns the iterate and the step count.
+
+def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """Block-Jacobi-preconditioned CG for A d = rhs from d = 0.
+
+    The preconditioner applies the inverses of A's diagonal blocks of
+    ``_PCG_BLOCK`` unknowns (size 1 is Jacobi); a block that covers all of A
+    is its inverse, and CG then takes one step.  Stops at
+    |r|_2 <= rtol |rhs|_2, at a loss of positive curvature, or after 8m
+    steps; returns the iterate and the step count.
     """
-    diag = np.diagonal(A)
-    inv_diag = 1.0 / np.where(diag > 0.0, diag, 1.0)
+    m = rhs.size
+    inverses = _block_inverses(A)
+    padded = np.zeros(inverses.shape[0] * inverses.shape[1])
+    stacked = padded.reshape(inverses.shape[0], -1, 1)
+
+    def precondition(r):
+        padded[:m] = r
+        return np.matmul(inverses, stacked).reshape(-1)[:m]
+
     d = np.zeros_like(rhs)
     resid = rhs.copy()
-    z = inv_diag * resid
+    z = precondition(resid)
     direction = z.copy()
     rz = float(resid @ z)
     rr = float(resid @ resid)
     stop = max(rr, 1e-300) * rtol * rtol
     it = 0
-    while rr > stop and it < 8 * rhs.size:
+    while rr > stop and it < 8 * m:
         ad = A @ direction
         dad = float(direction @ ad)
         if dad <= 0.0:
@@ -170,7 +216,7 @@ def _pcg(A: np.ndarray, rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
         d += step * direction
         resid -= step * ad
         rr = float(resid @ resid)
-        z = inv_diag * resid
+        z = precondition(resid)
         rz_new = float(resid @ z)
         direction = z + (rz_new / rz) * direction
         rz = rz_new
@@ -372,7 +418,12 @@ class _InteriorBlock:
         converged = False
         it = cg_total = backtracks = 0
         prev_residual = None
-        floor_rel = 0.3
+        load = float(np.abs(source).max(initial=0.0))
+        if initial is None or load == 0.0:
+            floor_rel = _FLOOR_START
+        else:
+            # a start near the answer need not re-floor the model from scratch
+            floor_rel = _FLOOR_START * min(1.0, first_residual / load)
         guard = 4.0 * np.finfo(float).eps
         while True:
             if residual <= tol.el_residual:
@@ -422,7 +473,7 @@ class _InteriorBlock:
                 break
             prev_residual, residual = residual, float(np.max(np.abs(grad)))
             # the floor shrinks with the residual (IRLS), at least by half per step
-            floor_rel = max(min(0.5 * floor_rel, 0.3 * residual / first_residual), 1e-14)
+            floor_rel = max(min(0.5 * floor_rel, _FLOOR_START * residual / first_residual), 1e-14)
 
         u = DirichletPair(u=GridFunction(mesh, vals), g=prob.g)
         return PoissonSolution(
@@ -453,12 +504,17 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
     the floor get a power of their own, and each tail one), then writes the
     model Hessian's upper blocks and mirrors them.  The floor is
     floor_rel times the field's spread (for the tails, the larger of its sup
-    and its spread).  floor_rel starts at 0.3 and after each accepted step
-    becomes max(min(floor_rel / 2, 0.3 r_k / r_0), 1e-14), with r_k the
-    gradient sup-norm and r_0 the call's first one: it shrinks with the
-    residual (Daubechies, DeVore, Fornasier & Gunturk 2010) and at least
-    halves per iteration, so p >= 2 soon gets the true Newton weights.  The
-    model is solved by Jacobi-preconditioned conjugate gradients, and the
+    and its spread).  floor_rel starts at 0.3 for a cold start; a start
+    given as ``initial`` begins at min(0.3, 0.3 r_0 / |dx h|_inf) (0.3 when
+    h = 0), so a start near the answer is not re-floored from scratch.  After
+    each accepted step floor_rel becomes
+    max(min(floor_rel / 2, 0.3 r_k / r_0), 1e-14), with r_k the gradient
+    sup-norm and r_0 the call's first one: it shrinks with the residual
+    (Daubechies, DeVore, Fornasier & Gunturk 2010) and at least halves per
+    iteration, so p >= 2 soon gets the true Newton weights.  The model is
+    solved by conjugate gradients preconditioned with the inverses of its
+    diagonal blocks of ``_PCG_BLOCK`` consecutive interior unknowns (block
+    Jacobi; an interior that fits one block takes one CG step), and the
     direction is taken under Armijo backtracking (sufficient decrease 1e-4,
     halving), so the energy decreases monotonically.  CG stops at the relative
     residual eta_k = min(1e-2, 0.9 (r_k / r_{k-1})^2) (Eisenstat-Walker

@@ -5,7 +5,8 @@ operator; Picard iteration drives h_{k+1} = (1-theta) h_k + theta N_f(T(h_k))
 until the conjugate-norm increment is negligible.  theta starts undamped at
 its cap (1 by default) and is halved whenever the increments keep growing.
 The shell solver splits the interior into contiguous equal-measure blocks
-and performs sequential block solves.  One sweep over the shells is a map
+and performs sequential block solves, each started from the current field
+after the first sweep.  One sweep over the shells is a map
 on the interior values, and its iterates are Anderson-mixed under a
 residual safeguard until the global semilinear residual meets its target.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from .checks import CheckResult
 from .exponents import (ExponentError, ExponentField, ScalarExponent, conjugate_exponent,
                         trace_exponent)
-from .lebesgue import GridFunction, luxemburg_norm
+from .lebesgue import GridFunction, _norm_rows, luxemburg_norm
 from .mesh_kernel import Mesh, restrict_interior
 from .poisson import (PoissonProblem, PoissonSolution, _InteriorBlock, _is_count,
                       _require_growth_pair, energy as poisson_energy, energy_gradient,
@@ -203,7 +204,8 @@ def nemytsky_bound_check(f: Nonlinearity, u: GridFunction, r: ScalarExponent,
 @dataclass
 class FixedPointTrace:
     """One (increment, inner EL residual) row per Picard iteration, plus the
-    totals of every Poisson solve the run made (the final one included)."""
+    totals of every Poisson solve the run made: one per row, and one more
+    when a solve did not converge."""
 
     theta: float
     iterates: list[tuple[float, float]] = field(default_factory=list)
@@ -211,6 +213,7 @@ class FixedPointTrace:
     residual: float = np.inf
     h_star: GridFunction | None = None
     poisson_solves: int = 0
+    outer_iterations: int = 0
     cg_iterations: int = 0
     backtracks: int = 0
 
@@ -255,14 +258,19 @@ _THETA_MIN = 1e-3
 _MAX_SWEEPS = 200
 
 
+def _gradient_sup(prob: PoissonProblem, u: GridFunction) -> float:
+    """Sup-norm over the interior of ``energy_gradient`` at u."""
+    return float(np.max(np.abs(energy_gradient(u, prob).values[prob.mesh.interior_mask])))
+
+
 def _semilinear_residual(f: Nonlinearity, prob: PoissonProblem, u: GridFunction) -> float:
     """Sup-norm over the interior of ``energy_gradient`` at u with h = N_f(u)."""
-    grad = energy_gradient(u, prob.with_h(nemytsky(f, u)))
-    return float(np.max(np.abs(grad.values[prob.mesh.interior_mask])))
+    return _gradient_sup(prob.with_h(nemytsky(f, u)), u)
 
 
 def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
-                      max_iter: int = 200, *, _block: _InteriorBlock | None = None
+                      max_iter: int = 200, *, _block: _InteriorBlock | None = None,
+                      _start: GridFunction | None = None
                       ) -> tuple[PoissonSolution, FixedPointTrace]:
     """Picard iteration for h = N_f(T(h)), damped by theta when needed.
 
@@ -270,18 +278,23 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
     factor at its cap ``theta`` (1, undamped, by default) and halves it, down
     to ``_THETA_MIN``, whenever the increment norm grows twice in a row, for
     at most ``max_iter`` (>= 1) steps or until the increment is at most
-    ``_INCREMENT_TOL``.  A non-finite increment, or one above
+    ``_INCREMENT_TOL``.  Each Poisson solve starts warm from the field of
+    the one before.  A non-finite increment, or one above
     1e12 max(1, first increment), stops the run.  Non-convergence is returned
     in the trace, never raised: the caller may retry with a smaller cap.  A
-    converged run is certified by the sup-norm of ``energy_gradient`` at the
-    final field, at most ``_RESIDUAL_TARGET``.  Every Poisson solve of the
-    call shares one interior block, since only h changes between them.
+    converged run returns the field of its last Poisson solve, u = T(h_k),
+    with no further solve: it is certified by the sup-norm of
+    ``energy_gradient`` at u with h = N_f(u), at most ``_RESIDUAL_TARGET``.
+    Every Poisson solve of the call shares one interior block, since only h
+    changes between them, and r' is evaluated at the interior centres once.
 
-    ``_block`` is private to the package: ``solve_by_decomposition`` passes
-    the block of a shell, which it reuses across sweeps, after checking the
-    growth pair (r, p) and screening the growth of f once on the whole
-    interior, which contains the shell's.  Without it the call checks the
-    pair, screens f and builds its own block.
+    ``_block`` and ``_start`` are private to the package:
+    ``solve_by_decomposition`` passes the block of a shell, which it reuses
+    across sweeps, after checking the growth pair (r, p) and screening the
+    growth of f once on the whole interior, which contains the shell's.
+    Without it the call checks the pair, screens f and builds its own block.
+    From its second sweep on it also passes the current field as ``_start``:
+    then h0 = N_f(start) and the first Poisson solve starts warm from it.
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError("damping theta must lie in (0, 1]")
@@ -291,42 +304,39 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
         _require_growth_pair(prob)
         require_growth(f, prob.mesh, prob.p)
         _block = _InteriorBlock(prob.mesh, prob.weights)
-    mask = prob.mesh.interior_mask
-    rc = conjugate_exponent(prob.r)
+    mesh = prob.mesh
+    mask = mesh.interior_mask
+    rc_values = conjugate_exponent(prob.r).values(mesh.cell_centers[mask])[None]
 
-    h = nemytsky(f, initial_guess(prob))
+    h = nemytsky(f, initial_guess(prob) if _start is None else _start)
     trace = FixedPointTrace(theta=theta)
-    warm = None
-
-    def solve(h_k):
-        sol_k = solve_poisson(prob.with_h(h_k), initial=warm, _block=_block)
-        trace.poisson_solves += 1
-        trace.cg_iterations += sol_k.cg_iterations
-        trace.backtracks += sol_k.backtracks
-        return sol_k
+    warm = _start
 
     grew = 0
     prev_inc = np.inf
     cap = None
     for _ in range(max_iter):
-        sol = solve(h)
+        sol = solve_poisson(prob.with_h(h), initial=warm, _block=_block)
+        trace.poisson_solves += 1
+        trace.outer_iterations += sol.iterations
+        trace.cg_iterations += sol.cg_iterations
+        trace.backtracks += sol.backtracks
         if not sol.converged:
-            trace.h_star = h
-            return sol, trace
+            break
         warm = sol.u.u
-        target = nemytsky(f, sol.u.u)
+        target = nemytsky(f, warm)
         new_vals = (1.0 - theta) * h.values + theta * target.values
         # h and N_f vanish off Omega, so the increment does too
-        inc = luxemburg_norm(GridFunction(prob.mesh, new_vals - h.values), rc, mask)
+        inc = _norm_rows((new_vals - h.values)[mask][None], rc_values, mesh.cell_width)[0]
         trace.iterates.append((inc, sol.el_residual))
-        h = GridFunction(prob.mesh, new_vals)
+        h = GridFunction(mesh, new_vals)
         if cap is None:
             cap = max(1.0, inc) * 1e12
         if not np.isfinite(inc) or inc > cap:
-            trace.h_star = h
-            return sol, trace
+            break
         if inc <= _INCREMENT_TOL:
-            trace.converged = True
+            trace.residual = _gradient_sup(prob.with_h(target), warm)
+            trace.converged = trace.residual <= _RESIDUAL_TARGET
             break
         if inc > prev_inc:
             grew += 1
@@ -338,13 +348,7 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
             grew = 0
         prev_inc = inc
     trace.h_star = h
-    if not trace.converged:
-        return sol, trace
-    final = solve(h)
-    residual = _semilinear_residual(f, prob, final.u.u)
-    trace.residual = residual
-    trace.converged = final.converged and residual <= _RESIDUAL_TARGET
-    return final, trace
+    return sol, trace
 
 
 def shell_partition(mesh: Mesh, shells: int) -> list[np.ndarray]:
@@ -403,8 +407,11 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
 
     Each sweep solves the semilinear problem (``fixed_point_solve`` with the
     damping cap ``theta``) on every shell in turn, the previous iterate
-    supplying the exterior values.  The sweep is a map x -> S(x) on the
-    interior values, and its iterates are Anderson-mixed with the last
+    supplying the exterior values.  The first sweep starts each shell from
+    the datum-filled grid; every later sweep starts it warm from the current
+    global field, whose shell values the sweep before left there.  The sweep
+    is a map x -> S(x) on the interior values, and its iterates are
+    Anderson-mixed with the last
     ``_ANDERSON_DEPTH`` secant pairs: the mixed candidate, which changes
     interior cells only, is kept when its global semilinear residual is
     below that of the plain sweep; otherwise the plain sweep is kept and the
@@ -443,8 +450,10 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     for sweep in range(1, _MAX_SWEEPS + 1):
         sweep_traces = []
         for j, (shell_prob, block) in enumerate(zip(shell_probs, blocks)):
-            sub_prob = shell_prob.with_g(GridFunction(shell_prob.mesh, current))
-            sol_j, trace_j = fixed_point_solve(f, sub_prob, theta, max_iter, _block=block)
+            datum = GridFunction(shell_prob.mesh, current)
+            # from the second sweep on, the shell starts from the field it left
+            sol_j, trace_j = fixed_point_solve(f, shell_prob.with_g(datum), theta, max_iter,
+                                               _block=block, _start=datum if sweep > 1 else None)
             if not trace_j.converged:
                 raise DecompositionError(j, sweep, "fixed-point iteration did not converge")
             current = sol_j.u.u.values.copy()

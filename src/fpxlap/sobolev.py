@@ -111,6 +111,8 @@ def gagliardo_seminorm(u: GridFunction, W: KernelWeights, variant: str = "rn") -
     the ties d = 0, and for 'rn' those of the tails are formed once into one
     flat buffer, and each Newton step is one exp pass over it.
     """
+    if variant not in ("rn", "omega"):
+        raise ValueError(f"unknown modular variant {variant!r}")
     vmax = float(np.abs(u.values).max())
     if vmax == 0.0:
         return 0.0

@@ -23,13 +23,14 @@ PER_CLASS = ("assemble_weights", "gagliardo_modular.rn", "gagliardo_modular.omeg
 def test_builder_writes_every_entry_and_the_direct_solve(monkeypatch):
     n = 64
     monkeypatch.setattr(bench, "SIZES", (n,))
+    monkeypatch.setattr(bench, "SEMILINEAR_N", n)
     monkeypatch.setattr(bench, "REPEATS", 1)
     monkeypatch.setattr(bench, "CONFIGS", ("semilinear_arctan",))
     entries = bench.build_entries(ROOT)
 
     keys = [(e["layer"], e["n"], e["class"]) for e in entries]
     expected = {(layer, n, name) for name in bench.CLASSES for layer in PER_CLASS}
-    expected |= {("fixed_point_solve", n, "arctan")}
+    expected |= {("fixed_point_solve", n, name) for name in ("arctan",) + bench.SEMILINEAR_CLASSES}
     expected |= {(f"solve_by_decomposition.{m}_shells", n, "arctan") for m in bench.SHELLS}
     expected |= {(f"suite.{name}", 256, "verify_inequalities")
                  for name in ("norm_modular", "holder", "cara", "edm")}
@@ -42,6 +43,14 @@ def test_builder_writes_every_entry_and_the_direct_solve(monkeypatch):
     counts = json.loads((ROOT / "scripts" / "configs" / "verify_inequalities.json").read_text())
     assert {e["layer"]: e["fingerprint"][:2] for e in entries if e["layer"].startswith("suite.")} \
         == {f"suite.{name}": [count, 0] for name, count in counts["checks"].items()}
+
+    # the semilinear scaling entries: converged, one Poisson solve per
+    # Picard iteration, and at least one outer iteration and CG step a solve
+    for name in bench.SEMILINEAR_CLASSES:
+        counts = next(e for e in entries if e["layer"] == "fixed_point_solve"
+                      and e["class"] == name)["counts"]
+        assert counts["converged"] and counts["poisson_solves"] == counts["picard"]
+        assert counts["cg"] >= counts["outer"] >= counts["poisson_solves"]
 
     # the scaling problem, built here without the script's helpers
     mesh = build_mesh(2.0, n, [(-1.0, 1.0)])

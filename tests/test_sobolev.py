@@ -381,7 +381,10 @@ class TestPassMemory:
 
 
 @pytest.mark.parametrize("call", (gagliardo_modular, gagliardo_seminorm))
-def test_unknown_variant_is_rejected(weights64, mesh64, call):
+@pytest.mark.parametrize("field", ("cos", "zero"))
+def test_unknown_variant_is_rejected(weights64, mesh64, call, field):
+    # a zero field is rejected too, before its seminorm's shortcut to 0
+    vals = np.cos(mesh64.cell_centers) if field == "cos" else np.zeros(mesh64.n_cells)
     with pytest.raises(ValueError) as excinfo:
-        call(grid(mesh64, np.cos(mesh64.cell_centers)), weights64, "box")
+        call(grid(mesh64, vals), weights64, "box")
     assert excinfo.type is ValueError and "unknown modular variant 'box'" in str(excinfo.value)
