@@ -182,8 +182,6 @@ def build_entries(repo: Path) -> list:
         study_h = fp.GridFunction(mesh, np.where(mask, 1.0 + np.sin(3.0 * x), 0.0))
         study_g = fp.GridFunction(mesh, 0.2 * np.cos(x))
         zero = fp.GridFunction.zeros(mesh)
-        bounded_f = fp.Nonlinearity(evaluator=lambda y, t: a(y) + 2.0 * np.arctan(np.asarray(t)),
-                                    a=fp.GridFunction(mesh, a(x) + np.pi), c_growth=0.0)
         for name, (kind, params) in CLASSES.items():
             p = pair_exponent(kind, params, s=S, R=R)
             W = add("assemble_weights", n, name, lambda: fp.assemble_weights(mesh, p),
@@ -198,6 +196,9 @@ def build_entries(repo: Path) -> list:
                 "fingerprint": [sup_interior(sol.u.u),
                                 float(abs(fp.energy_gradient(sol.u, study).values).max())]})
             if n == SEMILINEAR_N and name in SEMILINEAR_CLASSES:
+                bounded_f = fp.Nonlinearity(
+                    evaluator=lambda y, t: a(y) + 2.0 * np.arctan(np.asarray(t)),
+                    a=fp.GridFunction(mesh, a(x) + np.pi), c_growth=0.0)
                 r = scalar_exponent("constant", {"value": W.p_plus + 0.5}, R)
                 semi = fp.PoissonProblem(mesh=mesh, weights=W, p=p, r=r, h=zero, g=study_g)
                 add("fixed_point_solve", n, name, lambda: fp.fixed_point_solve(bounded_f, semi),
