@@ -422,7 +422,7 @@ class _InteriorBlock:
         if initial is None or load == 0.0:
             floor_rel = _FLOOR_START
         else:
-            # a start near the answer need not re-floor the model from scratch
+            # a start near the answer keeps a floor near the answer's scale
             floor_rel = _FLOOR_START * min(1.0, first_residual / load)
         guard = 4.0 * np.finfo(float).eps
         while True:
@@ -506,7 +506,7 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
     floor_rel times the field's spread (for the tails, the larger of its sup
     and its spread).  floor_rel starts at 0.3 for a cold start; a start
     given as ``initial`` begins at min(0.3, 0.3 r_0 / |dx h|_inf) (0.3 when
-    h = 0), so a start near the answer is not re-floored from scratch.  After
+    h = 0), so a start near the answer is not re-floored as a cold one.  After
     each accepted step floor_rel becomes
     max(min(floor_rel / 2, 0.3 r_k / r_0), 1e-14), with r_k the gradient
     sup-norm and r_0 the call's first one: it shrinks with the residual
