@@ -29,7 +29,7 @@ from .checks import CheckResult, EstimateReport
 from .exponents import ExponentField, ScalarExponent, conjugate_exponent, trace_exponent, validate_growth_pair
 from .lebesgue import GridFunction, luxemburg_norm
 from .mesh_kernel import KernelWeights, Mesh, _gather, _layout, _row_blocks
-from .sobolev import DirichletPair, _pair_blocks, _pair_sum, full_norm, weak_form
+from .sobolev import DirichletPair, _pair_sum, apply_operator, full_norm, weak_form
 
 
 _MIN_STEP = 1e-20      # smallest Armijo step tried before an iteration gives up
@@ -114,31 +114,15 @@ def energy_gradient(u, prob: PoissonProblem) -> GridFunction:
     2 dx (operator u) - dx h on the interior, that is component i:
     2 sum_j w_ij |u_i-u_j|^{p_ij-2}(u_i-u_j) + 2 dx tail_i |u_i|^{pbar_i-2} u_i
     - dx h_i.  Exterior components are constrained and reported as zero.
-    Only the interior rows are formed, in the 'omega' row blocks of
-    ``sobolev._pair_blocks`` (each pair with a cell in Omega once, no pair
-    of two exterior cells, no m x n temporary): the fluxes |d|^p / d (d at
-    uniform p = 2, 0 at d = 0) give the row sums minus the antisymmetric
-    column sums of the interior columns.  A reference apart from the
-    solver's own pass in ``_InteriorBlock``.
+    The reference on ``apply_operator`` (its 'rn' pairs), apart from the
+    solver's own pass in ``_InteriorBlock``: tests, checks and benchmarks
+    recompute residuals with it; no solver calls it.
     """
-    vals, W, mesh = _field(u).values, prob.weights, prob.mesh
-    rows = np.flatnonzero(mesh.interior_mask)
-    m, p_const = rows.size, W.p_const
-    flux, ones = np.zeros(m), np.ones(mesh.n_cells)
-    for i0, i1, w, p, (d,), (t,) in _pair_blocks(W, "omega", [vals], 1):
-        if p_const != 2.0:
-            np.divide(np.power(np.abs(d, out=t), p, out=t), d, out=d, where=d != 0.0)
-        d *= w
-        flux[i0:i1] += d @ ones[i0:]
-        flux[i1:] -= ones[i0:i1] @ d[:, i1 - i0:m - i0]
-    own = vals[rows]
-    pbar = W.p_bar[rows]
-    tail_flux = own if p_const == 2.0 else np.divide(np.abs(own) ** pbar, own, out=np.zeros(m),
-                                                     where=own != 0.0)
-    dx = mesh.cell_width
-    grad = np.zeros(mesh.n_cells)
-    grad[rows] = 2.0 * flux + dx * (2.0 * W.tail[rows] * tail_flux - prob.h.values[rows])
-    return GridFunction(mesh, grad)
+    dx = prob.mesh.cell_width
+    grad = 2.0 * dx * apply_operator(_field(u), prob.weights)
+    grad -= dx * prob.h.values
+    grad[~prob.mesh.interior_mask] = 0.0
+    return GridFunction(prob.mesh, grad)
 
 
 def initial_guess(prob: PoissonProblem) -> GridFunction:
@@ -247,6 +231,11 @@ class _InteriorBlock:
     solve it factors that Hessian once and takes every later direction by
     one application of the inverse instead of CG.  A one-off solve never
     pays for the factor.
+
+    ``residual`` gives the gradient's sup over the rows by the same pass,
+    the certificate of the semilinear solvers: each row holds all its pairs
+    and its tail, so the rows of a shell's block carry the global gradient's
+    components there, and the shells' blocks together cover the interior.
     """
 
     def __init__(self, mesh: Mesh, weights: KernelWeights):
@@ -328,6 +317,22 @@ class _InteriorBlock:
             flux[i0:] -= ones_r @ core
         return float(total) if variable else float(total) / self.p_const
 
+    def _evaluate(self, v: np.ndarray, source: np.ndarray) -> tuple[float, np.ndarray]:
+        """Energy and gradient over the rows at the field v, with the rows'
+        source dx h: the block's one gradient formula."""
+        grad = np.zeros(self.m)
+        e = self._pass(v, grad) - float(source @ self._values[:self.m])
+        grad -= source
+        return e, grad
+
+    def residual(self, v: np.ndarray, h: np.ndarray) -> float:
+        """Sup over the rows of the energy gradient at the field v with the
+        source h (both on all cells), by the pass ``solve`` evaluates with.
+
+        It leaves the next solve unchanged: a solve evaluates its start
+        before it reads anything a pass keeps."""
+        return float(np.max(np.abs(self._evaluate(v, self.mesh.cell_width * h[self.rows])[1])))
+
     def _hessian_of(self, weights, scale: float, out: np.ndarray) -> np.ndarray:
         """scale (diag(row sums) - core) into out, for pair weights laid out
         as the blocks: the upper blocks are written and mirrored."""
@@ -391,12 +396,6 @@ class _InteriorBlock:
 
         source = mesh.cell_width * prob.h.values[rows]
 
-        def evaluate(v):
-            grad = np.zeros(self.m)
-            e = self._pass(v, grad) - float(source @ self._values[:self.m])
-            grad -= source
-            return e, grad
-
         def model_direction(v, grad, floor_rel, rtol):
             if factored:
                 return self._factor_direction(grad), 0
@@ -410,7 +409,7 @@ class _InteriorBlock:
             # the last evaluated point is the accepted one: its kept blocks give the weights
             return _pcg(self._model_hessian(floor_pair, floor_tail), -grad, rtol)
 
-        e_now, grad = evaluate(vals)
+        e_now, grad = self._evaluate(vals, source)
         if not np.isfinite(e_now):
             raise ValueError("non-finite energy at the initial field")
         residual = first_residual = float(np.max(np.abs(grad)))
@@ -453,7 +452,7 @@ class _InteriorBlock:
             while alpha >= _MIN_STEP:
                 trial = vals.copy()
                 trial[rows] += alpha * d
-                e_trial, trial_grad = evaluate(trial)
+                e_trial, trial_grad = self._evaluate(trial, source)
                 if np.isfinite(e_trial) and e_trial <= e_now + 1e-4 * alpha * slope + guard * (1.0 + abs(e_now)):
                     if e_trial >= e_now - guard * (1.0 + abs(e_now)):
                         # energy change below fp resolution: demand residual progress

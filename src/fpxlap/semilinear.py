@@ -23,8 +23,8 @@ from .exponents import (ExponentError, ExponentField, ScalarExponent, conjugate_
 from .lebesgue import GridFunction, _norm_rows, luxemburg_norm
 from .mesh_kernel import Mesh, restrict_interior
 from .poisson import (PoissonProblem, PoissonSolution, _InteriorBlock, _is_count,
-                      _require_growth_pair, energy as poisson_energy, energy_gradient,
-                      initial_guess, solve_poisson)
+                      _require_growth_pair, energy as poisson_energy, initial_guess,
+                      solve_poisson)
 from .sobolev import DirichletPair
 
 
@@ -247,7 +247,7 @@ def invariant_ball_radius(c_bound: float, a_norm: float, k1: float, k2: float,
     return BallRadius(value=float(value), feasible=True, denominator=float(denom))
 
 
-# sup-norm of the semilinear residual (energy_gradient with h = N_f(u))
+# sup-norm of the semilinear residual (the energy gradient with h = N_f(u))
 # that certifies a fixed point or ends the shell sweeps
 _RESIDUAL_TARGET = 1e-6
 # conjugate-norm Picard increment that ends the fixed-point iteration
@@ -256,16 +256,6 @@ _INCREMENT_TOL = 1e-8
 _THETA_MIN = 1e-3
 # most shell sweeps one decomposition runs
 _MAX_SWEEPS = 200
-
-
-def _gradient_sup(prob: PoissonProblem, u: GridFunction) -> float:
-    """Sup-norm over the interior of ``energy_gradient`` at u."""
-    return float(np.max(np.abs(energy_gradient(u, prob).values[prob.mesh.interior_mask])))
-
-
-def _semilinear_residual(f: Nonlinearity, prob: PoissonProblem, u: GridFunction) -> float:
-    """Sup-norm over the interior of ``energy_gradient`` at u with h = N_f(u)."""
-    return _gradient_sup(prob.with_h(nemytsky(f, u)), u)
 
 
 def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
@@ -283,10 +273,11 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
     1e12 max(1, first increment), stops the run.  Non-convergence is returned
     in the trace, never raised: the caller may retry with a smaller cap.  A
     converged run returns the field of its last Poisson solve, u = T(h_k),
-    with no further solve: it is certified by the sup-norm of
-    ``energy_gradient`` at u with h = N_f(u), at most ``_RESIDUAL_TARGET``.
-    Every Poisson solve of the call shares one interior block, since only h
-    changes between them, and r' is evaluated at the interior centres once.
+    with no further solve: it is certified by the sup-norm of the energy
+    gradient at u with h = N_f(u), at most ``_RESIDUAL_TARGET``, which the
+    solves' interior block forms by its own pass (``_InteriorBlock.residual``).
+    Every Poisson solve of the call shares that block, since only h changes
+    between them, and r' is evaluated at the interior centres once.
 
     ``_block`` and ``_start`` are private to the package:
     ``solve_by_decomposition`` passes the block of a shell, which it reuses
@@ -335,7 +326,7 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
         if not np.isfinite(inc) or inc > cap:
             break
         if inc <= _INCREMENT_TOL:
-            trace.residual = _gradient_sup(prob.with_h(target), warm)
+            trace.residual = _block.residual(warm.values, target.values)
             trace.converged = trace.residual <= _RESIDUAL_TARGET
             break
         if inc > prev_inc:
@@ -417,7 +408,9 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     below that of the plain sweep; otherwise the plain sweep is kept and the
     history cleared.  Sweeps repeat, at most ``_MAX_SWEEPS`` times, until the
     global residual meets ``_RESIDUAL_TARGET`` (one sweep suffices in the
-    degenerate single-shell case).
+    degenerate single-shell case).  The global residual, the sup-norm of the
+    energy gradient with h = N_f(u), is the max of the shells' interior
+    blocks' ``residual``: their rows partition the interior.
     Per-shell non-convergence aborts with the shell index.
     """
     prob = prob_template.with_g(g)
@@ -434,9 +427,6 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     current = initial_guess(prob).values.copy()
     mask_all = prob.mesh.interior_mask
 
-    def global_residual(values):
-        return _semilinear_residual(f, prob, GridFunction(prob.mesh, values))
-
     # one problem and one interior block per shell; each sweep only swaps the datum
     shell_probs = []
     for m in masks:
@@ -444,6 +434,12 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
         shell_probs.append(replace(prob, mesh=sm, weights=replace(prob.weights, mesh=sm),
                                    h=GridFunction.zeros(sm), g=GridFunction(sm, current)))
     blocks = [_InteriorBlock(sp.mesh, sp.weights) for sp in shell_probs]
+
+    def global_residual(values):
+        # the shells' rows partition the interior
+        h = nemytsky(f, GridFunction(prob.mesh, values)).values
+        return max(block.residual(values, h) for block in blocks)
+
     x = current[mask_all]
     last = None  # (x, S(x) - x) of the previous sweep
     dxs, dfs = [], []

@@ -117,6 +117,20 @@ class TestRejections:
         assert capsys.readouterr().err.startswith("error: cannot read config ")
 
 
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_runs_end_to_end(self, tmp_path, path):
+        mode = json.loads(path.read_text())["mode"]
+        out = tmp_path / "out"
+        assert main([mode, "--config", str(path), "--out", str(out)]) == 0
+        report = (out / "report").read_text().splitlines()
+        if mode == "verify":
+            checks = [line for line in report if line.startswith("check.") and ".passed: " in line]
+            assert checks and all(line.endswith(".passed: True") for line in checks)
+        else:
+            assert "solver.converged: True" in report
+
+
 class TestRun:
     def test_zero_data_poisson(self, tmp_path):
         cfg = minimal_poisson_config()

@@ -16,7 +16,7 @@ from fpxlap.catalog import nonlinearity, pair_exponent
 from fpxlap.exponents import ExponentError, conjugate_exponent
 from fpxlap.lebesgue import luxemburg_norm
 
-from util import affine_scalar, const_pair, const_scalar, grid
+from util import affine_scalar, bump_pair, const_pair, const_scalar, grid
 
 
 def zero_a(mesh):
@@ -92,9 +92,10 @@ def plain_block_gauss_seidel(f, g, shells, template, theta, target=1e-6):
                                            _start=datum if sweep else None)
             assert trace.converged
             current = sol.u.u.values.copy()
-        u = grid(mesh, current)
-        grad = energy_gradient(u, prob.with_h(nemytsky(f, u))).values[mesh.interior_mask]
-        residuals.append(float(np.max(np.abs(grad))))
+        # the global residual is the max over the shells' blocks, whose rows
+        # partition the interior
+        h = nemytsky(f, grid(mesh, current)).values
+        residuals.append(max(block.residual(current, h) for block in blocks))
         if residuals[-1] <= target:
             break
     return current, residuals
@@ -569,6 +570,69 @@ class TestDecomposition:
         with pytest.raises(ValueError, match="max_iter must be a positive integer"):
             solve_by_decomposition(arctan_nonlinearity(mesh96), GridFunction.zeros(mesh96), 3,
                                    make_template(mesh96), max_iter=2.5)
+
+
+BLOCK_RESIDUAL_EXPONENTS = {
+    "p2": lambda: const_pair(2.0, 0.4),
+    "p1_5": lambda: const_pair(1.5, 0.5),
+    "gauss_bump": lambda: bump_pair(2.0, 0.5, s=0.25),
+    "affine": lambda: pair_exponent("affine", {"base": 2.0, "slope": 0.3}, s=0.3, R=2.0),
+}
+
+
+class TestBlockResidual:
+    @pytest.mark.parametrize("kind", ("p2", "gauss_bump", "affine"))
+    @pytest.mark.parametrize("shells", (1, 3, 5))
+    def test_shell_blocks_give_the_reference_residual(self, mesh96, kind, shells, rng):
+        template = make_template(mesh96, p=BLOCK_RESIDUAL_EXPONENTS[kind]())
+        prob = template.with_g(grid(mesh96, 0.3 * rng.standard_normal(96)))
+        inner = mesh96.interior_mask
+        rows, ext = np.flatnonzero(inner), np.flatnonzero(~inner)
+        v = np.where(inner, rng.standard_normal(96), prob.g.values)
+        # exact ties d = 0: interior-interior, interior-exterior and a tail
+        v[rows[::4]] = v[rows[1]]
+        v[rows[2]] = v[ext[0]]
+        v[rows[3]] = 0.0
+        u = grid(mesh96, v)
+        h = nemytsky(arctan_nonlinearity(mesh96), u)
+        grad = np.abs(energy_gradient(u, prob.with_h(h)).values)
+        per_shell = []
+        for m in shell_partition(mesh96, shells):
+            sm = restrict_interior(mesh96, m)
+            block = poisson_module._InteriorBlock(sm, replace(prob.weights, mesh=sm))
+            per_shell.append(block.residual(v, h.values))
+            assert per_shell[-1] == pytest.approx(float(grad[m].max()), rel=1e-12, abs=0.0)
+        assert max(per_shell) == pytest.approx(float(grad[inner].max()), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ("p1_5", "gauss_bump", "p2"))
+    def test_residual_between_solves_leaves_the_next_solve(self, mesh96, kind, rng):
+        template = make_template(mesh96, p=BLOCK_RESIDUAL_EXPONENTS[kind]())
+        first = template.with_h(grid(mesh96, rng.standard_normal(96))).with_g(
+            grid(mesh96, 0.3 * rng.standard_normal(96)))
+        second = first.with_h(grid(mesh96, 0.5 * first.h.values))
+        other_field, other_h = rng.standard_normal(96), rng.standard_normal(96)
+
+        def solves(block, probe):
+            if probe:
+                block.residual(other_field, other_h)
+            sol = solve_poisson(first, _block=block)
+            if probe:
+                # the solve's own pass: its final residual again, bit for bit
+                assert block.residual(sol.u.u.values, first.h.values) == sol.el_residual
+                block.residual(other_field, other_h)
+            return sol, solve_poisson(second, initial=sol.u.u, _block=block)
+
+        probed, plain = (solves(poisson_module._InteriorBlock(mesh96, template.weights), probe)
+                         for probe in (True, False))
+        for a, b in zip(probed, plain):
+            assert a.converged and b.converged
+            assert np.array_equal(a.u.u.values, b.u.u.values)
+            assert (a.energy_history, a.el_residual, a.iterations, a.cg_iterations,
+                    a.backtracks) == (b.energy_history, b.el_residual, b.iterations,
+                                      b.cg_iterations, b.backtracks)
+        if kind == "p2":
+            # a residual is no solve: the first solve runs CG, the second the factor
+            assert probed[0].cg_iterations > 0 and probed[1].cg_iterations == 0
 
 
 class TestGrowthPairWhereRIsRead:
