@@ -172,8 +172,8 @@ def write_solution_csv(path: Path, mesh: Mesh, values: np.ndarray) -> None:
 
 
 def write_trace_csv(path: Path, shell_traces) -> None:
-    """One row per Picard iteration; shell_traces holds one list of shell
-    traces per sweep (sweeps count from 1, shells and k from 0)."""
+    """One row per Picard iteration or shell solve; shell_traces holds one list
+    of shell traces per sweep (sweeps count from 1, shells and k from 0)."""
     lines = ["sweep,shell,k,increment,residual"]
     for sweep, traces in enumerate(shell_traces, start=1):
         for shell, trace in enumerate(traces):
@@ -290,9 +290,8 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
     report.add("check.growth_screen.defect", screen.value)
     if not screen.passed:
         return 1
-    fp_opts = cfg.raw.get("fixedpoint", {})
-    if cfg.mode == "semilinear":
-        sol, trace = fixed_point_solve(f, prob, **fp_opts)
+    if cfg.mode == "semilinear":  # the decomposition has no Picard options
+        sol, trace = fixed_point_solve(f, prob, **cfg.raw.get("fixedpoint", {}))
         write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
         write_trace_csv(out / "trace.csv", [[trace]])
         report.add("solver.converged", trace.converged)
@@ -303,7 +302,7 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
         _report_poisson_work(report, [trace])
         return 0 if trace.converged else 2
 
-    sol, rep = solve_by_decomposition(f, g, cfg.raw["decompose"]["shells"], prob, **fp_opts)
+    sol, rep = solve_by_decomposition(f, g, cfg.raw["decompose"]["shells"], prob)
     write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
     write_trace_csv(out / "trace.csv", rep.shell_traces)
     report.add("solver.converged", rep.converged)

@@ -4,11 +4,12 @@ The fixed-point map composes the Poisson solution map with the Nemytsky
 operator; Picard iteration drives h_{k+1} = (1-theta) h_k + theta N_f(T(h_k))
 until the conjugate-norm increment is negligible.  theta starts undamped at
 its cap (1 by default) and is halved whenever the increments keep growing.
-The shell solver splits the interior into contiguous equal-measure blocks
-and performs sequential block solves, each started from the current field
-after the first sweep.  One sweep over the shells is a map
-on the interior values, and its iterates are Anderson-mixed under a
-residual safeguard until the global semilinear residual meets its target.
+The shell solver splits the interior into contiguous equal-measure blocks.
+One sweep gives each shell in turn one Poisson solve with h = N_f of the
+current field, started from that field, which also supplies the exterior
+values; its fixed point is the semilinear solution.  The sweep is a map on
+the interior values, and its iterates are Anderson-mixed under a residual
+safeguard until the global semilinear residual meets its target.
 """
 
 from __future__ import annotations
@@ -205,7 +206,9 @@ def nemytsky_bound_check(f: Nonlinearity, u: GridFunction, r: ScalarExponent,
 class FixedPointTrace:
     """One (increment, inner EL residual) row per Picard iteration, plus the
     totals of every Poisson solve the run made: one per row, and one more
-    when a solve did not converge."""
+    when a solve did not converge.  A decomposition keeps one trace per
+    shell per sweep, for that shell's one Poisson solve: its row is the
+    sup-norm change of the shell's values and the solve's EL residual."""
 
     theta: float
     iterates: list[tuple[float, float]] = field(default_factory=list)
@@ -259,11 +262,10 @@ _MAX_SWEEPS = 200
 
 
 def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
-                      max_iter: int = 200, *, _block: _InteriorBlock | None = None,
-                      _start: GridFunction | None = None
-                      ) -> tuple[PoissonSolution, FixedPointTrace]:
+                      max_iter: int = 200) -> tuple[PoissonSolution, FixedPointTrace]:
     """Picard iteration for h = N_f(T(h)), damped by theta when needed.
 
+    Checks the growth pair (r, p) and screens the growth of f first.
     Starts from h0 = N_f applied to the datum-filled grid with the damping
     factor at its cap ``theta`` (1, undamped, by default) and halves it, down
     to ``_THETA_MIN``, whenever the increment norm grows twice in a row, for
@@ -278,36 +280,27 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
     solves' interior block forms by its own pass (``_InteriorBlock.residual``).
     Every Poisson solve of the call shares that block, since only h changes
     between them, and r' is evaluated at the interior centres once.
-
-    ``_block`` and ``_start`` are private to the package:
-    ``solve_by_decomposition`` passes the block of a shell, which it reuses
-    across sweeps, after checking the growth pair (r, p) and screening the
-    growth of f once on the whole interior, which contains the shell's.
-    Without it the call checks the pair, screens f and builds its own block.
-    From its second sweep on it also passes the current field as ``_start``:
-    then h0 = N_f(start) and the first Poisson solve starts warm from it.
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError("damping theta must lie in (0, 1]")
     if not _is_count(max_iter):
         raise ValueError("fixed-point max_iter must be a positive integer")
-    if _block is None:
-        _require_growth_pair(prob)
-        require_growth(f, prob.mesh, prob.p)
-        _block = _InteriorBlock(prob.mesh, prob.weights)
+    _require_growth_pair(prob)
+    require_growth(f, prob.mesh, prob.p)
+    block = _InteriorBlock(prob.mesh, prob.weights)
     mesh = prob.mesh
     mask = mesh.interior_mask
     rc_values = conjugate_exponent(prob.r).values(mesh.cell_centers[mask])[None]
 
-    h = nemytsky(f, initial_guess(prob) if _start is None else _start)
+    h = nemytsky(f, initial_guess(prob))
     trace = FixedPointTrace(theta=theta)
-    warm = _start
+    warm = None
 
     grew = 0
     prev_inc = np.inf
     cap = None
     for _ in range(max_iter):
-        sol = solve_poisson(prob.with_h(h), initial=warm, _block=_block)
+        sol = solve_poisson(prob.with_h(h), initial=warm, _block=block)
         trace.poisson_solves += 1
         trace.outer_iterations += sol.iterations
         trace.cg_iterations += sol.cg_iterations
@@ -326,7 +319,7 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
         if not np.isfinite(inc) or inc > cap:
             break
         if inc <= _INCREMENT_TOL:
-            trace.residual = _block.residual(warm.values, target.values)
+            trace.residual = block.residual(warm.values, target.values)
             trace.converged = trace.residual <= _RESIDUAL_TARGET
             break
         if inc > prev_inc:
@@ -392,26 +385,27 @@ def _anderson_mix(dxs: list[np.ndarray], dfs: list[np.ndarray], swept: np.ndarra
 
 
 def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
-                           prob_template: PoissonProblem, theta: float = 1.0,
-                           max_iter: int = 200) -> tuple[PoissonSolution, DecompositionReport]:
+                           prob_template: PoissonProblem
+                           ) -> tuple[PoissonSolution, DecompositionReport]:
     """Sequential shell solves with the freshest global field as exterior data.
 
-    Each sweep solves the semilinear problem (``fixed_point_solve`` with the
-    damping cap ``theta``) on every shell in turn, the previous iterate
-    supplying the exterior values.  The first sweep starts each shell from
-    the datum-filled grid; every later sweep starts it warm from the current
-    global field, whose shell values the sweep before left there.  The sweep
-    is a map x -> S(x) on the interior values, and its iterates are
-    Anderson-mixed with the last
+    Each sweep gives every shell in turn one Poisson solve on its cells: the
+    source is h = N_f of the current global field, which also supplies the
+    exterior values and the warm start, and the solution replaces the
+    shell's values in that field.  A field the sweep leaves unchanged solves
+    the semilinear problem on every shell, so the sweep's fixed point is the
+    solution.  The sweep is a map x -> S(x) on the interior values, and its
+    iterates are Anderson-mixed with the last
     ``_ANDERSON_DEPTH`` secant pairs: the mixed candidate, which changes
     interior cells only, is kept when its global semilinear residual is
     below that of the plain sweep; otherwise the plain sweep is kept and the
     history cleared.  Sweeps repeat, at most ``_MAX_SWEEPS`` times, until the
-    global residual meets ``_RESIDUAL_TARGET`` (one sweep suffices in the
-    degenerate single-shell case).  The global residual, the sup-norm of the
+    global residual meets ``_RESIDUAL_TARGET``: this is the decomposition's
+    only fixed-point iteration.  The global residual, the sup-norm of the
     energy gradient with h = N_f(u), is the max of the shells' interior
-    blocks' ``residual``: their rows partition the interior.
-    Per-shell non-convergence aborts with the shell index.
+    blocks' ``residual``: their rows partition the interior.  A shell solve
+    that does not converge raises ``DecompositionError`` with the shell
+    index and the sweep.
     """
     prob = prob_template.with_g(g)
     _require_growth_pair(prob)
@@ -427,12 +421,11 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     current = initial_guess(prob).values.copy()
     mask_all = prob.mesh.interior_mask
 
-    # one problem and one interior block per shell; each sweep only swaps the datum
+    # one problem and one interior block per shell; each solve swaps in h and the datum
     shell_probs = []
     for m in masks:
         sm = restrict_interior(prob.mesh, m)
-        shell_probs.append(replace(prob, mesh=sm, weights=replace(prob.weights, mesh=sm),
-                                   h=GridFunction.zeros(sm), g=GridFunction(sm, current)))
+        shell_probs.append(replace(prob, mesh=sm, weights=replace(prob.weights, mesh=sm)))
     blocks = [_InteriorBlock(sp.mesh, sp.weights) for sp in shell_probs]
 
     def global_residual(values):
@@ -446,14 +439,18 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     for sweep in range(1, _MAX_SWEEPS + 1):
         sweep_traces = []
         for j, (shell_prob, block) in enumerate(zip(shell_probs, blocks)):
-            datum = GridFunction(shell_prob.mesh, current)
-            # from the second sweep on, the shell starts from the field it left
-            sol_j, trace_j = fixed_point_solve(f, shell_prob.with_g(datum), theta, max_iter,
-                                               _block=block, _start=datum if sweep > 1 else None)
-            if not trace_j.converged:
-                raise DecompositionError(j, sweep, "fixed-point iteration did not converge")
-            current = sol_j.u.u.values.copy()
-            sweep_traces.append(trace_j)
+            start = GridFunction(shell_prob.mesh, current)
+            sol = solve_poisson(replace(shell_prob, h=nemytsky(f, start), g=start),
+                                initial=start, _block=block)
+            if not sol.converged:
+                raise DecompositionError(j, sweep, "Poisson solve did not converge "
+                                                   f"(EL residual {sol.el_residual:.3e})")
+            change = float(np.max(np.abs(sol.u.u.values - current)))
+            current = sol.u.u.values
+            sweep_traces.append(FixedPointTrace(
+                theta=1.0, iterates=[(change, sol.el_residual)], converged=True,
+                residual=sol.el_residual, poisson_solves=1, outer_iterations=sol.iterations,
+                cg_iterations=sol.cg_iterations, backtracks=sol.backtracks))
         report.shell_traces.append(sweep_traces)
         report.sweeps = sweep
         residual = global_residual(current)

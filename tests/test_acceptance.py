@@ -301,7 +301,7 @@ def test_criterion_11_decomposition_matches_fixed_point(report):
     g = GridFunction.zeros(mesh)
     sol_fp, trace = fixed_point_solve(f, template, theta=0.5, max_iter=200)
     assert trace.converged
-    sol_dc, rep = solve_by_decomposition(f, g, 3, template, theta=0.5)
+    sol_dc, rep = solve_by_decomposition(f, g, 3, template)
     gap = float(np.max(np.abs(sol_dc.u.u.values - sol_fp.u.u.values)))
     ok = rep.converged and gap <= 1e-4 and rep.residual <= 1e-5
     assert report(ok, "criterion-11 decomposition", sweeps=rep.sweeps,

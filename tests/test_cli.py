@@ -452,6 +452,23 @@ class TestRun:
         assert "solver.mixed_sweeps:" in report
         assert "solver.shell_2_measure:" in report
 
+    def test_decompose_ignores_the_fixedpoint_section(self, tmp_path, capsys):
+        # a decomposition has no Picard loop: the section is only schema-checked
+        cfg = minimal_poisson_config()
+        del cfg["data"]["h"]
+        cfg["nonlinearity"] = {"kind": "arctan", "params": {"eps": 0.05, "a": A_ENTRY}}
+        cfg["decompose"] = {"shells": 3}
+        code, out = run_cli(tmp_path, "decompose", cfg, name="plain.json")
+        plain = (out / "solution.csv").read_bytes()
+        (out / "solution.csv").unlink()
+        cfg["fixedpoint"] = {"theta": 0.5, "max_iter": 3}
+        code_fp, out = run_cli(tmp_path, "decompose", cfg, name="fixedpoint.json")
+        assert code == code_fp == 0
+        assert (out / "solution.csv").read_bytes() == plain
+        cfg["fixedpoint"] = {"max_iter": 0}
+        assert run_cli(tmp_path, "decompose", cfg, name="bad.json")[0] == 1
+        assert "fixedpoint.max_iter must be a positive integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode,shells", [("semilinear", None), ("decompose", 3)])
     def test_trace_rows_name_sweep_and_shell(self, tmp_path, mode, shells, monkeypatch):
         solves = []

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fpxlap import (DecompositionError, ExponentField, GridFunction, GrowthError, KernelWeights,
-                    NemytskyError, Nonlinearity, PoissonProblem, assemble_weights, build_mesh,
-                    calibrate_nemytsky_constant, energy, energy_gradient,
+                    NemytskyError, Nonlinearity, PoissonProblem, Tolerances, assemble_weights,
+                    build_mesh, calibrate_nemytsky_constant, energy, energy_gradient,
                     fixed_point_solve, gamma_exponent, growth_screen,
                     invariant_ball_radius, measure_constant, nemytsky,
                     nemytsky_bound_check, restrict_interior, shell_partition,
@@ -68,7 +68,7 @@ def p2_newton_reference(template, g, f, dfdt, c_max):
     return u, float(np.max(np.abs(shifted_inv).sum(axis=1)))
 
 
-def plain_block_gauss_seidel(f, g, shells, template, theta, target=1e-6):
+def plain_block_gauss_seidel(f, g, shells, template, target=1e-6):
     """Unmixed shell sweeps built from the public pieces: the field and the
     global residual after every sweep until the residual meets the target."""
     prob = template.with_g(g)
@@ -86,11 +86,11 @@ def plain_block_gauss_seidel(f, g, shells, template, theta, target=1e-6):
     residuals = []
     for sweep in range(200):
         for sp, block in zip(shell_probs, blocks):
-            # from the second sweep on, each shell starts from the current field
-            datum = GridFunction(sp.mesh, current)
-            sol, trace = fixed_point_solve(f, sp.with_g(datum), theta=theta, _block=block,
-                                           _start=datum if sweep else None)
-            assert trace.converged
+            # one Poisson solve per shell with h = N_f(current), started from the current field
+            start = GridFunction(sp.mesh, current)
+            sol = solve_poisson(sp.with_h(nemytsky(f, start)).with_g(start), initial=start,
+                                _block=block)
+            assert sol.converged
             current = sol.u.u.values.copy()
         # the global residual is the max over the shells' blocks, whose rows
         # partition the interior
@@ -425,15 +425,6 @@ class TestDecomposition:
         assert np.array_equal(union.astype(bool), mesh96.interior_mask)
         assert union.max() == 1  # disjoint
 
-    def test_single_shell_degenerates_to_fixed_point(self, mesh96):
-        f = arctan_nonlinearity(mesh96)
-        template = make_template(mesh96)
-        g = GridFunction.zeros(mesh96)
-        sol_fp, _ = fixed_point_solve(f, template, theta=0.5)
-        sol_dc, rep = solve_by_decomposition(f, g, 1, template, theta=0.5)
-        assert rep.converged and rep.sweeps == 1
-        assert np.allclose(sol_dc.u.u.values, sol_fp.u.u.values, atol=1e-12)
-
     def test_t_independent_matches_poisson(self, mesh96):
         mesh = mesh96
         source = np.cos(mesh.cell_centers)
@@ -443,18 +434,19 @@ class TestDecomposition:
         )
         template = make_template(mesh)
         g = GridFunction.zeros(mesh)
-        sol_dc, rep = solve_by_decomposition(f, g, 3, template, theta=0.5)
+        sol_dc, rep = solve_by_decomposition(f, g, 3, template)
         assert rep.converged
         h = grid(mesh, np.where(mesh.interior_mask, source, 0.0))
         sol_p = solve_poisson(template.with_h(h))
         assert np.max(np.abs(sol_dc.u.u.values - sol_p.u.u.values)) < 1e-6
 
-    def test_three_shells_match_fixed_point(self, mesh96):
+    @pytest.mark.parametrize("shells", [1, 3])
+    def test_three_shells_match_fixed_point(self, mesh96, shells):
         f = arctan_nonlinearity(mesh96)
         template = make_template(mesh96)
         g = GridFunction.zeros(mesh96)
         sol_fp, _ = fixed_point_solve(f, template, theta=0.5)
-        sol_dc, rep = solve_by_decomposition(f, g, 3, template, theta=0.5)
+        sol_dc, rep = solve_by_decomposition(f, g, shells, template)
         assert rep.converged
         assert rep.residual <= 1e-5
         assert np.max(np.abs(sol_dc.u.u.values - sol_fp.u.u.values)) < 1e-4
@@ -476,7 +468,7 @@ class TestDecomposition:
 
         monkeypatch.setattr(poisson_module, "validate_growth_pair", counting)
         monkeypatch.setattr(semilinear_module, "growth_screen", counting_screen)
-        _, rep = solve_by_decomposition(f, GridFunction.zeros(mesh96), 3, template, theta=0.5)
+        _, rep = solve_by_decomposition(f, GridFunction.zeros(mesh96), 3, template)
         assert rep.converged and rep.sweeps > 1
         assert len(calls) == 1
         # the whole interior is screened once; the shells lie inside it
@@ -498,8 +490,7 @@ class TestDecomposition:
                                               eps)
         assert np.max(np.abs(sol.u.u.values[inner] - u_ref)) <= inv_norm * 1e-6
 
-    @pytest.mark.parametrize("theta", [1.0, 0.5])
-    def test_rejected_candidates_leave_plain_sweeps(self, mesh96, monkeypatch, theta):
+    def test_rejected_candidates_leave_plain_sweeps(self, mesh96, monkeypatch):
         # every candidate is pushed far off, so the residual safeguard must
         # reject it, clear the history and keep the plain sweep bit for bit
         histories = []
@@ -511,8 +502,8 @@ class TestDecomposition:
         monkeypatch.setattr(semilinear_module, "_anderson_mix", poisoned)
         f, template = arctan_nonlinearity(mesh96), make_template(mesh96)
         g = exterior_gaussian(mesh96)
-        sol, rep = solve_by_decomposition(f, g, 3, template, theta=theta)
-        plain, residuals = plain_block_gauss_seidel(f, g, 3, template, theta)
+        sol, rep = solve_by_decomposition(f, g, 3, template)
+        plain, residuals = plain_block_gauss_seidel(f, g, 3, template)
         assert rep.converged and rep.mixed_sweeps == 0
         assert rep.sweeps == len(residuals) > 2
         assert rep.residuals == residuals
@@ -540,36 +531,66 @@ class TestDecomposition:
         grad = energy_gradient(sol.u, template.with_h(nemytsky(f, sol.u.u))).values
         assert np.max(np.abs(grad)) <= 1e-6
 
-    def test_later_sweeps_start_each_shell_warm(self, mesh96, monkeypatch):
-        starts = []
+    def test_each_sweep_solves_each_shell_once_from_the_current_field(self, mesh96,
+                                                                      monkeypatch):
+        solves = []
         original = semilinear_module.solve_poisson
 
         def recording(prob, initial=None, **kwargs):
-            starts.append(initial)
-            return original(prob, initial=initial, **kwargs)
+            sol = original(prob, initial=initial, **kwargs)
+            solves.append((prob, initial, sol))
+            return sol
 
         monkeypatch.setattr(semilinear_module, "solve_poisson", recording)
         f, template = arctan_nonlinearity(mesh96), make_template(mesh96)
-        sol, rep = solve_by_decomposition(f, exterior_gaussian(mesh96), 3, template)
+        g = exterior_gaussian(mesh96)
+        _, rep = solve_by_decomposition(f, g, 3, template)
         assert rep.converged and rep.sweeps >= 3
-        # each shell's first Poisson solve: cold in the first sweep, warm after
-        k = 0
-        for sweep, traces in enumerate(rep.shell_traces, start=1):
-            for trace in traces:
-                assert (starts[k] is None) == (sweep == 1)
-                k += trace.poisson_solves
-        assert k == len(starts)
-        picard = [sum(len(t.iterates) for t in traces) for traces in rep.shell_traces]
-        assert picard[-1] < picard[0]
+        assert len(solves) == 3 * rep.sweeps == len(sum(rep.shell_traces, []))
+        start = poisson_module.initial_guess(template.with_g(g)).values
+        for k, (prob, initial, shell_sol) in enumerate(solves):
+            # the current field is the start, the exterior datum and, through
+            # N_f, the source of the shell's one solve
+            assert initial is not None and initial.mesh is prob.mesh
+            assert np.array_equal(prob.g.values, initial.values)
+            assert np.array_equal(prob.h.values, nemytsky(f, initial).values)
+            if k == 0:
+                assert np.array_equal(initial.values, start)
+            elif k % 3:  # later shells of a sweep start from the shell before's solution
+                assert np.array_equal(initial.values, solves[k - 1][2].u.u.values)
+            trace = rep.shell_traces[k // 3][k % 3]
+            change = float(np.max(np.abs(shell_sol.u.u.values - initial.values)))
+            assert trace.iterates == [(change, shell_sol.el_residual)]
+            assert (trace.poisson_solves, trace.outer_iterations) == (1, shell_sol.iterations)
+
+    def test_failing_shell_solve_raises(self, mesh96):
+        template = replace(make_template(mesh96, p=const_pair(1.5, 0.4)),
+                           tolerances=Tolerances(max_iter=1))
+        with pytest.raises(DecompositionError,
+                           match=r"^shell 0 \(sweep 1\): Poisson solve did not converge "
+                                 r"\(EL residual [0-9.]+e[-+][0-9]+\)$") as excinfo:
+            solve_by_decomposition(arctan_nonlinearity(mesh96), GridFunction.zeros(mesh96), 3,
+                                   template)
+        assert (excinfo.value.shell, excinfo.value.sweep) == (0, 1)
+
+    def test_bump_case_with_seven_shells_converges(self):
+        # a Picard loop inside each shell stalls here in a warm inner solve just
+        # above its tolerance (ROADMAP item 1); one solve per shell per sweep does not
+        mesh = build_mesh(2.0, 384, [(-1.0, 1.0)])
+        p = pair_exponent("gauss_bump", {"base": 2.0, "amplitude": -0.5, "width": 1.0},
+                          s=0.4, R=2.0)
+        template = make_template(mesh, p=p, r_value=2.6)
+        f = nonlinearity("arctan", {"eps": 0.05, "a": {
+            "kind": "gaussian", "params": {"amplitude": 0.5, "center": 0.0, "width": 0.7}}},
+            mesh, p)
+        sol, rep = solve_by_decomposition(f, GridFunction.zeros(mesh), 7, template)
+        assert rep.converged
+        grad = energy_gradient(sol.u, template.with_h(nemytsky(f, sol.u.u))).values
+        assert np.max(np.abs(grad)) <= 1e-6
 
     def test_too_many_shells_rejected(self, mesh16):
         with pytest.raises(ValueError):
             shell_partition(mesh16, 100)
-
-    def test_fractional_max_iter_rejected(self, mesh96):
-        with pytest.raises(ValueError, match="max_iter must be a positive integer"):
-            solve_by_decomposition(arctan_nonlinearity(mesh96), GridFunction.zeros(mesh96), 3,
-                                   make_template(mesh96), max_iter=2.5)
 
 
 BLOCK_RESIDUAL_EXPONENTS = {
