@@ -22,7 +22,8 @@ from .exponents import validate_exponent_field, validate_growth_pair
 from .lebesgue import GridFunction
 from .mesh_kernel import Mesh, assemble_weights, build_mesh
 from .poisson import PoissonProblem, Tolerances, _is_count, solve_poisson
-from .semilinear import fixed_point_solve, growth_screen, solve_by_decomposition
+from .semilinear import (DecompositionError, fixed_point_solve, growth_screen,
+                         solve_by_decomposition)
 from .suites import run_suites
 
 MODES = ("validate", "poisson", "semilinear", "decompose", "verify")
@@ -302,7 +303,15 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
         _report_poisson_work(report, [trace])
         return 0 if trace.converged else 2
 
-    sol, rep = solve_by_decomposition(f, g, cfg.raw["decompose"]["shells"], prob)
+    try:
+        sol, rep = solve_by_decomposition(f, g, cfg.raw["decompose"]["shells"], prob)
+    except DecompositionError as exc:
+        # a shell solve failed mid-sweep: no field is certified, so only the report is written
+        report.add("solver.converged", False)
+        report.add("solver.failed_shell", exc.shell)
+        report.add("solver.failed_sweep", exc.sweep)
+        report.add("solver.failure", exc.message)
+        return 2
     write_solution_csv(out / "solution.csv", mesh, sol.u.u.values)
     write_trace_csv(out / "trace.csv", rep.shell_traces)
     report.add("solver.converged", rep.converged)

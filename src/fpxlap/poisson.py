@@ -132,23 +132,31 @@ def initial_guess(prob: PoissonProblem) -> GridFunction:
     return GridFunction(prob.mesh, vals)
 
 
-# d^2 is raised to at least this, so an exact tie d = 0 gives weight and flux 0, not 0/0
-_TINY = np.finfo(float).tiny
+# |d| is raised to at least this, so an exact tie d = 0 gives a finite weight
+# w |d|^{p-2} and flux 0, not inf and 0 * inf; every model floor is larger
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 # consecutive interior unknowns per diagonal block of the CG preconditioner
 _PCG_BLOCK = 32
 # first model floor, relative to the field's spread; a warm start scales it
 # by its first residual over the load, min(1, r_0 / |dx h|_inf)
 _FLOOR_START = 0.3
+# the least factor by which floor_rel shrinks per accepted step
+_FLOOR_DECAY = 0.1
 
 
-def _floor_weights(k: np.ndarray, a: np.ndarray, w: np.ndarray, p, floor: float) -> None:
+def _floor_weights(k: np.ndarray, a: np.ndarray, w: np.ndarray, p, floor: float,
+                   t: np.ndarray) -> None:
     """k = w |d|^{p-2} (a = |d|) becomes w max(|d|, floor)^{p-2} in place.
 
     Only the entries below the floor get a power of their own; p is a float
-    or an array shaped like k.
+    or an array shaped like k, and t is scratch of that shape.
     """
-    small = a < floor
-    k[small] = w[small] * floor ** ((p if np.isscalar(p) else p[small]) - 2.0)
+    small = np.less(a, floor)
+    if np.isscalar(p):
+        np.multiply(w, floor ** (p - 2.0), out=k, where=small)
+    else:
+        np.power(floor, np.subtract(p, 2.0, out=t, where=small), out=t, where=small)
+        np.multiply(w, t, out=k, where=small)
 
 
 def _block_inverses(A: np.ndarray) -> np.ndarray:
@@ -222,10 +230,11 @@ class _InteriorBlock:
 
     Each block keeps its weights, gathered and doubled (each pair enters
     the energy and the gradient twice), its exponents when p varies and,
-    away from uniform p = 2, the |d| and 2 w |d|^{p-2} of the last
-    evaluated point, which the model pass floors into the model Hessian's
-    upper blocks.  The last evaluated point is always the accepted one when
-    a model is built, since a trial is either accepted or followed by another.
+    away from uniform p = 2, the max(|d|, sqrt(tiny)) and 2 w |d|^{p-2} of
+    the last evaluated point, which the model pass floors into the model
+    Hessian's upper blocks.  The last evaluated point is always the accepted
+    one when a model is built, since a trial is either accepted or followed
+    by another.
 
     A p = 2 block also holds the model Hessian; once reused for a second
     solve it factors that Hessian once and takes every later direction by
@@ -288,10 +297,14 @@ class _InteriorBlock:
         """Energy of the blocks' pairs and tails at the field v; their gradient
         is added into flux.
 
-        One pass over each block forms d and |d|^p once and sums the energy,
-        the gradient's row sums minus its antisymmetric column sums, and away
-        from uniform p = 2 leaves |d| and w |d|^{p-2} = w |d|^p / d^2 in the
-        block's buffers.
+        One pass over each block forms d and, away from uniform p = 2, one
+        power per pair: the lagged weight k = w a^{p-2} of a = max(|d|,
+        sqrt(tiny)), the flux k d and the energy terms k d^2 / p.  It sums the
+        energy and the gradient's row sums minus its antisymmetric column
+        sums, and leaves a and k in the block's buffers.  a is clamped only
+        where |d| < sqrt(tiny) (about 1.5e-154), in practice at exact ties:
+        there the flux and the energy term are 0 or far below rounding, and
+        every model floor lies above the clamp.
         """
         quadratic, variable = self.quadratic, self.p_const is None
         self._values[:-1] = v[self.cols]
@@ -303,16 +316,13 @@ class _InteriorBlock:
                 total += np.vdot(t, d)
             else:
                 np.abs(d, out=a)
-                np.power(a, p, out=k)
-                if variable:
-                    total += np.vdot(w, np.divide(k, p, out=t))
-                else:
-                    total += np.vdot(w, k)
-                np.multiply(d, d, out=t)
-                np.maximum(t, _TINY, out=t)
-                np.divide(k, t, out=k)
+                np.maximum(a, _SQRT_TINY, out=a)
+                np.power(a, np.subtract(p, 2.0, out=k) if variable else p - 2.0, out=k)
                 k *= w
-                np.multiply(k, d, out=t)
+                np.multiply(k, d, out=t)  # the flux
+                if variable:
+                    np.divide(d, p, out=d)  # d is not read again
+                total += np.vdot(t, d)
             flux[i0:i1] += t @ ones_c
             flux[i0:] -= ones_r @ core
         return float(total) if variable else float(total) / self.p_const
@@ -364,7 +374,7 @@ class _InteriorBlock:
         variable = self.p_const is None
         kept = []
         for _, _, w, p, a, k, _, t, *_ in self.blocks:
-            _floor_weights(k, a, w, p, floor_pair)
+            _floor_weights(k, a, w, p, floor_pair, t)
             # the tail column's floor is the larger one: one power per row
             p_tail = p[:, -1] if variable else p
             k[:, -1] = w[:, -1] * np.maximum(a[:, -1], floor_tail) ** (p_tail - 2.0)
@@ -471,8 +481,8 @@ class _InteriorBlock:
                 # no certified progress left at machine precision
                 break
             prev_residual, residual = residual, float(np.max(np.abs(grad)))
-            # the floor shrinks with the residual (IRLS), at least by half per step
-            floor_rel = max(min(0.5 * floor_rel, _FLOOR_START * residual / first_residual), 1e-14)
+            # the floor shrinks with the residual (IRLS), at least tenfold per step
+            floor_rel = max(min(_FLOOR_DECAY * floor_rel, _FLOOR_START * residual / first_residual), 1e-14)
 
         u = DirichletPair(u=GridFunction(mesh, vals), g=prob.g)
         return PoissonSolution(
@@ -492,10 +502,12 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
     """Minimize the energy over the interior unknowns.
 
     Each trial point costs one pass over the interior-row blocks of
-    ``_InteriorBlock``: it forms d and |d|^p once per pair and adds up the
-    energy, the gradient (row sums minus the antisymmetric column sums of
-    the fluxes w |d|^p / d) and the lagged weights w |d|^p / d^2, which the
-    block keeps with |d| for the model.
+    ``_InteriorBlock``: it takes one power per pair, the lagged weight
+    w |d|^{p-2} (|d| raised to at least sqrt(tiny), so that a tie gets a
+    finite weight), and from it the flux w |d|^{p-2} d and the energy term
+    w |d|^{p-2} d^2 / p, with no division by d.  It adds up the energy and
+    the gradient (row sums minus the antisymmetric column sums of the
+    fluxes), and the block keeps the weights with |d| for the model.
 
     Each iteration builds the weighted-graph-Laplacian model of the energy
     with lagged pair weights max(p-1,1) w max(|u_i-u_j|, floor)^{p-2}: a
@@ -507,10 +519,12 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
     given as ``initial`` begins at min(0.3, 0.3 r_0 / |dx h|_inf) (0.3 when
     h = 0), so a start near the answer is not re-floored as a cold one.  After
     each accepted step floor_rel becomes
-    max(min(floor_rel / 2, 0.3 r_k / r_0), 1e-14), with r_k the gradient
+    max(min(floor_rel / 10, 0.3 r_k / r_0), 1e-14), with r_k the gradient
     sup-norm and r_0 the call's first one: it shrinks with the residual
-    (Daubechies, DeVore, Fornasier & Gunturk 2010) and at least halves per
-    iteration, so p >= 2 soon gets the true Newton weights.  The model is
+    (Daubechies, DeVore, Fornasier & Gunturk 2010) and at least tenfold per
+    iteration (``_FLOOR_DECAY``), so p >= 2 soon gets the true Newton
+    weights, and for p < 2, whose count the floor sets, it reaches the
+    answer's scale in fewer iterations.  The model is
     solved by conjugate gradients preconditioned with the inverses of its
     diagonal blocks of ``_PCG_BLOCK`` consecutive interior unknowns (block
     Jacobi; an interior that fits one block takes one CG step), and the

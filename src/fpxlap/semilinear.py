@@ -42,6 +42,7 @@ class DecompositionError(RuntimeError):
         super().__init__(f"shell {shell} (sweep {sweep}): {message}")
         self.shell = shell
         self.sweep = sweep
+        self.message = message
 
 
 @dataclass(frozen=True)

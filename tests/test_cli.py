@@ -452,6 +452,29 @@ class TestRun:
         assert "solver.mixed_sweeps:" in report
         assert "solver.shell_2_measure:" in report
 
+    def test_failing_shell_solve_exits_two_with_a_report(self, tmp_path, capsys):
+        cfg = minimal_poisson_config()
+        del cfg["data"]["h"]
+        cfg["mesh"]["n_cells"] = 96
+        cfg["exponent"] = {"kind": "constant", "params": {"value": 1.5}}
+        cfg["growth"] = {"r": {"kind": "constant", "params": {"value": 2.2}}}
+        cfg["nonlinearity"] = {"kind": "arctan", "params": {"eps": 0.05, "a": A_ENTRY}}
+        cfg["decompose"] = {"shells": 3}
+        cfg["tolerances"] = {"max_iter": 1}
+        code, out = run_cli(tmp_path, "decompose", cfg)
+        assert code == 2
+        assert capsys.readouterr().err == ""
+        report = (out / "report").read_text().splitlines()
+        assert "solver.converged: False" in report
+        assert "solver.failed_shell: 0" in report
+        assert "solver.failed_sweep: 1" in report
+        failure = [line for line in report if line.startswith("solver.failure: ")]
+        assert len(failure) == 1
+        assert failure[0].startswith("solver.failure: Poisson solve did not converge (EL residual ")
+        assert report[-1].startswith("wallclock_seconds: ")
+        # no field is certified, so none is written
+        assert sorted(f.name for f in out.iterdir()) == ["report"]
+
     def test_decompose_ignores_the_fixedpoint_section(self, tmp_path, capsys):
         # a decomposition has no Picard loop: the section is only schema-checked
         cfg = minimal_poisson_config()

@@ -496,7 +496,8 @@ class TestInteriorBlockSolver:
 def _study_problem(kind, n):
     """The scaling problem of scripts/bench_layers.py's solve_poisson entries:
     box [-2, 2], Omega = (-1, 1), s = 0.3, h = 1 + sin 3x, g = 0.2 cos x."""
-    exponent, params = {"p1_5": ("constant", {"value": 1.5}),
+    exponent, params = {"p1_3": ("constant", {"value": 1.3}),
+                        "p1_5": ("constant", {"value": 1.5}),
                         "p2": ("constant", {"value": 2.0}),
                         "p3": ("constant", {"value": 3.0}),
                         "gauss_bump": ("gauss_bump", {"base": 2.0, "amplitude": 0.5, "width": 1.0}),
@@ -515,7 +516,8 @@ OMEGAS = {"one": [(-1.0, 1.0)], "three": [(-1.7, -1.1), (-0.6, 0.2), (0.7, 1.5)]
 
 def _oracle_problem(kind, omega, rng):
     mesh = build_mesh(2.0, 64, OMEGAS[omega])
-    p, r_value = {"p1_5": (const_pair(1.5, 0.5), 2.2),
+    p, r_value = {"p1_1": (const_pair(1.1, 0.5), 1.6),
+                  "p1_5": (const_pair(1.5, 0.5), 2.2),
                   "p2": (const_pair(2.0, 0.4), 3.0),
                   "p3": (const_pair(3.0, 0.28), 4.0),
                   "gauss_bump": (bump_pair(2.0, 0.5, s=0.25), 3.2),
@@ -548,7 +550,8 @@ def _dense_model_hessian(prob, v, floor_pair, floor_tail):
 
 
 class TestModelFloor:
-    @pytest.mark.parametrize("kind", ("p1_5", "p2", "p3", "gauss_bump", "affine"))
+    # p = 1.1: the most negative p - 2, where an exact tie's weight is the largest
+    @pytest.mark.parametrize("kind", ("p1_1", "p1_5", "p2", "p3", "gauss_bump", "affine"))
     @pytest.mark.parametrize("omega", tuple(OMEGAS))
     @pytest.mark.parametrize("block_pairs", (None, 700, 1))
     def test_block_pass_matches_dense_reference(self, kind, omega, block_pairs, rng, monkeypatch):
@@ -582,6 +585,7 @@ class TestModelFloor:
             grad = np.zeros(rows.size)
             e = block._pass(v, grad) - source @ v[rows]
             grad -= source
+            assert np.isfinite(e) and np.all(np.isfinite(grad))
             assert e == pytest.approx(energy(u, prob), rel=1e-13, abs=0.0)
             assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
             floor_pair, floor_tail = float(np.quantile(diff, q)), float(np.quantile(x, q))
@@ -591,17 +595,30 @@ class TestModelFloor:
             else:
                 hess = block._model_hessian(floor_pair, floor_tail)
             ref = _dense_model_hessian(prob, v, floor_pair, floor_tail)
+            assert np.all(np.isfinite(hess))
             np.testing.assert_allclose(hess, ref, rtol=1e-13, atol=0.0)
 
     # outer iterations at n = 256 with the residual-tied floor, and with the
     # earlier floor that only halved once per iteration
     @pytest.mark.parametrize("kind,iterations,halving_floor",
-                             (("p3", 7, 10), ("gauss_bump", 6, 11), ("affine", 10, 11)))
+                             (("p3", 7, 10), ("gauss_bump", 5, 11), ("affine", 10, 11)))
     def test_residual_tied_floor_cuts_outer_iterations(self, kind, iterations, halving_floor):
         prob = _study_problem(kind, 256)
         sol = solve_poisson(prob)
         assert sol.converged
         assert sol.iterations == iterations < halving_floor
+        grad = energy_gradient(sol.u, prob).values
+        assert np.max(np.abs(grad)) <= prob.tolerances.el_residual
+
+    # outer iterations at n = 256 for p < 2, whose floor falls by the least
+    # decay per step (x0.1), and with a decay of x0.5
+    @pytest.mark.parametrize("kind,iterations,halving_decay", (("p1_3", 45, 62), ("p1_5", 23, 25)))
+    def test_tenfold_floor_decay_cuts_outer_iterations(self, kind, iterations, halving_decay):
+        assert poisson_module._FLOOR_DECAY == 0.1
+        prob = _study_problem(kind, 256)
+        sol = solve_poisson(prob)
+        assert sol.converged
+        assert sol.iterations == iterations < halving_decay
         grad = energy_gradient(sol.u, prob).values
         assert np.max(np.abs(grad)) <= prob.tolerances.el_residual
 
