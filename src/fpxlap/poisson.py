@@ -221,7 +221,9 @@ class _InteriorBlock:
 
     Columns are ordered [interior | exterior | tail] (``mesh_kernel._layout``
     and one more): the tail of row i is a column of weight dx tail_i,
-    exponent pbar_i and value 0.  In
+    exponent pbar_i and value 0, and the pass, the gradient and the model
+    treat it as any other column, so the far field beyond the box reaches
+    the solver only through it.  In
     this order row i holds the columns from column i on, and ``_row_blocks``
     cuts the interior rows into blocks: the block of rows [i0, i1) holds the
     columns from i0 on, with weight 0 below the diagonal of its own square,
@@ -231,8 +233,8 @@ class _InteriorBlock:
     Each block keeps its weights, gathered and doubled (each pair enters
     the energy and the gradient twice), its exponents when p varies and,
     away from uniform p = 2, the max(|d|, sqrt(tiny)) and 2 w |d|^{p-2} of
-    the last evaluated point, which the model pass floors into the model
-    Hessian's upper blocks.  The last evaluated point is always the accepted
+    the last evaluated point, which the model pass floors, every column by
+    one floor, into the model Hessian's upper blocks.  The last evaluated point is always the accepted
     one when a model is built, since a trial is either accepted or followed
     by another.
 
@@ -367,17 +369,14 @@ class _InteriorBlock:
                                              np.empty((self.m, self.m)))
         return self._hessian
 
-    def _model_hessian(self, floor_pair: float, floor_tail: float) -> np.ndarray:
+    def _model_hessian(self, floor: float) -> np.ndarray:
         """The lagged model's Hessian at the last evaluated point: its kept
-        w |d|^{p-2} floored to w max(|d|, floor)^{p-2} (the tail column with
-        its own floor) and scaled by max(p-1, 1)."""
+        w |d|^{p-2}, the far-field column's with the pairs', floored to
+        w max(|d|, floor)^{p-2} and scaled by max(p-1, 1)."""
         variable = self.p_const is None
         kept = []
         for _, _, w, p, a, k, _, t, *_ in self.blocks:
-            _floor_weights(k, a, w, p, floor_pair, t)
-            # the tail column's floor is the larger one: one power per row
-            p_tail = p[:, -1] if variable else p
-            k[:, -1] = w[:, -1] * np.maximum(a[:, -1], floor_tail) ** (p_tail - 2.0)
+            _floor_weights(k, a, w, p, floor, t)
             if variable:
                 np.subtract(p, 1.0, out=t)
                 k *= np.maximum(t, 1.0, out=t)
@@ -410,14 +409,12 @@ class _InteriorBlock:
             if factored:
                 return self._factor_direction(grad), 0
             dmax = float(v.max() - v.min())
-            scale = max(float(np.abs(v).max()), dmax)
-            if quadratic or scale == 0.0 or dmax == 0.0:
+            if quadratic or dmax == 0.0:
                 # constant field: every pair weight degenerates, use the quadratic model
                 return _pcg(self._quadratic_hessian(), -grad, rtol)
-            floor_pair = max(1e-13 * scale, floor_rel * dmax)
-            floor_tail = max(1e-13 * scale, floor_rel * scale)
+            floor = max(1e-13 * max(float(np.abs(v).max()), dmax), floor_rel * dmax)
             # the last evaluated point is the accepted one: its kept blocks give the weights
-            return _pcg(self._model_hessian(floor_pair, floor_tail), -grad, rtol)
+            return _pcg(self._model_hessian(floor), -grad, rtol)
 
         e_now, grad = self._evaluate(vals, source)
         if not np.isfinite(e_now):
@@ -511,11 +508,12 @@ def solve_poisson(prob: PoissonProblem, initial: GridFunction | None = None, *,
 
     Each iteration builds the weighted-graph-Laplacian model of the energy
     with lagged pair weights max(p-1,1) w max(|u_i-u_j|, floor)^{p-2}: a
-    second, short pass over the kept blocks floors them (only pairs below
-    the floor get a power of their own, and each tail one), then writes the
-    model Hessian's upper blocks and mirrors them.  The floor is
-    floor_rel times the field's spread (for the tails, the larger of its sup
-    and its spread).  floor_rel starts at 0.3 for a cold start; a start
+    second, short pass over the kept blocks floors them (only the entries
+    below the floor get a power of their own; the far-field tail column is
+    floored like every pair), then writes the model Hessian's upper blocks
+    and mirrors them.  The floor is floor_rel times the field's spread, and
+    at least 1e-13 times the larger of its sup and its spread.  floor_rel
+    starts at 0.3 for a cold start; a start
     given as ``initial`` begins at min(0.3, 0.3 r_0 / |dx h|_inf) (0.3 when
     h = 0), so a start near the answer is not re-floored as a cold one.  After
     each accepted step floor_rel becomes

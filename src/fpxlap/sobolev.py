@@ -82,12 +82,9 @@ def _pair_sum(vals: np.ndarray, W: KernelWeights, variant: str, over_p: bool = F
     variant's unordered pairs."""
     total, p_const = 0.0, W.p_const
     for i0, i1, w, p, (d,), _ in _pair_blocks(W, variant, [vals], 0):
-        if p_const == 2.0:
-            d *= d
-        else:
-            np.power(np.abs(d, out=d), p, out=d)
-            if over_p and p_const is None:
-                d /= p
+        np.power(np.abs(d, out=d), p, out=d)
+        if over_p and p_const is None:
+            d /= p
         d *= w
         total += _twice_upper(d, i1 - i0)
     return total / p_const if over_p and p_const is not None else total
@@ -156,41 +153,38 @@ def apply_operator(u: GridFunction, W: KernelWeights) -> np.ndarray:
     (operator u)_i = (1/dx) sum_{j != i} w_ij |u_i-u_j|^{p_ij-2}(u_i-u_j)
                      + tail_i |u_i|^{pbar_i-2} u_i,
 
-    with each flux |d|^p / d (0 at d = 0; d and u at uniform p = 2) formed
-    once per pair in the 'rn' blocks: row sums minus the antisymmetric
-    column sums.  The self-cell term vanishes identically for piecewise
+    with each flux |d|^p / d (0 at d = 0) formed once per pair in the 'rn'
+    blocks, at every exponent: row sums minus the antisymmetric column
+    sums.  The self-cell term vanishes identically for piecewise
     constants, the discrete principal-value cancellation.
     """
-    vals, p_const = u.values, W.p_const
+    vals = u.values
     out, ones = np.zeros(vals.size), np.ones(vals.size)
     for i0, i1, w, p, (d,), (t,) in _pair_blocks(W, "rn", [vals], 1):
-        if p_const != 2.0:
-            np.divide(np.power(np.abs(d, out=t), p, out=t), d, out=d, where=d != 0.0)
+        np.divide(np.power(np.abs(d, out=t), p, out=t), d, out=d, where=d != 0.0)
         d *= w
         out[i0:i1] += d @ ones[i0:]
         out[i1:] -= ones[i0:i1] @ d[:, i1 - i0:]
-    tail_flux = vals if p_const == 2.0 else np.divide(np.abs(vals) ** W.p_bar, vals, out=np.zeros(
-        vals.size), where=vals != 0.0)
+    tail_flux = np.divide(np.abs(vals) ** W.p_bar, vals, out=np.zeros(vals.size), where=vals != 0.0)
     return out / W.mesh.cell_width + W.tail * tail_flux
 
 
 def weak_form(u: GridFunction, phi: GridFunction, W: KernelWeights) -> float:
     """<L(u), phi> including the exterior tail pairing.
 
-    Its own formula sign(d) |d|^{p-1} (d itself at uniform p = 2) in its own
-    pass, apart from the operator's |d|^p / d: the independent side of the
+    Its own formula sign(d) |d|^{p-1}, at every exponent, in its own pass,
+    apart from the operator's |d|^p / d: the independent side of the
     identity <L(u), phi> = 2 dx sum phi (operator u).
     """
     p_const = W.p_const
     total = 0.0
     for i0, i1, w, p, (du, dphi), (t, e) in _pair_blocks(W, "rn", [u.values, phi.values], 2):
-        if p_const != 2.0:
-            pm1 = np.subtract(p, 1.0, out=e) if p_const is None else p_const - 1.0
-            np.power(np.abs(du, out=t), pm1, out=t)
-            np.multiply(np.sign(du, out=du), t, out=du)
+        pm1 = np.subtract(p, 1.0, out=e) if p_const is None else p_const - 1.0
+        np.power(np.abs(du, out=t), pm1, out=t)
+        np.multiply(np.sign(du, out=du), t, out=du)
         du *= dphi
         du *= w
         total += _twice_upper(du, i1 - i0)
     vals = u.values
-    tail_flux = vals if p_const == 2.0 else np.sign(vals) * np.abs(vals) ** (W.p_bar - 1.0)
+    tail_flux = np.sign(vals) * np.abs(vals) ** (W.p_bar - 1.0)
     return total + 2.0 * W.mesh.cell_width * float(np.sum(W.tail * tail_flux * phi.values))

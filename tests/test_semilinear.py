@@ -378,6 +378,32 @@ class TestFixedPoint:
         assert trace.theta == 1.0
         assert len(trace.iterates) <= 6
 
+    def test_failed_poisson_solve_ends_the_run(self, mesh96):
+        template = replace(make_template(mesh96, p=const_pair(1.5, 0.4)),
+                           tolerances=Tolerances(max_iter=1))
+        f = arctan_nonlinearity(mesh96)
+        sol, trace = fixed_point_solve(f, template)
+        assert not sol.converged and sol.iterations == 1
+        assert not trace.converged and trace.poisson_solves == 1 and trace.iterates == []
+        h0 = nemytsky(f, poisson_module.initial_guess(template)).values
+        assert np.array_equal(trace.h_star.values, h0)
+
+    def test_runaway_increment_ends_the_run(self, mesh16):
+        # f = a + c t with c far above the first eigenvalue: the second
+        # increment passes 1e12 times the first.  Data and tolerance are
+        # scaled down so that both Poisson solves still converge, and the
+        # run ends on the runaway increment, not on a failed solve.
+        a, c = 6e-14, 2e14
+        f = Nonlinearity(evaluator=lambda x, t: a + c * np.asarray(t) + 0.0 * np.asarray(x),
+                         a=const_a(mesh16, a), c_growth=c)
+        template = replace(make_template(mesh16), tolerances=Tolerances(el_residual=1e-14))
+        sol, trace = fixed_point_solve(f, template)
+        assert sol.converged and not trace.converged
+        assert trace.poisson_solves == len(trace.iterates) == 2
+        first, last = trace.iterates[0][0], trace.iterates[-1][0]
+        assert np.isfinite(last) and last > 1e12 * max(1.0, first)
+        assert trace.theta == 1.0 and trace.residual == np.inf
+
     def test_oscillation_reduces_damping(self, mesh64):
         # strong negative feedback makes the undamped map oscillate, so the
         # solver must either shrink theta or report failure
@@ -510,6 +536,30 @@ class TestDecomposition:
         assert np.array_equal(sol.u.u.values, plain)
         # a rejection clears the history: each later candidate uses one pair
         assert histories[0] == 0 and set(histories[1:]) == {1}
+
+    def test_candidate_where_f_is_not_finite_leaves_plain_sweeps(self, mesh96, monkeypatch):
+        # f passes the growth screen (|t| <= 1e3) but is not finite beyond
+        # it, and every candidate is pushed there: the sweep must keep the
+        # plain field, uncounted, and the run still converge
+        beyond = []
+
+        def evaluator(x, t):
+            t = np.asarray(t)
+            if np.any(np.abs(t) > 1e3):
+                beyond.append(t.size)
+            return np.where(np.abs(t) > 1e3, np.nan,
+                            0.5 * np.exp(-2.0 * np.asarray(x) ** 2) + 0.1 + 0.05 * np.arctan(t))
+
+        monkeypatch.setattr(semilinear_module, "_anderson_mix",
+                            lambda dxs, dfs, swept, res: swept + 1e4 if dfs else None)
+        f = Nonlinearity(evaluator=evaluator, a=const_a(mesh96, 0.6), c_growth=0.05)
+        template, g = make_template(mesh96), exterior_gaussian(mesh96)
+        sol, rep = solve_by_decomposition(f, g, 3, template)
+        assert beyond
+        plain, residuals = plain_block_gauss_seidel(f, g, 3, template)
+        assert rep.converged and rep.mixed_sweeps == 0
+        assert rep.residuals == residuals
+        assert np.array_equal(sol.u.u.values, plain)
 
     def test_plain_sweeps_converge_with_variable_exponent(self, monkeypatch):
         # the perfbench variable_shells case without Anderson mixing: plain
