@@ -195,6 +195,8 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     as the transpose, so ``w`` is exactly symmetric; with the grouping
     (phi(r-l) + phi(l-r)) - (phi(r-r) + phi(l-l)) every weight of an
     exactly symmetric exponent equals the full-matrix formula bit for bit.
+    The cell edges are -R + k dx, k = 0..n, so adjacent cells share one
+    float edge and their touching term is phi(0) = 0 exactly.
     A constant exponent, declared by p_minus == p_plus, is stored as a
     read-only ``np.broadcast_to`` of its value without sampling p on cell
     pairs; its trace p(x,x), which the tails read, must equal that value.
@@ -219,9 +221,8 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
             "the piecewise-constant discretization requires s*p+ < 1"
         )
 
-    half = mesh.cell_width / 2.0
-    left = centers - half
-    right = centers + half
+    edges = -mesh.R + mesh.cell_width * np.arange(n + 1)
+    left, right = edges[:-1], edges[1:]
     w = np.empty((n, n))
     spans = list(_row_blocks(n, n))
     # two blocks' room at least: freeing it raises glibc's mmap threshold past the

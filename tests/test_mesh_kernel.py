@@ -209,8 +209,6 @@ class TestBlockAssembly:
             tracemalloc.stop()
         assert peak <= 3.5 * 8 * n * n
 
-    @pytest.mark.xfail(strict=True, reason="fl(right_i - left_(i+1)) is a few ulps, not 0, and "
-                                           "phi(eps) = eps^0.2 / c is not negligible")
     def test_adjacent_weights_equal_closed_form(self):
         # adjacent cells of width h: phi(0) + phi(2h) - 2 phi(h) with phi(0) = 0
         mesh = build_mesh(2.0, 96, [(-1.0, 1.0)])

@@ -64,8 +64,8 @@ def reference_weights(mesh, p):
     def phi(t):
         return np.abs(t) ** (2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
 
-    half = mesh.cell_width / 2.0
-    left, right = centers - half, centers + half
+    edges = -mesh.R + mesh.cell_width * np.arange(mesh.n_cells + 1)
+    left, right = edges[:-1], edges[1:]
     a_far = phi(right[:, None] - left[None, :]) + phi(left[:, None] - right[None, :])
     a_near = phi(right[:, None] - right[None, :]) + phi(left[:, None] - left[None, :])
     w = a_far - a_near
