@@ -223,9 +223,9 @@ class _InteriorBlock:
     and one more): the tail of row i is a column of weight dx tail_i,
     exponent pbar_i and value 0, and the pass, the gradient and the model
     treat it as any other column, so the far field beyond the box reaches
-    the solver only through it.  In
-    this order row i holds the columns from column i on, and ``_row_blocks``
-    cuts the interior rows into blocks: the block of rows [i0, i1) holds the
+    the solver only through it.  In this order row i holds the columns
+    from column i on, and ``_row_blocks`` cuts the interior rows into
+    blocks: the block of rows [i0, i1) holds the
     columns from i0 on, with weight 0 below the diagonal of its own square,
     so each pair with a cell in Omega and each interior tail lies in one
     block, once.  The blocks hold the whole energy.
@@ -234,9 +234,9 @@ class _InteriorBlock:
     the energy and the gradient twice), its exponents when p varies and,
     away from uniform p = 2, the max(|d|, sqrt(tiny)) and 2 w |d|^{p-2} of
     the last evaluated point, which the model pass floors, every column by
-    one floor, into the model Hessian's upper blocks.  The last evaluated point is always the accepted
-    one when a model is built, since a trial is either accepted or followed
-    by another.
+    one floor, into the model Hessian's upper blocks.  The last evaluated
+    point is always the accepted one when a model is built, since a trial
+    is either accepted or followed by another.
 
     A p = 2 block also holds the model Hessian; once reused for a second
     solve it factors that Hessian once and takes every later direction by
@@ -371,7 +371,7 @@ class _InteriorBlock:
 
     def _model_hessian(self, floor: float) -> np.ndarray:
         """The lagged model's Hessian at the last evaluated point: its kept
-        w |d|^{p-2}, the far-field column's with the pairs', floored to
+        w |d|^{p-2}, of the pairs and the far-field column alike, floored to
         w max(|d|, floor)^{p-2} and scaled by max(p-1, 1)."""
         variable = self.p_const is None
         kept = []

@@ -394,8 +394,8 @@ class TestFixedPoint:
         # scaled down so that both Poisson solves still converge, and the
         # run ends on the runaway increment, not on a failed solve.
         a, c = 6e-14, 2e14
-        f = Nonlinearity(evaluator=lambda x, t: a + c * np.asarray(t) + 0.0 * np.asarray(x),
-                         a=const_a(mesh16, a), c_growth=c)
+        f = Nonlinearity(evaluator=lambda x, t: a + c * np.asarray(t), a=const_a(mesh16, a),
+                         c_growth=c)
         template = replace(make_template(mesh16), tolerances=Tolerances(el_residual=1e-14))
         sol, trace = fixed_point_solve(f, template)
         assert sol.converged and not trace.converged
@@ -541,18 +541,17 @@ class TestDecomposition:
         # f passes the growth screen (|t| <= 1e3) but is not finite beyond
         # it, and every candidate is pushed there: the sweep must keep the
         # plain field, uncounted, and the run still converge
-        beyond = []
+        arctan, beyond = arctan_nonlinearity(mesh96), []
 
         def evaluator(x, t):
-            t = np.asarray(t)
-            if np.any(np.abs(t) > 1e3):
-                beyond.append(t.size)
-            return np.where(np.abs(t) > 1e3, np.nan,
-                            0.5 * np.exp(-2.0 * np.asarray(x) ** 2) + 0.1 + 0.05 * np.arctan(t))
+            far = np.abs(np.asarray(t)) > 1e3
+            if far.any():
+                beyond.append(int(far.sum()))
+            return np.where(far, np.nan, arctan(x, t))
 
         monkeypatch.setattr(semilinear_module, "_anderson_mix",
                             lambda dxs, dfs, swept, res: swept + 1e4 if dfs else None)
-        f = Nonlinearity(evaluator=evaluator, a=const_a(mesh96, 0.6), c_growth=0.05)
+        f = replace(arctan, evaluator=evaluator)
         template, g = make_template(mesh96), exterior_gaussian(mesh96)
         sol, rep = solve_by_decomposition(f, g, 3, template)
         assert beyond
