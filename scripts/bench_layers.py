@@ -2,8 +2,10 @@
 """Layer and solver benchmark: writes BENCH_<short sha>.json.
 
 Every entry is one (layer, n, class) with the best and the median per-call
-time of ``REPEATS`` rounds (a round repeats a fast call to about 5 ms), the
-tracemalloc peak of one more, traced call, and a fingerprint of the answer,
+time of its ``rounds`` timed rounds (a round repeats a fast call to about
+5 ms): ``REPEATS``, or ``SLOW_REPEATS`` for an entry whose first, untimed
+call takes at least ``SLOW_S``; then the tracemalloc peak of one more,
+traced call, and a fingerprint of the answer,
 so a speed-up that changes the answer shows at once.  The solver entries
 also record their iteration ``counts``.  BLAS threads are pinned to one
 before numpy loads.
@@ -77,6 +79,7 @@ from pathlib import Path
 
 R, OMEGA, S = 2.0, [(-1.0, 1.0)], 0.3
 REPEATS = 5  # timed rounds per entry
+SLOW_S, SLOW_REPEATS = 1.0, 2  # fewer rounds for an entry whose first call takes SLOW_S
 SIZES = (256, 512, 1024, 2048)
 # class -> (pair exponent kind, params)
 CLASSES = {
@@ -131,13 +134,16 @@ def report_digest(path: Path) -> str:
 
 
 def measure(call):
-    """Per-call time over ``REPEATS`` rounds of about 5 ms or one call, the
-    tracemalloc peak of one more call, and the value."""
+    """Per-call time over ``REPEATS`` (``SLOW_REPEATS`` for a call of at
+    least ``SLOW_S``) rounds of about 5 ms or one call, the tracemalloc peak
+    of one more call, and the value."""
     t0 = time.perf_counter()
     out = call()
-    number = max(1, int(5e-3 / (time.perf_counter() - t0)))
+    first = time.perf_counter() - t0
+    number = max(1, int(5e-3 / first))
+    rounds = SLOW_REPEATS if first >= SLOW_S else REPEATS
     times = []
-    for _ in range(REPEATS):
+    for _ in range(rounds):
         t0 = time.perf_counter()
         for _ in range(number):
             call()
@@ -146,7 +152,8 @@ def measure(call):
     call()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"best_s": min(times), "median_s": statistics.median(times), "peak_bytes": peak}, out
+    return {"best_s": min(times), "median_s": statistics.median(times), "rounds": rounds,
+            "peak_bytes": peak}, out
 
 
 def build_entries(repo: Path) -> list:
@@ -264,7 +271,8 @@ def main(argv=None) -> int:
         "dirty": bool(git(repo, "status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "cpus": os.cpu_count(),
-        "setup": {"R": R, "omega": OMEGA, "s": S, "repeats": REPEATS, "shells": SHELLS},
+        "setup": {"R": R, "omega": OMEGA, "s": S, "repeats": REPEATS,
+                  "slow_s": SLOW_S, "slow_repeats": SLOW_REPEATS, "shells": SHELLS},
     }
     start = time.perf_counter()
     record["entries"] = build_entries(repo)

@@ -8,16 +8,20 @@ A=[a1,a2], B=[b1,b2] and alpha = 1+s*p the double integral is
     phi(t) = |t|^(2-alpha) / ((1-alpha)(2-alpha)),
 
 which remains finite for adjacent cells exactly when alpha < 2, i.e.
-s*p < 1.  The weights are filled over the upper triangle in the row blocks
-of ``_row_blocks``, which the pair passes use too (about 2^15 pairs a
-block, so no n x n temporaries), and the lower triangle is its mirror; a
-constant exponent is kept as one read-only zero-stride array.  The per-cell
+s*p < 1.  With the cell edges e_0 < ... < e_n, w_ij is the mixed second
+difference of phi over the edge-difference grid |e_a - e_b|, so a constant
+exponent takes one power per edge pair.  The weights are filled over the
+upper triangle in the row blocks of ``_row_blocks``, which the pair passes
+use too (about 2^15 pairs a block, so no n x n temporaries), and the lower
+triangle is its mirror; a constant exponent is kept as one read-only
+zero-stride array.  The per-cell
 tail is the one-sided exterior integral int_{|y|>R} |x_i-y|^(-(1+s*pbar(x_i)))
 dy; callers weight it by the cell measure in a double-integral quantity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,13 +153,10 @@ def _gather(a: np.ndarray, runs: list, i0: int, i1: int, out: np.ndarray) -> np.
     return out
 
 
-def _phi(out: np.ndarray, t_rows: np.ndarray, t_cols: np.ndarray,
-         two_minus_alpha: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """phi(t_rows[i] - t_cols[j]) into out, with denom = (1-alpha)(2-alpha)."""
+def _phi(out: np.ndarray, t: np.ndarray, two_minus_alpha, denom) -> np.ndarray:
+    """phi(t) into out for t >= 0, with denom = (1-alpha)(2-alpha)."""
     # |t|^(2-alpha) vanishes at t=0 for alpha<2, matching the improper limit
-    np.subtract(t_rows[:, None], t_cols[None, :], out=out)
-    np.abs(out, out=out)
-    np.power(out, two_minus_alpha, out=out)
+    np.power(t, two_minus_alpha, out=out)
     return np.divide(out, denom, out=out)
 
 
@@ -189,12 +190,21 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     """Exact pair weights and exterior tails for the frozen-exponent kernel.
 
     ``w`` is filled one block of rows of ``_row_blocks(n, n)`` at a time:
-    the block of rows [i0, i1) covers the columns [i0, n), and its alpha,
-    2 - alpha and (1 - alpha)(2 - alpha) are formed once into preallocated
-    buffers shared by the four phi terms.  The lower triangle is copied in
-    as the transpose, so ``w`` is exactly symmetric; with the grouping
-    (phi(r-l) + phi(l-r)) - (phi(r-r) + phi(l-l)) every weight of an
-    exactly symmetric exponent equals the full-matrix formula bit for bit.
+    the block of rows [i0, i1) covers the columns [i0, n) and is read off
+    the grid G = |e_a - e_b| of its edges a in [i0, i1], b in [i0, n], as
+    the mixed second difference (Phi[i+1, j] + Phi[i, j+1]) - (Phi[i+1, j+1]
+    + Phi[i, j]) of Phi = phi(G); G's entries are the float differences
+    r_i - l_j, l_i - r_j, r_i - r_j and l_i - l_j of the four-phi formula.
+    A constant exponent takes Phi once over the grid, one power per edge
+    pair; its exponent 2 - alpha is a filled row broadcast over the grid's
+    rows, not a scalar, since numpy's power takes sqrt for a zero-stride
+    exponent of 0.5, which does not round like the power.  A varying
+    exponent forms alpha, 2 - alpha and (1 - alpha)(2 - alpha) once a block
+    into preallocated buffers and takes the four phi terms with each pair's
+    own exponent.  The strict lower triangle is then copied in as the
+    transpose of the upper, square tile by square tile, so ``w`` is exactly
+    symmetric; with that grouping every weight of an exactly symmetric
+    exponent equals the full-matrix formula bit for bit.
     The cell edges are -R + k dx, k = 0..n, so adjacent cells share one
     float edge and their touching term is phi(0) = 0 exactly.
     A constant exponent, declared by p_minus == p_plus, is stored as a
@@ -222,39 +232,74 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
         )
 
     edges = -mesh.R + mesh.cell_width * np.arange(n + 1)
-    left, right = edges[:-1], edges[1:]
     w = np.empty((n, n))
     spans = list(_row_blocks(n, n))
     # two blocks' room at least: freeing it raises glibc's mmap threshold past the
     # 2 MB n x n arrays of a varying-exponent assembly at n = 512, which would
     # otherwise be mapped afresh each call (about 960 more page faults a call)
-    buffers = np.empty((5, max(2 * _BLOCK_PAIRS, *((i1 - i0) * (n - i0) for i0, i1 in spans))))
-    w_min = w_max = 0.0
+    buffers = np.empty((5, max(2 * _BLOCK_PAIRS,
+                               *((i1 - i0 + 1) * (n - i0 + 1) for i0, i1 in spans))))
+    constant = p.p_minus == p.p_plus
+    if constant:
+        alpha = float(p.p_minus) * p.s + 1.0
+        # a filled row, not a scalar: a zero-stride exponent 0.5 takes sqrt
+        two_m_row = np.full(n + 1, 2.0 - alpha)
+        denom_const = (1.0 - alpha) * (2.0 - alpha)
     for i0, i1 in spans:
         rows, cols = i1 - i0, n - i0
-        alpha, two_m, denom, far, near = (buf[:rows * cols].reshape(rows, cols) for buf in buffers)
-        np.multiply(p_pair[i0:i1, i0:], p.s, out=alpha)
-        alpha += 1.0
-        np.subtract(2.0, alpha, out=two_m)
-        np.subtract(1.0, alpha, out=denom)
-        denom *= two_m
-        # grouped so that the matrix is exactly symmetric in floating point;
-        # alpha's buffer is free from here on and holds the second phi term
-        _phi(far, right[i0:i1], left[i0:], two_m, denom)
-        far += _phi(alpha, left[i0:i1], right[i0:], two_m, denom)
-        _phi(near, right[i0:i1], right[i0:], two_m, denom)
-        near += _phi(alpha, left[i0:i1], left[i0:], two_m, denom)
-        far -= near
-        # the block's own square: zero diagonal, lower part mirrored from above
-        square = far[:, :rows]
-        lower = np.tril_indices(rows, -1)
-        square[lower] = square.T[lower]
-        np.fill_diagonal(square, 0.0)
-        if not np.isfinite(far).all():
-            raise KernelError("non-finite kernel weight encountered")
-        w_min, w_max = min(w_min, float(far.min())), max(w_max, float(far.max()))
-        w[i0:i1, i0:] = far
-        w[i1:, i0:i1] = far[:, rows:].T
+        grid, two_m, denom, near, term = buffers
+        # the edge-difference grid |e_a - e_b|, a in [i0, i1], b in [i0, n]:
+        # cell pair (i, j) reads its four phi arguments at (i+1, j), (i, j+1),
+        # (i+1, j+1) and (i, j).  e_b - e_a is exactly -(e_a - e_b), and only
+        # the columns b <= i1 can hold a negative one
+        grid = grid[:(rows + 1) * (cols + 1)].reshape(rows + 1, cols + 1)
+        grid[...] = edges[i0:]
+        grid -= edges[i0:i1 + 1, None]
+        np.abs(grid[:, :rows + 1], out=grid[:, :rows + 1])
+        near = near[:rows * cols].reshape(rows, cols)
+        block = w[i0:i1, i0:]
+        # grouped (phi(r-l) + phi(l-r)) - (phi(r-r) + phi(l-l)), so that the
+        # matrix of an exactly symmetric exponent is exactly symmetric
+        if constant:
+            # phi depends on the edge pair alone: one power per edge pair
+            _phi(grid, grid, two_m_row[i0:], denom_const)
+            np.add(grid[1:, :-1], grid[:-1, 1:], out=block)
+            np.add(grid[1:, 1:], grid[:-1, :-1], out=near)
+        else:
+            two_m, denom, term = (buf[:rows * cols].reshape(rows, cols)
+                                  for buf in (two_m, denom, term))
+            np.multiply(p_pair[i0:i1, i0:], p.s, out=two_m)
+            two_m += 1.0
+            np.subtract(1.0, two_m, out=denom)
+            np.subtract(2.0, two_m, out=two_m)
+            denom *= two_m
+            _phi(block, grid[1:, :-1], two_m, denom)
+            block += _phi(term, grid[:-1, 1:], two_m, denom)
+            _phi(near, grid[1:, 1:], two_m, denom)
+            near += _phi(term, grid[:-1, :-1], two_m, denom)
+        block -= near
+    # the strict lower triangle is the upper's mirror, copied in square tiles
+    # of about half a block's pairs, since a block of few rows would copy in
+    # short strided runs; the checks read each tile once it holds its values
+    tile = max(1, math.isqrt(_BLOCK_PAIRS // 2))
+    lower = np.tri(tile, k=-1, dtype=bool)
+    np.fill_diagonal(w, 0.0)
+    w_min = w_max = 0.0
+    for r0 in range(0, n, tile):
+        r1 = min(r0 + tile, n)
+        k = r1 - r0
+        square, mirror = w[r0:r1, r0:r1], buffers[0][:k * k].reshape(k, k)
+        np.copyto(mirror, square.T)
+        np.copyto(square, mirror, where=lower[:k, :k])
+        for c0 in range(r0, n, tile):
+            upper = w[r0:r1, c0:c0 + tile]
+            if c0 > r0:
+                w[c0:c0 + tile, r0:r1] = upper.T
+            # min and max propagate nan, and an infinity is one of them
+            t_min, t_max = float(upper.min()), float(upper.max())
+            if not (np.isfinite(t_min) and np.isfinite(t_max)):
+                raise KernelError("non-finite kernel weight encountered")
+            w_min, w_max = min(w_min, t_min), max(w_max, t_max)
     if w_min < 0.0:
         # exact integrals of a positive kernel; allow only fp dust
         if w_min < -1e-12 * max(w_max, 1.0):

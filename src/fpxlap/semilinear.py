@@ -272,8 +272,9 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
     to ``_THETA_MIN``, whenever the increment norm grows twice in a row, for
     at most ``max_iter`` (>= 1) steps or until the increment is at most
     ``_INCREMENT_TOL``.  Each Poisson solve starts warm from the field of
-    the one before.  A non-finite increment, or one above
-    1e12 max(1, first increment), stops the run.  Non-convergence is returned
+    the one before.  A non-finite increment, one above
+    1e12 max(1, first increment), or one that grows twice in a row with
+    the damping factor at its floor stops the run.  Non-convergence is returned
     in the trace, never raised: the caller may retry with a smaller cap.  A
     converged run returns the field of its last Poisson solve, u = T(h_k),
     with no further solve: it is certified by the sup-norm of the energy
@@ -325,7 +326,9 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
             break
         if inc > prev_inc:
             grew += 1
-            if grew >= 2 and theta > _THETA_MIN:
+            if grew >= 2:
+                if theta <= _THETA_MIN:
+                    break
                 theta = max(theta / 2.0, _THETA_MIN)
                 trace.theta = theta
                 grew = 0

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ def test_builder_writes_every_entry_and_the_direct_solve(monkeypatch):
     assert sorted(keys) == sorted(expected)
     for e in entries:
         assert 0.0 < e["best_s"] <= e["median_s"] and e["peak_bytes"] > 0 and e["fingerprint"]
+        assert e["rounds"] == 1
     assert next(e for e in entries if e["layer"].startswith("cli."))["fingerprint"][0] == 0
     # each suite entry ran the config's case count with no failure
     counts = json.loads((ROOT / "scripts" / "configs" / "verify_inequalities.json").read_text())
@@ -68,3 +70,18 @@ def test_builder_writes_every_entry_and_the_direct_solve(monkeypatch):
         assert solves[name]["fingerprint"] == [
             float(np.max(np.abs(sol.u.u.values[mesh.interior_mask]))),
             float(np.max(np.abs(energy_gradient(sol.u, prob).values)))]
+
+
+def test_a_slow_first_call_gets_fewer_rounds(monkeypatch):
+    calls = []
+
+    def call():  # over the 5 ms of a round, so every round makes one call
+        time.sleep(6e-3)
+        calls.append(None)
+        return len(calls)
+
+    monkeypatch.setattr(bench, "SLOW_S", 0.0)
+    entry, out = bench.measure(call)
+    # the first call, SLOW_REPEATS timed rounds and one traced call
+    assert entry["rounds"] == bench.SLOW_REPEATS < bench.REPEATS
+    assert out == 1 and len(calls) == bench.SLOW_REPEATS + 2

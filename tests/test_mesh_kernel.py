@@ -166,6 +166,25 @@ class TestBlockAssembly:
         upper = np.triu_indices(96, 1)
         assert np.array_equal(W.w[upper], reference_weights(mesh, p).w[upper])
 
+    @pytest.mark.parametrize("block_pairs", [None, 50, 1000])
+    @pytest.mark.parametrize("n", [16, 96, 333])
+    def test_bit_identical_at_exponent_one_half(self, monkeypatch, n, block_pairs):
+        # s p = 0.5, so 2 - alpha = 0.5, where numpy's power of a zero-stride
+        # exponent takes sqrt, which rounds unlike the reference's full matrix
+        if block_pairs is not None:
+            monkeypatch.setattr(mesh_kernel, "_BLOCK_PAIRS", block_pairs)
+        _assert_matches_reference(build_mesh(2.0, n, [(-1.0, 1.0)]), const_pair(2.5, 0.2))
+
+    @pytest.mark.parametrize("block_pairs", [50, 1000, 1 << 15])
+    def test_varying_branch_matches_constant_branch(self, monkeypatch, block_pairs):
+        # a constant evaluator declared varying takes the four-phi branch
+        monkeypatch.setattr(mesh_kernel, "_BLOCK_PAIRS", block_pairs)
+        mesh = build_mesh(2.0, 96, [(-1.0, 1.0)])
+        declared = ExponentField(const_pair(2.5, 0.3).evaluator, p_minus=2.4, p_plus=2.6, s=0.3)
+        W, ref = assemble_weights(mesh, declared), assemble_weights(mesh, const_pair(2.5, 0.3))
+        assert W.p_pair.strides != (0, 0) and ref.p_pair.strides == (0, 0)
+        assert np.array_equal(W.w, ref.w) and np.array_equal(W.tail, ref.tail)
+
     def test_constant_exponent_is_one_read_only_value(self, mesh64):
         W = assemble_weights(mesh64, const_pair(2.5, 0.3))
         assert W.p_pair.shape == (64, 64) and W.p_pair.strides == (0, 0)

@@ -413,6 +413,19 @@ class TestFixedPoint:
         sol, trace = fixed_point_solve(f, template, theta=1.0, max_iter=60)
         assert (not trace.converged) or trace.theta < 1.0
 
+    def test_growth_at_the_damping_floor_ends_the_run(self, mesh64):
+        # f = 1 + 50 t lies above the first eigenvalue: theta falls to its
+        # floor and the increments keep growing there, so the run ends
+        # instead of spending all of max_iter = 200 solves
+        f = Nonlinearity(evaluator=lambda x, t: 1.0 + 50.0 * np.asarray(t),
+                         a=const_a(mesh64, 1.0), c_growth=50.0)
+        sol, trace = fixed_point_solve(f, make_template(mesh64))
+        assert sol.converged and not trace.converged
+        assert trace.theta == semilinear_module._THETA_MIN
+        assert trace.poisson_solves == len(trace.iterates) <= 50
+        (before, _), (prev, _), (last, _) = trace.iterates[-3:]
+        assert before < prev < last
+
 
 class TestBallRadius:
     def test_k2_zero_finite(self):
