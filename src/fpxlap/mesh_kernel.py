@@ -245,9 +245,13 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
         # a filled row, not a scalar: a zero-stride exponent 0.5 takes sqrt
         two_m_row = np.full(n + 1, 2.0 - alpha)
         denom_const = (1.0 - alpha) * (2.0 - alpha)
+    # the strict lower triangle of the largest block's square or mirror tile
+    tile = max(1, math.isqrt(_BLOCK_PAIRS // 2))
+    lower = np.tri(max(tile, *(i1 - i0 for i0, i1 in spans)), k=-1, dtype=bool)
+    w_min = w_max = 0.0
     for i0, i1 in spans:
         rows, cols = i1 - i0, n - i0
-        grid, two_m, denom, near, term = buffers
+        grid, two_m, denom, far, near = buffers
         # the edge-difference grid |e_a - e_b|, a in [i0, i1], b in [i0, n]:
         # cell pair (i, j) reads its four phi arguments at (i+1, j), (i, j+1),
         # (i+1, j+1) and (i, j).  e_b - e_a is exactly -(e_a - e_b), and only
@@ -256,50 +260,49 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
         grid[...] = edges[i0:]
         grid -= edges[i0:i1 + 1, None]
         np.abs(grid[:, :rows + 1], out=grid[:, :rows + 1])
-        near = near[:rows * cols].reshape(rows, cols)
-        block = w[i0:i1, i0:]
+        far, near = (buf[:rows * cols].reshape(rows, cols) for buf in (far, near))
         # grouped (phi(r-l) + phi(l-r)) - (phi(r-r) + phi(l-l)), so that the
         # matrix of an exactly symmetric exponent is exactly symmetric
         if constant:
             # phi depends on the edge pair alone: one power per edge pair
             _phi(grid, grid, two_m_row[i0:], denom_const)
-            np.add(grid[1:, :-1], grid[:-1, 1:], out=block)
+            np.add(grid[1:, :-1], grid[:-1, 1:], out=far)
             np.add(grid[1:, 1:], grid[:-1, :-1], out=near)
         else:
-            two_m, denom, term = (buf[:rows * cols].reshape(rows, cols)
-                                  for buf in (two_m, denom, term))
+            two_m, denom = (buf[:rows * cols].reshape(rows, cols) for buf in (two_m, denom))
             np.multiply(p_pair[i0:i1, i0:], p.s, out=two_m)
             two_m += 1.0
             np.subtract(1.0, two_m, out=denom)
             np.subtract(2.0, two_m, out=two_m)
             denom *= two_m
-            _phi(block, grid[1:, :-1], two_m, denom)
-            block += _phi(term, grid[:-1, 1:], two_m, denom)
+            _phi(far, grid[1:, :-1], two_m, denom)
+            far += _phi(near, grid[:-1, 1:], two_m, denom)
             _phi(near, grid[1:, 1:], two_m, denom)
-            near += _phi(term, grid[:-1, :-1], two_m, denom)
-        block -= near
-    # the strict lower triangle is the upper's mirror, copied in square tiles
-    # of about half a block's pairs, since a block of few rows would copy in
-    # short strided runs; the checks read each tile once it holds its values
-    tile = max(1, math.isqrt(_BLOCK_PAIRS // 2))
-    lower = np.tri(tile, k=-1, dtype=bool)
-    np.fill_diagonal(w, 0.0)
-    w_min = w_max = 0.0
+            # the last term overwrites the exponent it reads
+            near += _phi(two_m, grid[:-1, :-1], two_m, denom)
+        far -= near
+        # the block's own square: zero diagonal, lower part mirrored from above,
+        # so that the checks read the weights w will hold
+        square, mirror = far[:, :rows], near[:, :rows]
+        np.copyto(mirror, square.T)
+        np.copyto(square, mirror, where=lower[:rows, :rows])
+        np.fill_diagonal(square, 0.0)
+        # min and max propagate nan, and an infinity is one of them
+        b_min, b_max = float(far.min()), float(far.max())
+        if not (np.isfinite(b_min) and np.isfinite(b_max)):
+            raise KernelError("non-finite kernel weight encountered")
+        w_min, w_max = min(w_min, b_min), max(w_max, b_max)
+        w[i0:i1, i0:] = far
+    # the rest of the lower triangle, mirrored in square tiles of about half a
+    # block's pairs: a block of few rows would copy in short strided runs
     for r0 in range(0, n, tile):
         r1 = min(r0 + tile, n)
         k = r1 - r0
         square, mirror = w[r0:r1, r0:r1], buffers[0][:k * k].reshape(k, k)
         np.copyto(mirror, square.T)
         np.copyto(square, mirror, where=lower[:k, :k])
-        for c0 in range(r0, n, tile):
-            upper = w[r0:r1, c0:c0 + tile]
-            if c0 > r0:
-                w[c0:c0 + tile, r0:r1] = upper.T
-            # min and max propagate nan, and an infinity is one of them
-            t_min, t_max = float(upper.min()), float(upper.max())
-            if not (np.isfinite(t_min) and np.isfinite(t_max)):
-                raise KernelError("non-finite kernel weight encountered")
-            w_min, w_max = min(w_min, t_min), max(w_max, t_max)
+        for c0 in range(r1, n, tile):
+            w[c0:c0 + tile, r0:r1] = w[r0:r1, c0:c0 + tile].T
     if w_min < 0.0:
         # exact integrals of a positive kernel; allow only fp dust
         if w_min < -1e-12 * max(w_max, 1.0):
