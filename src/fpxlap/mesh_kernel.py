@@ -217,7 +217,8 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     centers = mesh.cell_centers
     n = mesh.n_cells
     pbar = p.trace_values(centers)
-    if p.p_minus == p.p_plus:
+    constant = p.p_minus == p.p_plus
+    if constant:
         if np.any(pbar != p.p_minus):
             raise ExponentError(f"exponent declared constant {p.p_minus} varies on its trace")
         p_pair = np.broadcast_to(float(p.p_minus), (n, n))
@@ -239,7 +240,6 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
     # otherwise be mapped afresh each call (about 960 more page faults a call)
     buffers = np.empty((5, max(2 * _BLOCK_PAIRS,
                                *((i1 - i0 + 1) * (n - i0 + 1) for i0, i1 in spans))))
-    constant = p.p_minus == p.p_plus
     if constant:
         alpha = float(p.p_minus) * p.s + 1.0
         # a filled row, not a scalar: a zero-stride exponent 0.5 takes sqrt
