@@ -10,13 +10,14 @@ A=[a1,a2], B=[b1,b2] and alpha = 1+s*p the double integral is
 which remains finite for adjacent cells exactly when alpha < 2, i.e.
 s*p < 1.  With the cell edges e_0 < ... < e_n, w_ij is the mixed second
 difference of phi over the edge-difference grid |e_a - e_b|, so a constant
-exponent takes one power per edge pair.  The weights are filled over the
-upper triangle in the row blocks of ``_row_blocks``, which the pair passes
-use too (about 2^15 pairs a block, so no n x n temporaries), and the lower
-triangle is its mirror; a constant exponent is kept as one read-only
-zero-stride array.  The per-cell
-tail is the one-sided exterior integral int_{|y|>R} |x_i-y|^(-(1+s*pbar(x_i)))
-dy; callers weight it by the cell measure in a double-integral quantity.
+exponent takes one power per edge pair (its exponent a filled row: numpy's
+power of a zero-stride exponent 0.5 takes sqrt, which rounds differently).
+The weights are filled over the upper triangle in the row blocks of
+``_row_blocks``, which the pair passes use too (about 2^15 pairs a block, so
+no n x n temporaries), and the lower triangle is its mirror; a constant
+exponent is kept as one read-only zero-stride array.  The per-cell tail is
+the one-sided exterior integral int_{|y|>R} |x_i-y|^(-(1+s*pbar(x_i))) dy;
+callers weight it by the cell measure in a double-integral quantity.
 """
 
 from __future__ import annotations
