@@ -3,11 +3,11 @@
 
 Every entry is one (layer, n, class) with the best and the median per-call
 time of its ``rounds`` timed rounds (a round repeats a fast call to about
-5 ms) after one untimed call: ``REPEATS``, or ``SLOW_REPEATS`` for an entry
-whose first call takes at least ``SLOW_S``; then the tracemalloc peak of
-one more, traced call, and a fingerprint of the answer, so a speed-up that
-changes the answer shows at once.  The solver entries also record their
-iteration ``counts``.  BLAS threads are pinned to one before numpy loads.
+5 ms) after one untimed call: ``REPEATS``, or one for an entry whose first
+call takes at least 1 s; then the tracemalloc peak of one more, traced
+call, and a fingerprint of the answer, so a speed-up that changes the
+answer shows at once.  The solver entries also record their iteration
+``counts``.  BLAS threads are pinned to one before numpy loads.
 
 For each n in ``SIZES`` (box [-2, 2], Omega = (-1, 1), s = 0.3) and each
 exponent class in ``CLASSES``:
@@ -78,7 +78,6 @@ from pathlib import Path
 
 R, OMEGA, S = 2.0, [(-1.0, 1.0)], 0.3
 REPEATS = 5  # timed rounds per entry
-SLOW_S, SLOW_REPEATS = 1.0, 1  # timed rounds of an entry whose first call takes SLOW_S s
 SIZES = (256, 512, 1024, 2048)
 # class -> (pair exponent kind, params)
 CLASSES = {
@@ -134,14 +133,14 @@ def report_digest(path: Path) -> str:
 
 def measure(call):
     """Per-call time over ``REPEATS`` rounds of about 5 ms or one call, the
-    tracemalloc peak of one more call, and the value; ``SLOW_REPEATS``
-    rounds after a first call of at least ``SLOW_S``.  The first call is not
-    timed: it can be slower than the rest (about 20% for a 1 s solve)."""
+    tracemalloc peak of one more call, and the value; one round after a
+    first call of at least 1 s.  The first call is not timed: it can be
+    slower than the rest (about 20% for a 1 s solve)."""
     t0 = time.perf_counter()
     out = call()
     first = time.perf_counter() - t0
     number = max(1, int(5e-3 / first))
-    rounds = SLOW_REPEATS if first >= SLOW_S else REPEATS
+    rounds = 1 if first >= 1.0 else REPEATS
     times = []
     for _ in range(rounds):
         t0 = time.perf_counter()
@@ -271,8 +270,7 @@ def main(argv=None) -> int:
         "dirty": bool(git(repo, "status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(), "numpy": np.__version__,
         "machine": platform.machine(), "cpus": os.cpu_count(),
-        "setup": {"R": R, "omega": OMEGA, "s": S, "repeats": REPEATS,
-                  "slow_s": SLOW_S, "slow_repeats": SLOW_REPEATS, "shells": SHELLS},
+        "setup": {"R": R, "omega": OMEGA, "s": S, "repeats": REPEATS, "shells": SHELLS},
     }
     start = time.perf_counter()
     record["entries"] = build_entries(repo)
