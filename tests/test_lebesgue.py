@@ -310,52 +310,103 @@ class TestInclusion:
         assert pairing(u, v) == pytest.approx(pairing(v, u), rel=1e-14)
 
 
-def _one_case(name, mesh, rng):
-    """(slack, passed, defect) of one suite case through the public checks."""
-    draw, field = suites.random_affine_exponent, suites.random_grid_function
+def _one_case(name, mesh, rows):
+    """(slack, passed, defect) of one suite case through the public checks,
+    built from its rows of exponent and field values at the interior cells."""
+    mask = mesh.interior_mask
+
+    def exponent(row):
+        # the public checks evaluate an exponent at the interior centers only
+        return ScalarExponent(evaluator=lambda x: row, lower=row.min(), upper=row.max())
+
+    def field(row):
+        values = np.zeros(mesh.n_cells)
+        values[mask] = row
+        return grid(mesh, values)
+
     if name == "norm_modular":
-        q, u = draw(rng, mesh), field(rng, mesh)
+        q, u = exponent(rows[0]), field(rows[1])
         check = norm_modular_relation_check(u, q, tol=suites._NORM_MODULAR_TOL)
         defect = abs(modular(u.replace_values(u.values / check.bound), q) - 1.0)
         return check.slack, check.passed and not defect > suites._NORM_MODULAR_TOL, defect
     if name == "holder":
-        q, u, v = draw(rng, mesh), field(rng, mesh), field(rng, mesh)
-        check = holder_pairing_check(u, v, q)
+        check = holder_pairing_check(field(rows[1]), field(rows[2]), exponent(rows[0]))
     elif name == "cara":
-        check = norm_of_one_bounds(draw(rng, mesh), mesh)
+        check = norm_of_one_bounds(exponent(rows[0]), mesh)
     else:
-        alpha, beta = draw(rng, mesh, 1.5, 3.0), draw(rng, mesh, 1.05, 2.0)
-        check = power_norm_bounds_check(field(rng, mesh), alpha, beta)
+        check = power_norm_bounds_check(field(rows[2]), exponent(rows[0]), exponent(rows[1]))
     return check.slack, check.passed, 0.0
+
+
+def _recorded_draws(monkeypatch):
+    """(arguments, chunks) of each later call of ``suites._draws``."""
+    calls = []
+    draws = suites._draws
+
+    def recording(*args):
+        chunks = []
+        calls.append((args, chunks))
+        for chunk in draws(*args):
+            chunks.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(suites, "_draws", recording)
+    return calls
+
+
+# two intervals, so the interior cells are not one run of the box
+_SUITE_MESH = build_mesh(2.0, 96, [(-1.5, -0.5), (0.2, 1.0)])
 
 
 class TestSuiteChunks:
     @pytest.mark.parametrize("name", tuple(suites.SUITE_RUNNERS))
     def test_chunked_cases_equal_the_single_case_checks(self, name, monkeypatch):
         # 3 cases a chunk, so 11 cases make 3 full chunks and a remainder of 2
-        mesh = build_mesh(2.0, 96, [(-1.5, -0.5), (0.2, 1.0)])
+        mesh = _SUITE_MESH
         monkeypatch.setattr(suites, "_CHUNK_VALUES", 3 * int(mesh.interior_mask.sum()))
-        chunk = getattr(suites, f"_{name}_chunk")
-        sizes, slack, passed, defect = [], [], [], []
-        stream = np.random.default_rng(5)
-        for s, p, d in suites._chunks(chunk, mesh, stream, 11):
+        calls = _recorded_draws(monkeypatch)
+        outcomes = list(getattr(suites, f"_{name}_cases")(mesh, np.random.default_rng(5), 11))
+        (_, chunks), = calls
+        sizes, slack, passed, defect, cases = [], [], [], [], []
+        for (s, p, d), arrays in zip(outcomes, chunks, strict=True):
             sizes.append(s.size)
             slack += s.tolist()
             passed += p.tolist()
             defect += d.tolist()
+            cases += [_one_case(name, mesh, rows) for rows in zip(*arrays, strict=True)]
         assert sizes == [3, 3, 3, 2]
-        gen = np.random.default_rng(5)
-        cases = [_one_case(name, mesh, gen) for _ in range(11)]
         # bit for bit: compare the float64 bit patterns
         assert np.array(slack).view(np.int64).tolist() == \
             np.array([c[0] for c in cases]).view(np.int64).tolist()
         assert passed == [bool(c[1]) for c in cases]
         assert np.array(defect).view(np.int64).tolist() == \
             np.array([c[2] for c in cases], dtype=float).view(np.int64).tolist()
-        assert stream.random() == gen.random()  # both took the same draws
         result = suites.SUITE_RUNNERS[name](mesh, np.random.default_rng(5), 11)
         assert result.worst_slack == min(c[0] for c in cases)
         assert result.failures == sum(not c[1] for c in cases)
+
+    @pytest.mark.parametrize("name", tuple(suites.SUITE_RUNNERS))
+    def test_report_does_not_depend_on_the_chunk_size(self, name, monkeypatch):
+        mesh = _SUITE_MESH
+        interior = int(mesh.interior_mask.sum())
+        results = []
+        # 1 case, 3 cases and all 11 cases a chunk
+        for values in (interior, 3 * interior, suites._CHUNK_VALUES):
+            monkeypatch.setattr(suites, "_CHUNK_VALUES", values)
+            results.append(suites.SUITE_RUNNERS[name](mesh, np.random.default_rng(5), 11))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("name", tuple(suites.SUITE_RUNNERS))
+    def test_drawn_exponents_lie_inside_their_ranges(self, name, monkeypatch):
+        mesh = _SUITE_MESH
+        calls = _recorded_draws(monkeypatch)
+        suites.SUITE_RUNNERS[name](mesh, np.random.default_rng(9), 500)
+        (args, chunks), = calls
+        ranges = args[3]
+        for arrays in chunks:
+            for (lo, hi), q in zip(ranges, arrays):
+                assert q.shape[1] == mesh.interior_mask.sum()
+                assert lo < q.min() and q.max() < hi
 
     def test_holder_suite_memory_does_not_grow_with_its_cases(self, mesh256):
         per_chunk = suites._CHUNK_VALUES // int(mesh256.interior_mask.sum())
