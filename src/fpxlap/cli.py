@@ -20,8 +20,8 @@ from . import catalog
 from .catalog import _finite
 from .exponents import validate_exponent_field, validate_growth_pair
 from .lebesgue import GridFunction
-from .mesh_kernel import Mesh, assemble_weights, build_mesh
-from .poisson import PoissonProblem, Tolerances, _is_count, solve_poisson
+from .mesh_kernel import Mesh, _is_count, assemble_weights, build_mesh
+from .poisson import PoissonProblem, Tolerances, solve_poisson
 from .semilinear import (DecompositionError, fixed_point_solve, growth_screen,
                          solve_by_decomposition)
 from .suites import run_suites

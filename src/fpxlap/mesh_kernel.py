@@ -23,6 +23,7 @@ callers weight it by the cell measure in a double-integral quantity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +33,11 @@ from .exponents import ExponentError, ExponentField
 
 class MeshError(ValueError):
     """Raised for inadmissible box/omega geometry."""
+
+
+def _is_count(n) -> bool:
+    """A positive integer; a bool is an int to Python but not a count."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
 
 
 class KernelError(ValueError):
@@ -66,10 +72,10 @@ def build_mesh(R: float, n_cells: int, omega) -> Mesh:
     the exterior collar must be nonempty on both checks (at least one
     interior and one exterior cell).
     """
-    if not R > 0:
-        raise MeshError(f"box half-width R={R} must be positive")
-    if n_cells < 4:
-        raise MeshError(f"n_cells={n_cells} must be at least 4")
+    if not 0 < R < math.inf:
+        raise MeshError(f"box half-width R={R} must be positive and finite")
+    if not (_is_count(n_cells) and n_cells >= 4):
+        raise MeshError(f"n_cells={n_cells!r} must be an integer of at least 4")
     intervals = sorted((float(a), float(b)) for a, b in omega)
     if not intervals:
         raise MeshError("omega must contain at least one interval")

@@ -20,7 +20,6 @@ Euler-Lagrange equations directly.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,18 +27,13 @@ import numpy as np
 from .checks import CheckResult, EstimateReport
 from .exponents import ExponentField, ScalarExponent, conjugate_exponent, trace_exponent, validate_growth_pair
 from .lebesgue import GridFunction, luxemburg_norm
-from .mesh_kernel import KernelWeights, Mesh, _gather, _layout, _row_blocks
+from .mesh_kernel import KernelWeights, Mesh, _gather, _is_count, _layout, _row_blocks
 from .sobolev import DirichletPair, _pair_sum, apply_operator, full_norm, weak_form
 
 
 _MIN_STEP = 1e-20      # smallest Armijo step tried before an iteration gives up
 _ENERGY_TOL = 1e-8     # energy drop forgiven by minimizer_equivalence_check
 _HOLDOUT_SLACK = 0.10  # holdout ratio above 1 forgiven by lr_estimate_check
-
-
-def _is_count(n) -> bool:
-    """A positive integer; a bool is an int to Python but not a count."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,9 @@ from .checks import CheckResult
 from .exponents import (ExponentError, ExponentField, ScalarExponent, conjugate_exponent,
                         trace_exponent)
 from .lebesgue import GridFunction, _norm_rows, luxemburg_norm
-from .mesh_kernel import Mesh, restrict_interior
-from .poisson import (PoissonProblem, PoissonSolution, _InteriorBlock, _is_count,
-                      _require_growth_pair, energy as poisson_energy, initial_guess,
-                      solve_poisson)
+from .mesh_kernel import Mesh, _is_count, restrict_interior
+from .poisson import (PoissonProblem, PoissonSolution, _InteriorBlock, _require_growth_pair,
+                      energy as poisson_energy, initial_guess, solve_poisson)
 from .sobolev import DirichletPair
 
 
@@ -283,7 +282,7 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
     Every Poisson solve of the call shares that block, since only h changes
     between them, and r' is evaluated at the interior centres once.
     """
-    if not (0.0 < theta <= 1.0):
+    if isinstance(theta, bool) or not (0.0 < theta <= 1.0):
         raise ValueError("damping theta must lie in (0, 1]")
     if not _is_count(max_iter):
         raise ValueError("fixed-point max_iter must be a positive integer")
@@ -341,8 +340,8 @@ def fixed_point_solve(f: Nonlinearity, prob: PoissonProblem, theta: float = 1.0,
 
 def shell_partition(mesh: Mesh, shells: int) -> list[np.ndarray]:
     """Split interior cells into contiguous left-to-right equal-count blocks."""
-    if shells < 1:
-        raise ValueError("need at least one shell")
+    if not _is_count(shells):
+        raise ValueError(f"shells={shells!r}: need at least one shell, as an integer count")
     idx = mesh.interior_indices
     if shells > idx.size:
         raise ValueError(f"cannot split {idx.size} interior cells into {shells} shells")

@@ -290,6 +290,14 @@ class TestTail:
 # each mesh and interior set the builders reject: (call, fragment of the
 # MeshError message); the centers of build_mesh(2, 4, .) are -1.5, -0.5, 0.5, 1.5
 REJECTIONS = {
+    "box_infinite": (lambda: build_mesh(np.inf, 8, [(-1.0, 1.0)]),
+                     "box half-width R=inf must be positive and finite"),
+    "box_nan": (lambda: build_mesh(np.nan, 8, [(-1.0, 1.0)]),
+                "box half-width R=nan must be positive and finite"),
+    "cells_fractional": (lambda: build_mesh(2.0, 8.0, [(-1.0, 1.0)]),
+                         "n_cells=8.0 must be an integer of at least 4"),
+    "cells_too_few": (lambda: build_mesh(2.0, 3, [(-1.0, 1.0)]),
+                      "n_cells=3 must be an integer of at least 4"),
     "omega_between_centers": (lambda: build_mesh(2.0, 4, [(0.6, 1.4)]),
                               "omega captures no cell centers; refine the mesh"),
     "no_exterior_cell": (lambda: build_mesh(1.0, 4, [(-0.9, 0.9)]),

@@ -759,8 +759,17 @@ REJECTIONS = {
     "theta_zero": (lambda mesh: fixed_point_solve(arctan_nonlinearity(mesh),
                                                   make_template(mesh), theta=0.0),
                    ValueError, "damping theta must lie in (0, 1]"),
+    "theta_bool": (lambda mesh: fixed_point_solve(arctan_nonlinearity(mesh),
+                                                  make_template(mesh), theta=True),
+                   ValueError, "damping theta must lie in (0, 1]"),
     "no_shells": (lambda mesh: shell_partition(mesh, 0), ValueError,
                   "need at least one shell"),
+    "shells_fractional": (lambda mesh: solve_by_decomposition(
+        arctan_nonlinearity(mesh), GridFunction.zeros(mesh), 2.5, make_template(mesh)),
+        ValueError, "shells=2.5: need at least one shell, as an integer count"),
+    "shells_bool": (lambda mesh: solve_by_decomposition(
+        arctan_nonlinearity(mesh), GridFunction.zeros(mesh), True, make_template(mesh)),
+        ValueError, "shells=True: need at least one shell, as an integer count"),
 }
 
 
