@@ -127,6 +127,8 @@ class TestShippedConfigs:
         if mode == "verify":
             checks = [line for line in report if line.startswith("check.") and ".passed: " in line]
             assert checks and all(line.endswith(".passed: True") for line in checks)
+        elif mode == "validate":
+            assert "exponent.passed: True" in report
         else:
             assert "solver.converged: True" in report
 
