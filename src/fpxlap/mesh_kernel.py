@@ -35,13 +35,13 @@ class MeshError(ValueError):
     """Raised for inadmissible box/omega geometry."""
 
 
+class KernelError(ValueError):
+    """Raised when the piecewise-constant discretization is invalid."""
+
+
 def _is_count(n) -> bool:
     """A positive integer; a bool is an int to Python but not a count."""
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
-
-
-class KernelError(ValueError):
-    """Raised when the piecewise-constant discretization is invalid."""
 
 
 @dataclass(frozen=True)

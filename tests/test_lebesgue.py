@@ -354,15 +354,17 @@ def _recorded_draws(monkeypatch):
     return calls
 
 
-# two intervals, so the interior cells are not one run of the box
-_SUITE_MESH = build_mesh(2.0, 96, [(-1.5, -0.5), (0.2, 1.0)])
+@pytest.fixture
+def suite_mesh():
+    # two intervals, so the interior cells are not one run of the box
+    return build_mesh(2.0, 96, [(-1.5, -0.5), (0.2, 1.0)])
 
 
 class TestSuiteChunks:
     @pytest.mark.parametrize("name", tuple(suites.SUITE_RUNNERS))
-    def test_chunked_cases_equal_the_single_case_checks(self, name, monkeypatch):
+    def test_chunked_cases_equal_the_single_case_checks(self, name, suite_mesh, monkeypatch):
         # 3 cases a chunk, so 11 cases make 3 full chunks and a remainder of 2
-        mesh = _SUITE_MESH
+        mesh = suite_mesh
         monkeypatch.setattr(suites, "_CHUNK_VALUES", 3 * int(mesh.interior_mask.sum()))
         calls = _recorded_draws(monkeypatch)
         outcomes = list(getattr(suites, f"_{name}_cases")(mesh, np.random.default_rng(5), 11))
@@ -386,8 +388,8 @@ class TestSuiteChunks:
         assert result.failures == sum(not c[1] for c in cases)
 
     @pytest.mark.parametrize("name", tuple(suites.SUITE_RUNNERS))
-    def test_report_does_not_depend_on_the_chunk_size(self, name, monkeypatch):
-        mesh = _SUITE_MESH
+    def test_report_does_not_depend_on_the_chunk_size(self, name, suite_mesh, monkeypatch):
+        mesh = suite_mesh
         interior = int(mesh.interior_mask.sum())
         results = []
         # 1 case, 3 cases and all 11 cases a chunk
@@ -397,8 +399,8 @@ class TestSuiteChunks:
         assert results[0] == results[1] == results[2]
 
     @pytest.mark.parametrize("name", tuple(suites.SUITE_RUNNERS))
-    def test_drawn_exponents_lie_inside_their_ranges(self, name, monkeypatch):
-        mesh = _SUITE_MESH
+    def test_drawn_exponents_lie_inside_their_ranges(self, name, suite_mesh, monkeypatch):
+        mesh = suite_mesh
         calls = _recorded_draws(monkeypatch)
         suites.SUITE_RUNNERS[name](mesh, np.random.default_rng(9), 500)
         (args, chunks), = calls
