@@ -186,6 +186,13 @@ def pairing(u: GridFunction, v: GridFunction) -> float:
     return float(np.sum(u.values[mask] * v.values[mask]) * u.mesh.cell_width)
 
 
+def _one_case(name: str, value, bound, slack, passed, detail: str = "") -> CheckResult:
+    """The CheckResult of row 0 of a core's per-row value, bound, slack and
+    verdict: the public checks' one case."""
+    return CheckResult(name=name, passed=bool(passed[0]), value=float(value[0]),
+                       bound=float(bound[0]), slack=float(slack[0]), detail=detail)
+
+
 def _holder_rows(u: np.ndarray, v: np.ndarray, q: np.ndarray, q_conj: np.ndarray,
                  cell_width: float):
     """|sum u v dx| and its bound 2 ||u||_q ||v||_{q'} per row, with the
@@ -200,16 +207,9 @@ def holder_pairing_check(u: GridFunction, v: GridFunction, q: ScalarExponent) ->
     """|sum u v dx| <= 2 ||u||_q ||v||_{q'} over Omega."""
     mask = u.mesh.interior_mask
     centers = u.mesh.cell_centers[mask]
-    lhs, bound, slack, passed = _holder_rows(
+    return _one_case("holder_pairing", *_holder_rows(
         u.values[mask][None], v.values[mask][None], q.values(centers)[None],
-        conjugate_exponent(q).values(centers)[None], u.mesh.cell_width)
-    return CheckResult(
-        name="holder_pairing",
-        passed=bool(passed[0]),
-        value=float(lhs[0]),
-        bound=float(bound[0]),
-        slack=float(slack[0]),
-    )
+        conjugate_exponent(q).values(centers)[None], u.mesh.cell_width))
 
 
 def _norm_of_one_rows(gamma: np.ndarray, cell_width: float):
@@ -227,18 +227,10 @@ def _norm_of_one_rows(gamma: np.ndarray, cell_width: float):
 
 def norm_of_one_bounds(gamma: ScalarExponent, mesh: Mesh) -> CheckResult:
     """min(|O|^(1/g+), |O|^(1/g-)) <= ||1||_gamma <= max(...) on Omega."""
-    mask = mesh.interior_mask
-    measure = float(mask.sum()) * mesh.cell_width
     norm1, lo_bound, hi_bound, slack, ok = _norm_of_one_rows(
-        gamma.values(mesh.cell_centers[mask])[None], mesh.cell_width)
-    return CheckResult(
-        name="norm_of_one",
-        passed=bool(ok[0]),
-        value=float(norm1[0]),
-        bound=float(hi_bound[0]),
-        slack=float(slack[0]),
-        detail=f"measure={measure:.6g} lower={float(lo_bound[0]):.12g}",
-    )
+        gamma.values(mesh.cell_centers[mesh.interior_mask])[None], mesh.cell_width)
+    return _one_case("norm_of_one", norm1, hi_bound, slack, ok,
+                     f"measure={mesh.omega_measure:.6g} lower={float(lo_bound[0]):.12g}")
 
 
 def _power_bounds(m: float, mid: float, b_lo: float, b_hi: float) -> tuple[float, float, bool]:
@@ -278,14 +270,8 @@ def power_norm_bounds_check(u: GridFunction, alpha: ScalarExponent,
         u.values[mask][None], alpha.values(centers)[None], beta.values(centers)[None],
         u.mesh.cell_width)
     m = float(m[0])
-    return CheckResult(
-        name="power_norm_bounds",
-        passed=bool(ok[0]),
-        value=float(mid[0]),
-        bound=float(bound[0]),
-        slack=float(slack[0]),
-        detail=f"base_norm={m:.12g}" if m != 0.0 else "",
-    )
+    return _one_case("power_norm_bounds", mid, bound, slack, ok,
+                     f"base_norm={m:.12g}" if m != 0.0 else "")
 
 
 def _norm_modular_slack(rho: float, nrm: float, q_lo: float, q_hi: float, tol: float) -> float:
@@ -330,12 +316,5 @@ def norm_modular_relation_check(u: GridFunction, q: ScalarExponent,
     mask = u.mesh.interior_mask
     rho, nrm, slack, passed = _norm_modular_rows(
         u.values[mask][None], q.values(u.mesh.cell_centers[mask])[None], u.mesh.cell_width, tol)
-    rho, nrm = float(rho[0]), float(nrm[0])
-    return CheckResult(
-        name="norm_modular_relation",
-        passed=bool(passed[0]),
-        value=rho,
-        bound=nrm,
-        slack=float(slack[0]),
-        detail=f"norm={nrm:.12g} modular={rho:.12g}",
-    )
+    return _one_case("norm_modular_relation", rho, nrm, slack, passed,
+                     f"norm={float(nrm[0]):.12g} modular={float(rho[0]):.12g}")

@@ -252,9 +252,9 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
         # a filled row, not a scalar: a zero-stride exponent 0.5 takes sqrt
         two_m_row = np.full(n + 1, 2.0 - alpha)
         denom_const = (1.0 - alpha) * (2.0 - alpha)
-    # the strict lower triangle of the largest block's square or mirror tile
+    # the strict lower triangle of a mirror tile
     tile = max(1, math.isqrt(_BLOCK_PAIRS // 2))
-    lower = np.tri(max(tile, *(i1 - i0 for i0, i1 in spans)), k=-1, dtype=bool)
+    lower = np.tri(tile, k=-1, dtype=bool)
     w_min = w_max = 0.0
     for i0, i1 in spans:
         rows, cols = i1 - i0, n - i0
@@ -288,12 +288,9 @@ def assemble_weights(mesh: Mesh, p: ExponentField) -> KernelWeights:
             # the last term overwrites the exponent it reads
             near += _phi(two_m, grid[:-1, :-1], two_m, denom)
         far -= near
-        # the block's own square: zero diagonal, lower part mirrored from above,
-        # so that the checks read the weights w will hold
-        square, mirror = far[:, :rows], near[:, :rows]
-        np.copyto(mirror, square.T)
-        np.copyto(square, mirror, where=lower[:rows, :rows])
-        np.fill_diagonal(square, 0.0)
+        # the block's own square gets a zero diagonal; its lower part, the same
+        # formula on the same cell pairs, is checked here and mirrored below
+        np.fill_diagonal(far[:, :rows], 0.0)
         # min and max propagate nan, and an infinity is one of them
         b_min, b_max = float(far.min()), float(far.max())
         if not (np.isfinite(b_min) and np.isfinite(b_max)):
