@@ -55,10 +55,11 @@ The checkout to measure is ``--repo`` (default: the one holding this
 script): its ``src/`` is imported, its configs are run, and the file is
 named after its ``git rev-parse --short HEAD``, with ``"dirty": true`` when
 its working tree differs from that commit.  The file goes to ``--out``
-(default: that checkout's root).  Everything is called through the public
-API only; its Poisson problems carry no growth exponent r, so it measures
-the commits whose ``PoissonProblem`` takes r as optional.  An older commit
-is measured by that commit's own copy of this script.
+(default: that checkout's root), which is created before the run if
+missing.  Everything is called through the public API only; its Poisson
+problems carry no growth exponent r, so it measures the commits whose
+``PoissonProblem`` takes r as optional.  An older commit is measured by
+that commit's own copy of this script.
 
 Usage: python scripts/bench_layers.py [--repo DIR] [--out DIR]
 """
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
     repo = args.repo.resolve()
+    # made before the run, so a missing directory cannot lose it at the end
+    out_dir = repo if args.out is None else args.out
+    out_dir.mkdir(parents=True, exist_ok=True)
     sys.path.insert(0, str(repo / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -275,7 +279,6 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     record["entries"] = build_entries(repo)
     record["wall_s"] = time.perf_counter() - start
-    out_dir = repo if args.out is None else args.out
     path = out_dir / f"BENCH_{sha}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path} ({record['wall_s']:.0f} s)")

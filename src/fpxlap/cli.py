@@ -264,7 +264,8 @@ def _run_mode(cfg: RunConfig, report: Report) -> int:
         return 0
 
     g = _build_data(cfg, mesh, "g")
-    h = _build_data(cfg, mesh, "h")
+    # the semilinear modes take their source from N_f, so only poisson builds h
+    h = _build_data(cfg, mesh, "h") if cfg.mode == "poisson" else GridFunction.zeros(mesh)
     tol = Tolerances(**cfg.raw.get("tolerances", {}))
     prob = PoissonProblem(mesh=mesh, weights=weights, p=p, h=h, g=g, tolerances=tol)
 

@@ -139,9 +139,8 @@ def gamma_exponent(r: ScalarExponent, p: ExponentField) -> ScalarExponent:
 
 def measure_constant(mesh: Mesh, gamma: ScalarExponent) -> float:
     """C_Omega = 2 max(|O|^(1/gamma+), |O|^(1/gamma-)) on the interior."""
-    mask = mesh.interior_mask
-    measure = float(mask.sum()) * mesh.cell_width
-    gvals = gamma.values(mesh.cell_centers[mask])
+    measure = mesh.omega_measure
+    gvals = gamma.values(mesh.cell_centers[mesh.interior_mask])
     g_lo, g_hi = float(gvals.min()), float(gvals.max())
     return 2.0 * max(measure ** (1.0 / g_hi), measure ** (1.0 / g_lo))
 
@@ -359,9 +358,9 @@ class DecompositionReport:
     ``mixed_sweeps`` counts the sweeps that kept the Anderson candidate."""
 
     shell_measures: list[float]
-    sweeps: int
-    residual: float
-    converged: bool
+    sweeps: int = 0
+    residual: float = np.inf
+    converged: bool = False
     shell_traces: list[list[FixedPointTrace]] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     mixed_sweeps: int = 0
@@ -415,12 +414,7 @@ def solve_by_decomposition(f: Nonlinearity, g: GridFunction, shells: int,
     require_growth(f, prob.mesh, prob.p)
     masks = shell_partition(prob.mesh, shells)
     dx = prob.mesh.cell_width
-    report = DecompositionReport(
-        shell_measures=[float(m.sum()) * dx for m in masks],
-        sweeps=0,
-        residual=np.inf,
-        converged=False,
-    )
+    report = DecompositionReport(shell_measures=[float(m.sum()) * dx for m in masks])
     current = initial_guess(prob).values.copy()
     mask_all = prob.mesh.interior_mask
 

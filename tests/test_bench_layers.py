@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -84,3 +85,18 @@ def test_a_slow_first_call_gets_one_round():
     # the first call, one timed round and one traced call
     assert entry["rounds"] == 1 < bench.REPEATS
     assert out == 1 and len(calls) == 3
+
+
+def test_a_missing_out_directory_is_made_before_the_run(tmp_path, monkeypatch):
+    out = tmp_path / "a" / "b"
+    made = []
+    monkeypatch.setattr(bench, "build_entries", lambda repo: made.append(out.is_dir()) or [])
+    # main pins the BLAS threads and imports the checkout's src/: undo both afterwards
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert bench.main(["--out", str(out)]) == 0
+    sha = bench.git(ROOT, "rev-parse", "--short", "HEAD")
+    assert made == [True]
+    record = json.loads((out / f"BENCH_{sha}.json").read_text())
+    assert record["commit"] == sha and record["entries"] == []

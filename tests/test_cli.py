@@ -494,6 +494,23 @@ class TestRun:
         assert run_cli(tmp_path, "decompose", cfg, name="bad.json")[0] == 1
         assert "fixedpoint.max_iter must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stem", ("semilinear_arctan", "decompose_three_shells"))
+    def test_semilinear_modes_do_not_build_the_source(self, tmp_path, stem):
+        """Their source is N_f(u): a data.h, even of a kind the catalog does
+        not know, is only schema-checked and leaves the report unchanged."""
+        cfg = json.loads((CONFIGS / f"{stem}.json").read_text())
+        reports = []
+        for name in ("plain", "unknown_h"):
+            if name == "unknown_h":
+                cfg["data"]["h"] = {"kind": "no_such_kind", "params": {}}
+            (tmp_path / name).mkdir()
+            code, out = run_cli(tmp_path / name, cfg["mode"], cfg)
+            assert code == 0
+            reports.append([line for line in (out / "report").read_text().splitlines()
+                            if not line.startswith(("config.json: ", "wallclock_seconds: "))])
+        assert "solver.converged: True" in reports[0]
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("mode,shells", [("semilinear", None), ("decompose", 3)])
     def test_trace_rows_name_sweep_and_shell(self, tmp_path, mode, shells, monkeypatch):
         solves = []

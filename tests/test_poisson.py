@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -777,3 +778,96 @@ def test_estimate_needs_eight_right_hand_sides(mesh16):
         lr_estimate_check(family, prob)
     assert excinfo.type is ValueError
     assert "estimate protocol needs at least 8 right-hand sides" in str(excinfo.value)
+
+
+def _assert_documented_outcome(sol, prob):
+    """The energy never rises, and converged is the check of the recomputed
+    gradient sup against the tolerance."""
+    assert np.all(np.diff(sol.energy_history) <= 0.0)
+    recomputed = float(np.max(np.abs(energy_gradient(sol.u, prob).values)))
+    assert sol.converged == (recomputed <= prob.tolerances.el_residual)
+
+
+class TestSolverStops:
+    """The guards of the outer iteration, each forced by a patched direction
+    or energy.  A model direction is built at the accepted point, which is
+    always the last evaluated one, and its first trial takes the full step."""
+
+    @staticmethod
+    def _record(monkeypatch, scale):
+        """Patch ``_pcg`` to return ``scale`` times its direction; returns the
+        fields and gradients of every evaluation and, per direction, the
+        number of evaluations made before it and its sup-norm."""
+        evaluated, directions = [], []
+        pcg, evaluate = poisson_module._pcg, poisson_module._InteriorBlock._evaluate
+
+        def scaled_pcg(A, rhs, rtol):
+            d, steps = pcg(A, rhs, rtol)
+            directions.append((len(evaluated), float(np.max(np.abs(scale * d)))))
+            return scale * d, steps
+
+        def recording(self, v, source):
+            e, grad = evaluate(self, v, source)
+            evaluated.append((v.copy(), grad.copy()))
+            return e, grad
+
+        monkeypatch.setattr(poisson_module, "_pcg", scaled_pcg)
+        monkeypatch.setattr(poisson_module._InteriorBlock, "_evaluate", recording)
+        return evaluated, directions
+
+    def test_a_long_direction_is_capped(self, rng, monkeypatch):
+        prob = _class_problem("p1_5", rng)
+        evaluated, directions = self._record(monkeypatch, 1e6)
+        sol = solve_poisson(prob)
+        _assert_documented_outcome(sol, prob)
+        assert sol.converged
+        capped = 0
+        for count, dn in directions:
+            vals, trial = evaluated[count - 1][0], evaluated[count][0]
+            cap = 10.0 * (1.0 + float(np.max(np.abs(vals))))
+            # the first trial's step is the direction, cut down to the cap
+            assert float(np.max(np.abs(trial - vals))) == pytest.approx(min(dn, cap), rel=1e-9)
+            capped += dn > cap
+        assert capped >= 1
+
+    def test_an_ascent_direction_falls_back_to_steepest_descent(self, rng, monkeypatch):
+        prob = replace(_class_problem("p1_5", rng), tolerances=Tolerances(max_iter=5))
+        evaluated, directions = self._record(monkeypatch, -1.0)
+        sol = solve_poisson(prob)
+        _assert_documented_outcome(sol, prob)
+        assert sol.iterations == len(directions) == 5
+        rows = np.flatnonzero(prob.mesh.interior_mask)
+        for count, _ in directions:
+            (vals, grad), trial = evaluated[count - 1], evaluated[count][0]
+            expected = vals.copy()
+            expected[rows] += 1.0 * -grad
+            assert np.array_equal(trial, expected)
+
+    def test_no_accepted_step_stops_at_the_start(self, rng, monkeypatch):
+        prob = replace(_class_problem("p1_5", rng), tolerances=Tolerances(max_iter=3))
+        evaluate = poisson_module._InteriorBlock._evaluate
+        calls = []
+
+        def infinite_after_the_first(self, v, source):
+            e, grad = evaluate(self, v, source)
+            calls.append(None)
+            return (e if len(calls) == 1 else math.inf), grad
+
+        monkeypatch.setattr(poisson_module._InteriorBlock, "_evaluate", infinite_after_the_first)
+        sol = solve_poisson(prob)
+        _assert_documented_outcome(sol, prob)
+        assert not sol.converged and sol.iterations == 1
+        assert np.array_equal(sol.u.u.values, initial_guess(prob).values)
+        # every halving down to the smallest step was tried
+        assert sol.backtracks == len(calls) - 1 > 60
+
+    def test_estimate_family_with_failing_solves_is_infeasible(self, mesh64):
+        prob = make_problem(mesh64, const_pair(1.5, 0.5), 2.2, np.zeros(64), np.zeros(64),
+                            max_iter=1)
+        base = np.cos(2.0 * mesh64.cell_centers)
+        family = [grid(mesh64, k * base) for k in np.linspace(0.25, 4.0, 8)]
+        assert not solve_poisson(prob.with_h(family[0])).converged
+        report = lr_estimate_check(family, prob)
+        assert not report.feasible
+        assert report.detail == "solver non-convergence inside estimate family"
+        assert (report.k1, report.k2, report.train_pairs) == (0.0, 0.0, [])
